@@ -292,8 +292,9 @@ def frac_power(a: FracIdeal, k: int) -> FracIdeal:
     while k:
         if k & 1:
             out = frac_product(out, base)
-        base = frac_product(base, base)
         k >>= 1
+        if k:
+            base = frac_product(base, base)
     return out
 
 

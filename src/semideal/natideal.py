@@ -10,12 +10,18 @@ equality.
 
 The closure bitmaps come from the selected kernel backend; an adaptive
 window is grown until min(gens/d) consecutive scaled members are seen, which
-certifies that everything beyond is a member.
+certifies that everything beyond is a member. A bitmap is decoded into ex
+in one pass over its 64-bit words. Minimal generators are found in ascending
+order, each the least member not yet a sum, and only they are shifted into
+the sums: one pass over the window per generator, not per member. Membership
+below the threshold is a binary search in ex.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._kernels import additive_closure
@@ -35,7 +41,8 @@ class NatIdeal:
             return False
         if x >= self.c:
             return x % self.d == 0
-        return x in self.ex
+        k = bisect_left(self.ex, x)
+        return k < len(self.ex) and self.ex[k] == x
 
     def min_nonzero(self):
         if self.d == 0:
@@ -76,18 +83,24 @@ def _scaled_bits_to_ideal(d, mask, run):
     """Canonical triple from an exact scaled membership mask.
 
     Bits of mask are exact up to at least ``run``; every scaled value >= run
-    is known to be a member.
+    is known to be a member. The members below the gap are read in one pass
+    over the mask's 64-bit words.
     """
     gaps = ~mask & ((1 << (run + 1)) - 1)
     if gaps == 0:
         return NatIdeal(d, 0, ())
     z0 = gaps.bit_length() - 1
+    below = mask & ((1 << z0) - 1) & ~1
+    words = memoryview(below.to_bytes((z0 + 63) // 64 * 8, sys.byteorder)).cast("Q")
+    if sys.byteorder == "big":
+        words = words[::-1]  # least significant word first
     ex = []
-    t = mask & ((1 << z0) - 1) & ~1
-    while t:
-        low = t & -t
-        ex.append((low.bit_length() - 1) * d)
-        t ^= low
+    for k, w in enumerate(words):
+        base = 64 * k - 1
+        while w:
+            low = w & -w
+            ex.append((base + low.bit_length()) * d)
+            w ^= low
     return NatIdeal(d, (z0 + 1) * d, tuple(ex))
 
 
@@ -145,27 +158,18 @@ def minimal_generators(i):
     cs = i.c // d
     ms = i.min_nonzero() // d
     limit = cs + ms
-    mask = 1
+    # base-2 digits, most significant first: scaled member n is at limit - n
+    digits = bytearray(b"0") * (limit + 1)
     for e in i.ex:
-        mask |= 1 << (e // d)
-    mask |= ((1 << (limit + 1)) - 1) & ~((1 << cs) - 1)
-    nz = mask & ~1
-    window = (1 << (limit + 1)) - 1
-    sums = 0
-    t = nz
-    while t:
-        low = t & -t
-        u = low.bit_length() - 1
-        if u > limit:
-            break
-        sums |= (nz << u) & window
-        t ^= low
-    gens_mask = nz & ~sums
+        digits[limit - e // d] = 49  # ord("1")
+    nz = int(digits, 2) | ((1 << (limit + 1)) - (1 << cs))
     out = []
-    while gens_mask:
-        low = gens_mask & -gens_mask
-        out.append((low.bit_length() - 1) * d)
-        gens_mask ^= low
+    cand = nz
+    while cand:
+        low = cand & -cand
+        u = low.bit_length() - 1
+        out.append(u * d)
+        cand &= ~((nz << u) | low)
     return tuple(out)
 
 
@@ -188,8 +192,9 @@ def nat_power(i, k):
     while k:
         if k & 1:
             out = nat_product(out, base)
-        base = nat_product(base, base)
         k >>= 1
+        if k:
+            base = nat_product(base, base)
     return out
 
 
@@ -308,6 +313,6 @@ def nat_unscale(i, t):
         raise ValueError("positive scale required")
     if i.d == 0 or t == 1:
         return i
-    if i.d % t or i.c % t or any(e % t for e in i.ex):
+    if i.d % t:  # c and every e in ex are multiples of d
         raise ValueError("members are not all divisible")
     return NatIdeal(i.d // t, i.c // t, tuple(e // t for e in i.ex))

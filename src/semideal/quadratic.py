@@ -133,8 +133,9 @@ def qi_pow(i, k):
     while k:
         if k & 1:
             out = qi_mul(out, base)
-        base = qi_mul(base, base)
         k >>= 1
+        if k:
+            base = qi_mul(base, base)
     return out
 
 

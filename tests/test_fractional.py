@@ -54,6 +54,7 @@ from semideal import (
     unit_ideal,
     zero_ideal,
 )
+from semideal import fractional, natideal, quadratic
 from semideal.fractional import FracIdeal, frac_is_zero, frac_unit, frac_zero, k_mul, k_one
 from semideal.natideal import NAT_ZERO, nat_unscale
 from semideal.quadratic import QI_ONE, QuadIdeal
@@ -264,6 +265,46 @@ def test_power():
     m = frac_from_ideal(ideal_from_generators(N0, [2, 3]))
     with pytest.raises(Unsupported):
         frac_power(m, -1)
+
+
+# (module, product name, power, base): each power loop and the product it calls
+POWER_LOOPS = [
+    pytest.param(
+        fractional, "frac_product", frac_power,
+        frac_from_generators(N0, [Fraction(2, 5), Fraction(3, 5)]), id="frac-n0",
+    ),
+    pytest.param(
+        fractional, "frac_product", frac_power,
+        frac_from_generators(GCD, [Fraction(6, 5)]), id="frac-gcd",
+    ),
+    pytest.param(
+        fractional, "frac_product", frac_power,
+        frac_from_generators(Q5, [Fraction(2), Fraction(3, 2)]), id="frac-quad5",
+    ),
+    pytest.param(
+        natideal, "nat_product", natideal.nat_power,
+        natideal.from_generators([2, 3]), id="nat-n0",
+    ),
+    pytest.param(quadratic, "qi_mul", quadratic.qi_pow, QuadIdeal(1, 2, 1), id="qi-quad5"),
+]
+
+
+@pytest.mark.parametrize("module, name, power, base", POWER_LOOPS)
+def test_power_squares_no_further_than_the_top_bit(monkeypatch, module, name, power, base):
+    product = getattr(module, name)
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return product(x, y)
+
+    monkeypatch.setattr(module, name, counted)
+    acc = power(base, 0)
+    for k in range(10):
+        calls.clear()
+        assert power(base, k) == acc
+        assert len(calls) <= max(k.bit_length() - 1, 0) + bin(k).count("1")
+        acc = product(acc, base)
 
 
 def test_sandwich():

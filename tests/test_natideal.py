@@ -184,6 +184,37 @@ def test_minimal_generators_properties(gens):
             assert any(m - x in mem for x in mem if 0 < x < m)
 
 
+# Conductors up to about 2e4, and members either side of bits 63/64 and
+# 127/128 of the scaled membership masks (d = 2 for (126, 128)).
+LARGE_GEN_SETS = [
+    (150, 151),
+    (100, 117, 143),
+    (127, 128),
+    (63, 64),
+    (62, 63, 65),
+    (61, 67, 127, 129),
+    (126, 128),
+    (64, 96, 129),
+]
+
+
+def oracle_minimal_generators(gens):
+    """Generators that are no sum of the others."""
+    gens = sorted(set(gens))
+    return tuple(g for g in gens if g not in closure_members([h for h in gens if h != g], g))
+
+
+@pytest.mark.parametrize("gens", LARGE_GEN_SETS, ids=str)
+def test_large_ideals_match_oracle(gens):
+    i = from_generators(gens)
+    assert_canonical(i)
+    lim = i.c + 2 * max(gens)
+    mem = closure_members(gens, lim)
+    assert i.members_below(lim + 1) == sorted(mem)
+    assert [x for x in range(lim + 1) if i.contains(x)] == sorted(mem)
+    assert minimal_generators(i) == oracle_minimal_generators(gens)
+
+
 def pair_window(i, j):
     """Decisive comparison window for two nonzero ideals (covers both tails)."""
     lcm = i.d * j.d // math.gcd(i.d, j.d)
