@@ -8,16 +8,18 @@ error (unsupported operation, precondition violation), reported by name.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .content import dm_exponent, gaussian_check
-from .errors import ParseError, SemidealError
+from .errors import ParseError, SemidealError, Unsupported
 from .exprparse import eval_expr, parse_expr
 from .fractional import (
     frac_from_ideal,
     frac_invert,
     frac_str,
+    is_integral,
     localize,
     sandwich,
     to_ideal,
@@ -32,7 +34,7 @@ from .ideals import (
     is_subtractive,
     search_between,
 )
-from .instances import instance, payload_str
+from .instances import element, instance, payload_str
 from .laws import LAW_IDS, check_law
 from .polynomials import poly
 from .spectrum import label_from_text
@@ -73,8 +75,6 @@ def _eval_ideal(inst, text):
 def _cmd_eval(args):
     inst = _require_instance(args)
     frac = _eval_ideal(inst, args.expr)
-    from .fractional import is_integral
-
     integral = is_integral(frac)
     result = {"text": frac_str(frac), "integral": integral}
     if integral:
@@ -239,8 +239,6 @@ def _cmd_sandwich(args):
 
 
 def _coeffs(inst, text):
-    from .instances import element
-
     try:
         values = [int(tok) for tok in text.split(",")]
     except ValueError:
@@ -251,8 +249,6 @@ def _coeffs(inst, text):
 def _cmd_dm(args):
     inst = _require_instance(args)
     if inst.kind not in ("n0", "gcd", "gcd-supported", "dvs"):
-        from .errors import Unsupported
-
         raise Unsupported(f"dm coefficients are numeric; not available on {inst.kind}")
     f = _coeffs(inst, args.f)
     g = _coeffs(inst, args.g)
@@ -297,6 +293,7 @@ def _cmd_between(args):
 # argv plumbing
 
 
+@functools.cache
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="semideal",

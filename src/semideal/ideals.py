@@ -45,7 +45,7 @@ class Ideal:
 
 def _check(inst, *ideals):
     for i in ideals:
-        if i.instance != inst:
+        if i.instance is not inst:
             raise InstanceMismatch(f"ideal from {i.instance.id}, expected {inst.id}")
 
 
@@ -84,7 +84,7 @@ def ideal_from_generators(inst, gens):
     payloads = []
     for g in gens:
         if isinstance(g, Element):
-            if g.instance != inst:
+            if g.instance is not inst:
                 raise InstanceMismatch("generator from another instance")
             payloads.append(g.payload)
         else:

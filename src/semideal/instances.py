@@ -54,7 +54,13 @@ _CACHE = {}
 
 
 def instance(spec):
-    """Look up an instance by id, e.g. "gcd" or "gcd-supported(2,3)"."""
+    """Look up an instance by id, e.g. "gcd" or "gcd-supported(2,3)".
+
+    Instances are interned: every id that names the same instance
+    ("gcd-supported", "gcd-supported(3,2)", "gcd-supported(2,3)") returns the
+    one object cached under its canonical id, so the library compares
+    instances with ``is``.
+    """
     if spec in _CACHE:
         return _CACHE[spec]
     kind, support = spec, None
@@ -76,7 +82,7 @@ def instance(spec):
         raise ValueError(f"unknown instance: {spec!r}")
     flags = _FLAGS[kind]
     canonical = kind if support is None else "gcd-supported(%s)" % ",".join(map(str, support))
-    inst = Instance(canonical, kind, support, *flags)
+    inst = _CACHE.get(canonical) or Instance(canonical, kind, support, *flags)
     _CACHE[spec] = _CACHE[canonical] = inst
     return inst
 
@@ -182,7 +188,7 @@ def payload_mul(kind, x, y):
 def element_op(inst, op, x, y):
     """Binary element operation; op is "add" or "mul"."""
     for e in (x, y):
-        if e.instance != inst:
+        if e.instance is not inst:
             raise InstanceMismatch(f"operand from {e.instance.id}, expected {inst.id}")
     if op == "add":
         return Element(inst, payload_add(inst.kind, x.payload, y.payload))

@@ -48,7 +48,7 @@ def poly_str(f):
 
 
 def poly_mul(f, g):
-    if f.instance != g.instance:
+    if f.instance is not g.instance:
         from .errors import InstanceMismatch
 
         raise InstanceMismatch("polynomials over different instances")

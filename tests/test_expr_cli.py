@@ -1,5 +1,6 @@
 """Expression language and command-line front end."""
 
+import argparse
 import json
 import pathlib
 import shutil
@@ -414,6 +415,44 @@ def test_cli_default_config_passes(capsys):
     # the documented counterexamples stay on the books as expected failures
     assert any(line.startswith("XFAIL dedekind2-law-3") for line in out.splitlines())
     assert any(line.startswith("XFAIL multiplicative-cancellation") for line in out.splitlines())
+
+
+def test_cli_builds_the_parser_once(monkeypatch, capsys):
+    assert run(["eval", "--instance", "gcd", "I(4)+I(6)"], capsys)[0] == 0
+
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, expected in (
+        (["factor", "--instance", "gcd", "I(84)"], 0),
+        (["classify", "--instance", "gcd", "I(7)", "--json"], 0),
+        (["twogen", "--instance", "gcd", "I(12)", "24"], 0),
+        (["laws", "dedekind2-law-3", "--instance", "gcd", "--trials", "5"], 0),
+        (["between", "--instance", "gcd", "5"], 0),
+        (["eval", "--instance", "gcd"], 2),
+        (["factor", "--help"], 0),
+    ):
+        assert run(argv, capsys)[0] == expected, argv
+    assert built == []
+
+
+def test_cli_reused_parser_leaks_no_state(capsys):
+    code, out, err = run(["eval", "--instance", "gcd"], capsys)
+    assert code == 2 and out == "" and "expr" in err
+    code, out, _ = run(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: semideal")
+    code, doc, _ = run_json(["laws", "reyes", "--instance", "gcd", "--trials", "3", "--seed", "7"], capsys)
+    assert code == 0 and doc["seed"] == 7 and doc["result"]["trials"] == 3
+
+    argv = ["eval", "--instance", "gcd", "I(6)", "--json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["seed"] == 0
+    _run_cli([sys.executable, "-m", "semideal.cli", *argv], 0, out)
 
 
 def _run_cli(argv, expected_code, expected_out):

@@ -47,6 +47,22 @@ def test_instance_cache_and_canonical_id():
     assert instance("gcd-supported(5)").support == (5,)
 
 
+def test_instance_aliases_share_one_object(monkeypatch):
+    # An alias looked up after its canonical id must not replace the cached
+    # object: ideals built on the first lookup still combine with later ones.
+    import semideal.instances as instances
+    from semideal.ideals import ideal_from_generators, ideal_sum
+
+    monkeypatch.setattr(instances, "_CACHE", {})
+    first = instance("gcd-supported(2,3)")
+    assert instance("gcd-supported(3,2)") is first
+    assert instance("gcd-supported") is first
+    assert instance("gcd-supported(2,3)") is first
+    a = ideal_from_generators(first, [4])
+    b = ideal_from_generators(instance("gcd-supported"), [6])
+    assert ideal_sum(a, b).payload == 2
+
+
 def test_instance_rejects_garbage():
     for bad in ("gc", "GCD", "gcd-supported()", "gcd-supported(4)", "gcd-supported(2,x)"):
         with pytest.raises(ValueError):
