@@ -1,26 +1,10 @@
-"""Kernel backend selection.
+"""The additive-closure kernel: ``additive_closure(gens, limit) -> int``.
 
-The compiled kernel is preferred when present; ``SEMIDEAL_PURE=1`` in the
-environment forces the pure Python fallback. Both implement the same
-``additive_closure(gens, limit) -> int`` contract.
+One pure Python implementation, in ``closure_py``.
 """
 
-import os
-
-from . import closure_py
-
-if os.environ.get("SEMIDEAL_PURE"):
-    additive_closure = closure_py.additive_closure
-    BACKEND = "pure"
-else:
-    try:
-        from ._closure import additive_closure
-
-        BACKEND = "cython"
-    except ImportError:
-        additive_closure = closure_py.additive_closure
-        BACKEND = "pure"
+from .closure_py import additive_closure
 
 
 def backend_name():
-    return BACKEND
+    return "pure"

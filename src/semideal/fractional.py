@@ -1,16 +1,21 @@
 """Fractional ideals over the semifield of fractions, and what they buy.
 
-Payload conventions, one per instance kind:
+A fractional ideal is A/d: an integral ideal A over a nonzero element d of
+the semiring. Its arithmetic is the integral arithmetic of ``ideals`` on a
+common denominator (A/d + B/d = (A+B)/d, and likewise for the product and
+the meet), so no operation is written once per instance kind.
+
+Two private helpers own the payload conventions, one per kind:
 
   gcd / gcd-supported   nonnegative Fraction (0 means the zero ideal)
   dvs                   None (zero) or an integer exponent, possibly negative
   n0                    (den, NatIdeal) with gcd(den, content) == 1
   quad5                 (Fraction scalar, primitive QuadIdeal)
 
-Every operation clears denominators, works integrally, and renormalizes, so
-results are canonical and equality is structural. lagrassa has no semifield
-of fractions to work in (it is not multiplicatively cancellative), so every
-entry point rejects it.
+``_split`` reads a payload as (A, d) and ``_join`` writes A/d back in the
+canonical form above, so results are canonical and equality is structural.
+lagrassa has no semifield of fractions to work in (it is not
+multiplicatively cancellative), so every entry point rejects it.
 """
 
 from __future__ import annotations
@@ -31,23 +36,23 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
+    _check,
+    generators,
     ideal_equals,
     ideal_from_generators,
+    ideal_intersect,
+    ideal_power,
+    ideal_product,
+    ideal_quotient,
+    ideal_sum,
+    is_zero,
+    min_nonzero,
     unit_ideal,
     zero_ideal,
 )
-from .instances import instance
+from .instances import instance, one, payload_mul
 from .primes import factorint, is_prime_int
-from .quadratic import (
-    QI_ONE,
-    QuadIdeal,
-    qi_add,
-    qi_conj,
-    qi_divide,
-    qi_factor,
-    qi_mul,
-    qi_pow,
-)
+from .quadratic import QI_ONE, QuadIdeal, qi_conj, qi_factor, qi_mul
 from .spectrum import PrimeLabel
 
 
@@ -65,57 +70,79 @@ class FracIdeal:
         return f"FracIdeal({self.instance.id}, {frac_str(self)})"
 
 
-def _norm_n0(den, nid):
-    if nid == nat.NAT_ZERO:
-        return (1, nat.NAT_ZERO)
-    g = math.gcd(den, nid.d)
-    return (den // g, nat.nat_unscale(nid, g))
+def _split(a):
+    """(A, d) with a = A/d, A an integral Ideal and d a nonzero element payload."""
+    inst, p = a.instance, a.payload
+    kind = inst.kind
+    if kind in ("gcd", "gcd-supported"):
+        return Ideal(inst, p.numerator), p.denominator
+    if kind == "dvs":
+        if p is None:
+            return Ideal(inst, None), 0
+        return Ideal(inst, max(p, 0)), max(-p, 0)
+    if kind == "n0":
+        return Ideal(inst, p[1]), p[0]
+    scalar, prim = p
+    return Ideal(inst, QuadIdeal(scalar.numerator, prim.a, prim.b)), QuadIdeal(scalar.denominator, 1, 0)
 
 
-def _norm_quad(scalar, q):
-    if scalar == 0 or q.is_zero():
-        return (Fraction(0), QI_ONE)
-    return (scalar * q.g, QuadIdeal(1, q.a, q.b))
+def _join(A, d):
+    """The canonical FracIdeal A/d for an integral Ideal A and a nonzero
+    element payload d; for quad5 d may also be a positive int or any
+    nonzero ideal of Z[w]."""
+    inst, p = A.instance, A.payload
+    kind = inst.kind
+    if kind in ("gcd", "gcd-supported"):
+        return FracIdeal(inst, Fraction(p, d))
+    if kind == "dvs":
+        return FracIdeal(inst, None if p is None else p - d)
+    if kind == "n0":
+        if p.d == 0:
+            return FracIdeal(inst, (1, p))
+        g = math.gcd(d, p.d)
+        return FracIdeal(inst, (d // g, nat.nat_unscale(p, g)))
+    if isinstance(d, QuadIdeal):
+        if d.a == 1:  # d = (g), a rational integer
+            d = d.g
+        else:  # d * conj(d) = (N(d)), so A/d = A*conj(d)/N(d)
+            p, d = qi_mul(p, qi_conj(d)), d.norm()
+    if p.is_zero():
+        return FracIdeal(inst, (Fraction(0), QI_ONE))
+    return FracIdeal(inst, (Fraction(p.g, d), QuadIdeal(1, p.a, p.b)))
+
+
+def _scale(A, t):
+    """The integral ideal A*(t) for a nonzero element payload t."""
+    if A.instance.kind == "n0":  # n0 ideals are not stored as their generator
+        return Ideal(A.instance, nat.nat_scale(A.payload, t))
+    return ideal_product(A, Ideal(A.instance, t))
+
+
+def _common(a, b):
+    """(A, B, d) with a = A/d and b = B/d."""
+    _check(a.instance, b)
+    A, da = _split(a)
+    B, db = _split(b)
+    if da == db:
+        return A, B, da
+    return _scale(A, db), _scale(B, da), payload_mul(a.instance.kind, da, db)
 
 
 def frac_from_ideal(a: Ideal) -> FracIdeal:
     inst = a.instance
     _reject_lagrassa(inst)
-    kind = inst.kind
-    if kind in ("gcd", "gcd-supported"):
-        return FracIdeal(inst, Fraction(a.payload))
-    if kind == "dvs":
-        return FracIdeal(inst, a.payload)
-    if kind == "n0":
-        return FracIdeal(inst, _norm_n0(1, a.payload))
-    return FracIdeal(inst, _norm_quad(Fraction(1), a.payload))
+    return _join(a, one(inst).payload)
 
 
 def is_integral(a: FracIdeal) -> bool:
-    kind = a.instance.kind
-    if kind in ("gcd", "gcd-supported"):
-        return a.payload.denominator == 1
-    if kind == "dvs":
-        return a.payload is None or a.payload >= 0
-    if kind == "n0":
-        return a.payload[0] == 1
-    return a.payload[0].denominator == 1
+    return _split(a)[1] == one(a.instance).payload
 
 
 def to_ideal(a: FracIdeal) -> Ideal:
-    if not is_integral(a):
+    A, d = _split(a)
+    if d != one(a.instance).payload:
         raise NotFractional(f"{frac_str(a)} is not an integral ideal")
-    kind = a.instance.kind
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(a.instance, a.payload.numerator)
-    if kind == "dvs":
-        return Ideal(a.instance, a.payload)
-    if kind == "n0":
-        return Ideal(a.instance, a.payload[1])
-    scalar, prim = a.payload
-    if scalar == 0:
-        return zero_ideal(a.instance)
-    return Ideal(a.instance, QuadIdeal(scalar.numerator, prim.a, prim.b))
+    return A
 
 
 def frac_zero(inst) -> FracIdeal:
@@ -127,7 +154,7 @@ def frac_unit(inst) -> FracIdeal:
 
 
 def frac_is_zero(a: FracIdeal) -> bool:
-    return frac_equals(a, frac_zero(a.instance))
+    return is_zero(_split(a)[0])
 
 
 def frac_equals(a: FracIdeal, b: FracIdeal) -> bool:
@@ -143,142 +170,47 @@ def frac_from_generators(inst, rats, max_denominator=None) -> FracIdeal:
     with unbounded denominators is detected as not fractional.
     """
     _reject_lagrassa(inst)
-    kind = inst.kind
     rats = [Fraction(r) for r in rats]
     if any(r < 0 for r in rats):
         raise NotFractional("generators must be nonnegative")
-    if kind == "dvs":
+    if inst.kind == "dvs":
         if any(r.denominator != 1 for r in rats):
             raise Unsupported("dvs generators are written t^n with integer n")
-        nz = [r.numerator for r in rats]
-        return FracIdeal(inst, min(nz) if nz else None)
-    rats = [r for r in rats if r != 0]
-    if not rats:
-        return frac_zero(inst)
+        return frac_from_ideal(ideal_from_generators(inst, [r.numerator for r in rats]))
     den = math.lcm(*(r.denominator for r in rats))
     if max_denominator is not None and den > max_denominator:
         raise NotFractional(f"common denominator {den} exceeds bound {max_denominator}")
-    scaled = [int(r * den) for r in rats]
-    numerator = ideal_from_generators(inst, scaled)
-    if kind in ("gcd", "gcd-supported"):
-        return FracIdeal(inst, Fraction(numerator.payload, den))
-    if kind == "n0":
-        return FracIdeal(inst, _norm_n0(den, numerator.payload))
-    q = numerator.payload
-    return FracIdeal(inst, _norm_quad(Fraction(1, den), q))
-
-
-def _n0_parts(a, b):
-    """Clear to a common denominator, returning (den, NatIdeal, NatIdeal)."""
-    da, na = a.payload
-    db, nb = b.payload
-    return (da * db, nat.nat_scale(na, db), nat.nat_scale(nb, da))
+    return _join(ideal_from_generators(inst, [int(r * den) for r in rats]), den)
 
 
 def frac_sum(a: FracIdeal, b: FracIdeal) -> FracIdeal:
-    inst = a.instance
-    kind = inst.kind
-    if kind in ("gcd", "gcd-supported"):
-        x, y = a.payload, b.payload
-        den = x.denominator * y.denominator
-        return FracIdeal(inst, Fraction(math.gcd(int(x * den), int(y * den)), den))
-    if kind == "dvs":
-        if a.payload is None:
-            return b
-        if b.payload is None:
-            return a
-        return FracIdeal(inst, min(a.payload, b.payload))
-    if kind == "n0":
-        den, na, nb = _n0_parts(a, b)
-        return FracIdeal(inst, _norm_n0(den, nat.nat_sum(na, nb)))
-    sa, pa = a.payload
-    sb, pb = b.payload
-    if sa == 0:
-        return b
-    if sb == 0:
-        return a
-    den = math.lcm(sa.denominator, sb.denominator)
-    qa = QuadIdeal(int(sa * den), pa.a, pa.b)
-    qb = QuadIdeal(int(sb * den), pb.a, pb.b)
-    return FracIdeal(inst, _norm_quad(Fraction(1, den), qi_add(qa, qb)))
+    A, B, d = _common(a, b)
+    return _join(ideal_sum(A, B), d)
 
 
 def frac_product(a: FracIdeal, b: FracIdeal) -> FracIdeal:
-    inst = a.instance
-    kind = inst.kind
-    if kind in ("gcd", "gcd-supported"):
-        return FracIdeal(inst, a.payload * b.payload)
-    if kind == "dvs":
-        if a.payload is None or b.payload is None:
-            return FracIdeal(inst, None)
-        return FracIdeal(inst, a.payload + b.payload)
-    if kind == "n0":
-        da, na = a.payload
-        db, nb = b.payload
-        return FracIdeal(inst, _norm_n0(da * db, nat.nat_product(na, nb)))
-    sa, pa = a.payload
-    sb, pb = b.payload
-    return FracIdeal(inst, _norm_quad(sa * sb, qi_mul(pa, pb)))
+    _check(a.instance, b)
+    A, da = _split(a)
+    B, db = _split(b)
+    return _join(ideal_product(A, B), payload_mul(a.instance.kind, da, db))
 
 
 def frac_intersect(a: FracIdeal, b: FracIdeal) -> FracIdeal:
-    inst = a.instance
-    kind = inst.kind
-    if kind in ("gcd", "gcd-supported"):
-        x, y = a.payload, b.payload
-        if x == 0 or y == 0:
-            return frac_zero(inst)
-        den = math.lcm(x.denominator, y.denominator)
-        return FracIdeal(inst, Fraction(math.lcm(int(x * den), int(y * den)), den))
-    if kind == "dvs":
-        if a.payload is None or b.payload is None:
-            return FracIdeal(inst, None)
-        return FracIdeal(inst, max(a.payload, b.payload))
-    if kind == "n0":
-        den, na, nb = _n0_parts(a, b)
-        return FracIdeal(inst, _norm_n0(den, nat.nat_intersect(na, nb)))
-    sa, pa = a.payload
-    sb, pb = b.payload
-    if sa == 0 or sb == 0:
-        return frac_zero(inst)
-    den = math.lcm(sa.denominator, sb.denominator)
-    qa = QuadIdeal(int(sa * den), pa.a, pa.b)
-    qb = QuadIdeal(int(sb * den), pb.a, pb.b)
-    meet = qi_divide(qi_mul(qa, qb), qi_add(qa, qb))
-    if meet is None:
-        raise InternalError("intersection by product/sum division failed")
-    return FracIdeal(inst, _norm_quad(Fraction(1, den), meet))
+    A, B, d = _common(a, b)
+    return _join(ideal_intersect(A, B), d)
 
 
 def frac_quotient(a: FracIdeal, b: FracIdeal) -> FracIdeal:
     """[a : b] inside the semifield of fractions; b must be nonzero."""
-    inst = a.instance
-    kind = inst.kind
-    if frac_is_zero(b):
+    A, B, _ = _common(a, b)  # [A/d : B/d] = [A : B]
+    if is_zero(B):
         raise ZeroDivisorIdeal("residual quotient by the zero ideal")
-    if kind in ("gcd", "gcd-supported"):
-        if a.payload == 0:
-            return frac_zero(inst)
-        return FracIdeal(inst, a.payload / b.payload)
-    if kind == "dvs":
-        if a.payload is None:
-            return FracIdeal(inst, None)
-        return FracIdeal(inst, a.payload - b.payload)
-    if kind == "n0":
-        den, na, nb = _n0_parts(a, b)
-        if na == nat.NAT_ZERO:
-            return frac_zero(inst)
-        # [na : nb] over the fraction semifield: pick nonzero t in nb, then
-        # x*nb <= na  iff  x*t in [t*na : nb] for x = m/t, m integral.
-        t = nb.min_nonzero()
-        q = nat.nat_quotient(nat.nat_scale(na, t), nb)
-        return FracIdeal(inst, _norm_n0(t, q))
-    sa, pa = a.payload
-    sb, pb = b.payload
-    if sa == 0:
-        return frac_zero(inst)
-    scalar = sa / (sb * pb.norm())
-    return FracIdeal(inst, _norm_quad(scalar, qi_mul(pa, qi_conj(pb))))
+    if a.instance.is_dedekind:
+        # B is invertible and generated by the element B.payload: [A : B] = A/B
+        return _join(A, B.payload)
+    # x*B <= A  iff  t*x in [t*A : B], for a nonzero t in B
+    t = min_nonzero(B)
+    return _join(ideal_quotient(_scale(A, t), B), t)
 
 
 def frac_power(a: FracIdeal, k: int) -> FracIdeal:
@@ -302,8 +234,9 @@ def frac_invert(a: FracIdeal):
     """The inverse [S : a] when a * [S : a] = S; None otherwise."""
     if frac_is_zero(a):
         return None
-    b = frac_quotient(frac_unit(a.instance), a)
-    if frac_equals(frac_product(a, b), frac_unit(a.instance)):
+    unit = frac_unit(a.instance)
+    b = frac_quotient(unit, a)
+    if frac_equals(frac_product(a, b), unit):
         return b
     return None
 
@@ -312,18 +245,14 @@ def frac_principal_generator(a: FracIdeal):
     """A K-element generating a, as (instance, canonical payload); None if none.
 
     K-element payloads: Fraction for gcd-like and n0, int exponent for dvs,
-    (Fraction, primitive QuadIdeal) for quad5.
+    (Fraction, primitive QuadIdeal) for quad5. Outside n0 they are the
+    payloads of the principal fractional ideals they generate.
     """
-    kind = a.instance.kind
     if frac_is_zero(a):
         return None
-    if kind in ("gcd", "gcd-supported"):
-        return a.payload
-    if kind == "dvs":
-        return a.payload
-    if kind == "n0":
-        den, nid = a.payload
-        gens = nat.minimal_generators(nid)
+    if a.instance.kind == "n0":
+        A, den = _split(a)
+        gens = nat.minimal_generators(A.payload)
         if len(gens) != 1:
             return None
         return Fraction(gens[0], den)
@@ -332,19 +261,15 @@ def frac_principal_generator(a: FracIdeal):
 
 def k_mul(inst, x, y):
     """Multiply two K-elements in the canonical payload form."""
-    if inst.kind == "dvs":
-        return x + y
-    if inst.kind == "quad5":
-        return _norm_quad(x[0] * y[0], qi_mul(x[1], y[1]))
-    return x * y
+    if inst.kind == "n0":
+        return x * y
+    return frac_product(FracIdeal(inst, x), FracIdeal(inst, y)).payload
 
 
 def k_one(inst):
-    if inst.kind == "dvs":
-        return 0
-    if inst.kind == "quad5":
-        return (Fraction(1), QI_ONE)
-    return Fraction(1)
+    if inst.kind == "n0":
+        return Fraction(1)
+    return frac_unit(inst).payload
 
 
 def inversion_witness(a: FracIdeal):
@@ -364,52 +289,28 @@ def inversion_witness(a: FracIdeal):
 
 def sandwich(a: FracIdeal):
     """Elements (c, d) with (c) <= a and d*a integral; a must be nonzero."""
-    inst = a.instance
-    kind = inst.kind
     if frac_is_zero(a):
         raise EmptyIdeal("the zero ideal has no nonzero member to sandwich")
-    if kind in ("gcd", "gcd-supported"):
-        return (a.payload.numerator, a.payload.denominator)
-    if kind == "dvs":
-        n = a.payload
-        return (max(n, 0), max(-n, 0))
-    if kind == "n0":
-        den, nid = a.payload
-        integral_part = nat._scale_quotient(nid, den)
-        return (integral_part.min_nonzero(), den)
-    scalar, prim = a.payload
-    c = QuadIdeal(scalar.numerator, prim.a, prim.b)
-    return (c, QuadIdeal(scalar.denominator, 1, 0))
+    A, d = _split(a)
+    if a.instance.kind == "n0":  # the least c with c*d in A
+        return (nat._scale_quotient(A.payload, d).min_nonzero(), d)
+    return (A.payload, d)  # A = (c) is principal
 
 
 def frac_str(a: FracIdeal) -> str:
-    kind = a.instance.kind
-    if kind in ("gcd", "gcd-supported"):
-        q = a.payload
-        if q == 0:
-            return "(0)"
-        return f"I({q})"
-    if kind == "dvs":
-        n = a.payload
-        if n is None:
-            return "(0)"
-        if n == 0:
-            return "S"
-        return f"t^{n}"
-    if kind == "n0":
-        den, nid = a.payload
-        if nid == nat.NAT_ZERO:
-            return "(0)"
-        gens = nat.minimal_generators(nid)
-        parts = [str(Fraction(g, den)) for g in gens]
-        return "I(" + ",".join(parts) + ")"
-    scalar, prim = a.payload
-    if scalar == 0:
+    A, d = _split(a)
+    if is_zero(A):
         return "(0)"
-    body = "O" if (prim.a, prim.b) == (1, 0) else f"({prim.a}, {prim.b}+w)"
-    if scalar == 1:
-        return body
-    return f"{scalar}*{body}"
+    kind = a.instance.kind
+    if kind == "dvs":
+        n = A.payload - d
+        return "S" if n == 0 else f"t^{n}"
+    if kind == "quad5":
+        q = A.payload
+        body = "O" if q.a == 1 else f"({q.a}, {q.b}+w)"
+        scalar = Fraction(q.g, d.g)
+        return body if scalar == 1 else f"{scalar}*{body}"
+    return "I(" + ",".join(str(Fraction(g, d)) for g in generators(A)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +342,24 @@ class ExponentVector:
 _FACTORIAL_KINDS = ("gcd", "gcd-supported", "dvs", "quad5")
 
 
+def _prime_exponents(inst, x):
+    """{PrimeLabel: exponent} of a nonzero element payload x."""
+    if inst.kind == "dvs":
+        return {PrimeLabel(inst, "t"): x}
+    if inst.kind == "quad5":
+        return {PrimeLabel(inst, "quad", p, b): e for (p, b), e in qi_factor(x).items()}
+    return {PrimeLabel(inst, "numeric", p): e for p, e in factorint(x).items()}
+
+
 def uft_factor(a: FracIdeal) -> ExponentVector:
     inst = a.instance
     if inst.kind not in _FACTORIAL_KINDS:
         raise Unsupported(f"{inst.kind} ideals do not factor into primes here")
     if frac_is_zero(a):
         raise EmptyIdeal("the zero ideal has no prime factorization")
-    if inst.kind in ("gcd", "gcd-supported"):
-        q = a.payload
-        vec = {}
-        for p, e in factorint(q.numerator).items():
-            vec[PrimeLabel(inst, "numeric", p)] = e
-        for p, e in factorint(q.denominator).items():
-            lab = PrimeLabel(inst, "numeric", p)
-            vec[lab] = vec.get(lab, 0) - e
-        return ExponentVector.of(vec)
-    if inst.kind == "dvs":
-        return ExponentVector.of({PrimeLabel(inst, "t"): a.payload})
-    scalar, prim = a.payload
-    num = QuadIdeal(scalar.numerator, prim.a, prim.b)
-    vec = {}
-    for (p, b), e in qi_factor(num).items():
-        vec[PrimeLabel(inst, "quad", p, b)] = e
-    for (p, b), e in qi_factor(QuadIdeal(scalar.denominator, 1, 0)).items():
-        lab = PrimeLabel(inst, "quad", p, b)
+    A, d = _split(a)  # A = (A.payload) is principal
+    vec = _prime_exponents(inst, A.payload)
+    for lab, e in _prime_exponents(inst, d).items():
         vec[lab] = vec.get(lab, 0) - e
     return ExponentVector.of(vec)
 
@@ -472,24 +367,13 @@ def uft_factor(a: FracIdeal) -> ExponentVector:
 def uft_compose(inst, vec: ExponentVector) -> FracIdeal:
     if inst.kind not in _FACTORIAL_KINDS:
         raise Unsupported(f"{inst.kind} ideals do not factor into primes here")
-    if inst.kind in ("gcd", "gcd-supported"):
-        q = Fraction(1)
-        for lab, e in vec.items:
-            q *= Fraction(lab.p) ** e
-        return FracIdeal(inst, q)
-    if inst.kind == "dvs":
-        total = sum(e for _, e in vec.items)
-        return FracIdeal(inst, total)
-    pos = QI_ONE
-    neg = QI_ONE
+    pos = neg = unit_ideal(inst)
     for lab, e in vec.items:
-        q = lab.ideal().payload
         if e > 0:
-            pos = qi_mul(pos, qi_pow(q, e))
+            pos = ideal_product(pos, ideal_power(lab.ideal(), e))
         else:
-            neg = qi_mul(neg, qi_pow(q, -e))
-    scalar = Fraction(1, neg.norm())
-    return FracIdeal(inst, _norm_quad(scalar, qi_mul(pos, qi_conj(neg))))
+            neg = ideal_product(neg, ideal_power(lab.ideal(), -e))
+    return _join(pos, neg.payload)  # neg = (neg.payload) is principal
 
 
 def divisors_containing(a: Ideal):
@@ -511,12 +395,10 @@ def divisors_containing(a: Ideal):
             nxt = dict(acc)
             nxt[labels[i]] = e
             stack.append((i + 1, nxt))
-    if inst.kind in ("gcd", "gcd-supported"):
-        out.sort(key=lambda d: d.payload)
-    elif inst.kind == "dvs":
-        out.sort(key=lambda d: d.payload)
-    else:
+    if inst.kind == "quad5":
         out.sort(key=lambda d: (d.payload.norm(), d.payload.a, d.payload.b))
+    else:
+        out.sort(key=lambda d: d.payload)
     return out
 
 

@@ -248,7 +248,12 @@ def ideal_contains(a, b):
 def ideal_membership(a, x):
     """True iff the element x (payload or Element) lies in the ideal."""
     inst = a.instance
-    p = x.payload if isinstance(x, Element) else element(inst, x).payload
+    if isinstance(x, Element):
+        if x.instance is not inst:
+            raise InstanceMismatch(f"element from {x.instance.id}, expected {inst.id}")
+        p = x.payload
+    else:
+        p = element(inst, x).payload
     kind = inst.kind
     if kind == "n0":
         return a.payload.contains(p)

@@ -36,8 +36,8 @@ class Instance:
     support: tuple | None
     is_semidomain: bool
     is_subtractive: bool
-    is_dedekind: bool | None
-    is_noetherian: bool | None
+    is_dedekind: bool
+    is_noetherian: bool
 
 
 _FLAGS = {
@@ -47,7 +47,10 @@ _FLAGS = {
     "gcd-supported": (True, True, True, True),
     "dvs": (True, True, True, True),
     "lagrassa": (False, False, False, True),
-    "quad5": (True, True, None, None),
+    # quad5: Z[w] is a Noetherian Dedekind domain, so every ideal of its
+    # semiring of ideals is principal, generated by the sum of its members
+    # (a finite sum, hence a member), and that generator is invertible.
+    "quad5": (True, True, True, True),
 }
 
 _CACHE = {}

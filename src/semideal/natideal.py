@@ -8,7 +8,7 @@ is purely periodic (a multiple of d, 0 when there are no gaps) and ex lists
 the nonzero members below c in ascending order. Equality of ideals is tuple
 equality.
 
-The closure bitmaps come from the selected kernel backend; an adaptive
+The closure bitmaps come from the pure kernel in ``_kernels``; an adaptive
 window is grown until min(gens/d) consecutive scaled members are seen, which
 certifies that everything beyond is a member. A bitmap is decoded into ex
 in one pass over its 64-bit words. Minimal generators are found in ascending

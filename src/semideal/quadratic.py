@@ -101,6 +101,10 @@ def qi_normalize(elements):
 def qi_mul(i, j):
     if i.is_zero() or j.is_zero():
         return QI_ZERO
+    if j.a == 1:  # j = (j.g), a rational integer
+        return QuadIdeal(i.g * j.g, i.a, i.b)
+    if i.a == 1:
+        return QuadIdeal(i.g * j.g, j.a, j.b)
     rows = [
         (i.a * j.a, 0),
         (i.a * j.b, i.a),

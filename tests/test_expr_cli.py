@@ -302,6 +302,24 @@ def test_cli_laws_single(capsys):
     assert code == 2 and "usage error" in err
 
 
+def test_cli_laws_single_failure_on_quad5_exits_1(monkeypatch, capsys):
+    # quad5 is Dedekind, so a failing law there is unexpected: exit 1, marked
+    from semideal import cli
+    from semideal.reports import LawReport
+
+    def failing(inst, law, trials, seed):
+        return LawReport(law, inst.id, trials, seed, "fail", {"a": "O"})
+
+    monkeypatch.setattr(cli, "check_law", failing)
+    code, out, _ = run(["laws", "--instance", "quad5", "dedekind2-law-3"], capsys)
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL  dedekind2-law-3")
+    assert out.splitlines()[0].endswith("<-- unexpected")
+
+    code, doc, _ = run_json(["laws", "--instance", "quad5", "dedekind2-law-3"], capsys)
+    assert code == 1 and doc["status"] == "fail"
+
+
 def test_cli_laws_config_expected_outcomes(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(

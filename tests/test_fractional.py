@@ -16,6 +16,7 @@ import pytest
 from semideal import (
     EmptyIdeal,
     ExponentVector,
+    InstanceMismatch,
     NotAMember,
     NotFractional,
     Unsupported,
@@ -38,6 +39,7 @@ from semideal import (
     ideal_equals,
     ideal_from_generators,
     ideal_intersect,
+    ideal_membership,
     ideal_product,
     ideal_quotient,
     ideal_str,
@@ -56,6 +58,7 @@ from semideal import (
 )
 from semideal import fractional, natideal, quadratic
 from semideal.fractional import FracIdeal, frac_is_zero, frac_unit, frac_zero, k_mul, k_one
+from semideal.instances import element
 from semideal.natideal import NAT_ZERO, nat_unscale
 from semideal.quadratic import QI_ONE, QuadIdeal
 from semideal.spectrum import PrimeLabel
@@ -184,6 +187,21 @@ def test_binary_ops_scaling_equivariance():
                         piece = frac_product(fa, frac_from_generators(inst, [Fraction(1, g)]))
                         expect = piece if expect is None else frac_intersect(expect, piece)
                     assert frac_equals(got, expect)
+
+
+def test_mixed_instances_rejected():
+    # gcd and gcd-supported share payloads, so only the instance check can
+    # tell them apart
+    a = frac_from_generators(GCD, [Fraction(3, 2)])
+    b = frac_from_generators(GS, [Fraction(4, 3)])
+    for op in (frac_sum, frac_product, frac_intersect, frac_quotient):
+        with pytest.raises(InstanceMismatch):
+            op(a, b)
+        with pytest.raises(InstanceMismatch):
+            op(b, a)
+    with pytest.raises(InstanceMismatch):
+        ideal_membership(ideal_from_generators(GCD, [2]), element(GS, 4))
+    assert ideal_membership(ideal_from_generators(GCD, [2]), element(GCD, 4))
 
 
 def test_quotient_by_zero_raises():

@@ -37,7 +37,7 @@ def test_instance_ids_and_flags():
     assert not lag.is_semidomain and not lag.is_dedekind
     q = instance("quad5")
     assert q.is_semidomain and q.is_subtractive
-    assert q.is_dedekind is None and q.is_noetherian is None
+    assert q.is_dedekind is True and q.is_noetherian is True
 
 
 def test_instance_cache_and_canonical_id():
