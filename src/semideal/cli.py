@@ -16,7 +16,6 @@ from .content import dm_exponent, gaussian_check
 from .errors import ParseError, SemidealError, Unsupported
 from .exprparse import eval_expr, parse_expr
 from .fractional import (
-    frac_from_ideal,
     frac_invert,
     frac_str,
     is_integral,
@@ -305,9 +304,6 @@ def _build_parser():
         p.add_argument("--instance", help="instance id, e.g. n0, gcd, gcd-supported(2,3), dvs, lagrassa, quad5")
         p.add_argument("--json", action="store_true", help="emit one JSON report line")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-        p.add_argument("--trials", type=int, default=200, help="trial budget for sampled suites")
-        p.add_argument("--bound", type=int, default=60, help="enumeration bound for element scans")
-        p.add_argument("--config", help="law suite config file")
 
     for name, fn, extras in (
         ("eval", _cmd_eval, ("expr",)),
@@ -327,6 +323,8 @@ def _build_parser():
                 p.add_argument("expr", help="ideal expression, e.g. 'I(2)*I(3) & I(4)'")
             elif extra == "law?":
                 p.add_argument("law", nargs="?", help=f"one of: {', '.join(LAW_IDS)}")
+                p.add_argument("--trials", type=int, default=200, help="trial budget for sampled suites")
+                p.add_argument("--config", help="law suite config file")
             elif extra == "member":
                 p.add_argument("member", type=int, help="nonzero member of the ideal")
             elif extra == "prime":

@@ -50,7 +50,7 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
 )
-from .instances import instance, one, payload_mul
+from .instances import element, instance, one, payload_mul
 from .primes import factorint, is_prime_int
 from .quadratic import QI_ONE, QuadIdeal, qi_conj, qi_factor, qi_mul
 from .spectrum import PrimeLabel
@@ -180,6 +180,7 @@ def frac_from_generators(inst, rats, max_denominator=None) -> FracIdeal:
     den = math.lcm(*(r.denominator for r in rats))
     if max_denominator is not None and den > max_denominator:
         raise NotFractional(f"common denominator {den} exceeds bound {max_denominator}")
+    element(inst, den)  # OutOfSupport for a denominator outside a gcd-supported support
     return _join(ideal_from_generators(inst, [int(r * den) for r in rats]), den)
 
 

@@ -1,11 +1,21 @@
 """Finitely generated ideals over the six instances, with canonical payloads.
 
-Payloads: NatIdeal for n0; a single nonnegative generator for gcd and
-gcd-supported; an exponent (None for the zero ideal) for dvs; "zero" / "u" /
-"full" for lagrassa; a QuadIdeal for quad5 (finitely generated ideals of the
-ideal semiring are principal because sums collapse under the idempotent
-addition, so the element is the ideal).
+On the gcd family, dvs and quad5 every ideal is principal, so an ideal is
+stored as its generator, an element payload (a nonnegative int, an exponent
+or None, a QuadIdeal), and its arithmetic is the element arithmetic of
+``instances.payload_add`` and ``payload_mul``:
 
+  (a) + (b) = (a + b)          (a)(b) = (ab)          (a)^k by squaring
+  (a) & (b) = ab / (a + b)     [(a) : (b)] = a / (a + b)
+  (a) >= (b)  iff  a + b = a   x in (a)  iff  a + x = a
+  (a) divides (b)  iff  b / a exists
+
+where c = num / den is the exact cofactor with c * den = num (``_cofactor``:
+exact division on the gcd family, exponent difference on dvs, ``qi_divide``
+on quad5). Those ideals are subtractive, and maximal iff nonzero and prime.
+
+n0 keeps a NatIdeal payload (``natideal``) and lagrassa its three ideals
+"zero" / "u" / "full"; they are the only kinds with cases of their own.
 All operations are exact; equality of canonical payloads is equality of
 ideals.
 """
@@ -16,25 +26,17 @@ import math
 from dataclasses import dataclass
 
 from . import natideal as nat
-from .errors import EmptyIdeal, InstanceMismatch, InternalError, NotMaximal, Unsupported, ZeroDivisorIdeal
-from .instances import Element, element, payload_str
-from .natideal import NatIdeal
+from .errors import InstanceMismatch, InternalError, NotMaximal, Unsupported, ZeroDivisorIdeal
+from .instances import CONSTANTS, Element, element, payload_add, payload_mul
 from .primes import factorint, is_prime_int
-from .quadratic import (
-    QI_ONE,
-    QI_ZERO,
-    QuadIdeal,
-    qi_add,
-    qi_contains,
-    qi_divide,
-    qi_factor,
-    qi_mul,
-    qi_pow,
-    prime_for_root,
-)
+from .quadratic import QI_ONE, qi_divide, qi_factor, qi_mul, prime_for_root
 
 _LAG_ORDER = ("zero", "u", "full")
 _LAG_MEMBERS = {"zero": ("0",), "u": ("0", "u"), "full": ("0", "u", "1")}
+
+# A principal kind's zero and unit ideals are its zero and one elements.
+_ZERO = {kind: z for kind, (z, _) in CONSTANTS.items()} | {"n0": nat.NAT_ZERO, "lagrassa": "zero"}
+_UNIT = {kind: u for kind, (_, u) in CONSTANTS.items()} | {"n0": nat.NAT_FULL, "lagrassa": "full"}
 
 
 @dataclass(frozen=True)
@@ -49,34 +51,30 @@ def _check(inst, *ideals):
             raise InstanceMismatch(f"ideal from {i.instance.id}, expected {inst.id}")
 
 
-def zero_ideal(inst):
+def _cofactor(inst, num, den):
+    """The principal ideal c with c*(den) == (num), or None; den is nonzero."""
     kind = inst.kind
-    if kind == "n0":
-        return Ideal(inst, nat.NAT_ZERO)
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(inst, 0)
+    if num == _ZERO[kind]:
+        return Ideal(inst, num)
     if kind == "dvs":
-        return Ideal(inst, None)
-    if kind == "lagrassa":
-        return Ideal(inst, "zero")
-    return Ideal(inst, QI_ZERO)
+        c = num - den if num >= den else None
+    elif kind == "quad5":
+        c = qi_divide(num, den)
+    else:
+        c = num // den if num % den == 0 else None
+    return None if c is None else Ideal(inst, c)
+
+
+def zero_ideal(inst):
+    return Ideal(inst, _ZERO[inst.kind])
 
 
 def unit_ideal(inst):
-    kind = inst.kind
-    if kind == "n0":
-        return Ideal(inst, nat.NAT_FULL)
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(inst, 1)
-    if kind == "dvs":
-        return Ideal(inst, 0)
-    if kind == "lagrassa":
-        return Ideal(inst, "full")
-    return Ideal(inst, QI_ONE)
+    return Ideal(inst, _UNIT[inst.kind])
 
 
 def is_zero(i):
-    return i.payload == zero_ideal(i.instance).payload
+    return i.payload == _ZERO[i.instance.kind]
 
 
 def ideal_from_generators(inst, gens):
@@ -92,19 +90,12 @@ def ideal_from_generators(inst, gens):
     kind = inst.kind
     if kind == "n0":
         return Ideal(inst, nat.from_generators(payloads))
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(inst, math.gcd(*payloads) if payloads else 0)
-    if kind == "dvs":
-        exps = [p for p in payloads if p is not None]
-        return Ideal(inst, min(exps) if exps else None)
     if kind == "lagrassa":
-        rank = 0
-        for p in payloads:
-            rank = max(rank, {"0": 0, "u": 1, "1": 2}[p])
+        rank = max((("0", "u", "1").index(p) for p in payloads), default=0)
         return Ideal(inst, _LAG_ORDER[rank])
-    acc = QI_ZERO
+    acc = _ZERO[kind]
     for p in payloads:
-        acc = qi_add(acc, p)
+        acc = payload_add(kind, acc, p)
     return Ideal(inst, acc)
 
 
@@ -114,18 +105,9 @@ def ideal_sum(a, b):
     kind = inst.kind
     if kind == "n0":
         return Ideal(inst, nat.nat_sum(a.payload, b.payload))
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(inst, math.gcd(a.payload, b.payload))
-    if kind == "dvs":
-        x, y = a.payload, b.payload
-        if x is None:
-            return b
-        if y is None:
-            return a
-        return Ideal(inst, min(x, y))
     if kind == "lagrassa":
         return Ideal(inst, _LAG_ORDER[max(_LAG_ORDER.index(a.payload), _LAG_ORDER.index(b.payload))])
-    return Ideal(inst, qi_add(a.payload, b.payload))
+    return Ideal(inst, payload_add(kind, a.payload, b.payload))
 
 
 def ideal_product(a, b):
@@ -134,34 +116,24 @@ def ideal_product(a, b):
     kind = inst.kind
     if kind == "n0":
         return Ideal(inst, nat.nat_product(a.payload, b.payload))
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(inst, a.payload * b.payload)
-    if kind == "dvs":
-        x, y = a.payload, b.payload
-        if x is None or y is None:
-            return Ideal(inst, None)
-        return Ideal(inst, x + y)
     if kind == "lagrassa":
         return Ideal(inst, _LAG_ORDER[min(_LAG_ORDER.index(a.payload), _LAG_ORDER.index(b.payload))])
-    return Ideal(inst, qi_mul(a.payload, b.payload))
+    return Ideal(inst, payload_mul(kind, a.payload, b.payload))
 
 
 def ideal_power(a, k):
     if k < 0:
         raise ValueError("negative ideal power")
-    inst = a.instance
-    kind = inst.kind
-    if kind == "n0":
-        return Ideal(inst, nat.nat_power(a.payload, k))
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(inst, a.payload**k)
-    if kind == "dvs":
-        if k == 0:
-            return unit_ideal(inst)
-        return Ideal(inst, None if a.payload is None else a.payload * k)
-    if kind == "lagrassa":
-        return unit_ideal(inst) if k == 0 else a
-    return Ideal(inst, qi_pow(a.payload, k))
+    if a.instance.kind == "n0":
+        return Ideal(a.instance, nat.nat_power(a.payload, k))
+    out = unit_ideal(a.instance)
+    while k:
+        if k & 1:
+            out = ideal_product(out, a)
+        k >>= 1
+        if k:
+            a = ideal_product(a, a)
+    return out
 
 
 def ideal_intersect(a, b):
@@ -170,22 +142,13 @@ def ideal_intersect(a, b):
     kind = inst.kind
     if kind == "n0":
         return Ideal(inst, nat.nat_intersect(a.payload, b.payload))
-    if kind in ("gcd", "gcd-supported"):
-        return Ideal(inst, math.lcm(a.payload, b.payload))
-    if kind == "dvs":
-        x, y = a.payload, b.payload
-        if x is None or y is None:
-            return Ideal(inst, None)
-        return Ideal(inst, max(x, y))
-    if kind == "lagrassa":
-        return Ideal(inst, _LAG_ORDER[min(_LAG_ORDER.index(a.payload), _LAG_ORDER.index(b.payload))])
+    if kind == "lagrassa":  # its ideals form a chain, and a product is the smaller factor
+        return ideal_product(a, b)
     x, y = a.payload, b.payload
-    if x.is_zero() or y.is_zero():
-        return zero_ideal(inst)
-    q = qi_divide(qi_mul(x, y), qi_add(x, y))
-    if q is None:
-        raise InternalError("gcd of quad ideals did not divide their product")
-    return Ideal(inst, q)
+    meet = _cofactor(inst, payload_mul(kind, x, y), payload_add(kind, x, y))
+    if meet is None:
+        raise InternalError("the sum of two principal ideals did not divide their product")
+    return meet
 
 
 def ideal_quotient(a, b):
@@ -197,52 +160,24 @@ def ideal_quotient(a, b):
     kind = inst.kind
     if kind == "n0":
         return Ideal(inst, nat.nat_quotient(a.payload, b.payload))
-    if kind in ("gcd", "gcd-supported"):
-        if a.payload == 0:
-            return zero_ideal(inst)
-        return Ideal(inst, a.payload // math.gcd(a.payload, b.payload))
-    if kind == "dvs":
-        if a.payload is None:
-            return zero_ideal(inst)
-        return Ideal(inst, max(a.payload - b.payload, 0))
     if kind == "lagrassa":
         amem = set(_LAG_MEMBERS[a.payload])
         bmem = _LAG_MEMBERS[b.payload]
-        from .instances import payload_mul
-
-        good = [x for x in ("0", "u", "1") if all(payload_mul("lagrassa", x, y) in amem for y in bmem)]
+        good = [x for x in ("0", "u", "1") if all(payload_mul(kind, x, y) in amem for y in bmem)]
         rank = 2 if "1" in good else (1 if "u" in good else 0)
         return Ideal(inst, _LAG_ORDER[rank])
-    if a.payload.is_zero():
-        return zero_ideal(inst)
-    q = qi_divide(a.payload, qi_add(a.payload, b.payload))
+    q = _cofactor(inst, a.payload, payload_add(kind, a.payload, b.payload))
     if q is None:
-        raise InternalError("quad ideal quotient failed to divide")
-    return Ideal(inst, q)
+        raise InternalError("a principal ideal is not divisible by its sum with another")
+    return q
 
 
 def ideal_contains(a, b):
     """True iff b is a subset of a."""
-    inst = a.instance
-    _check(inst, b)
-    kind = inst.kind
-    if kind == "n0":
+    if a.instance.kind == "n0":
+        _check(a.instance, b)
         return nat.nat_contains(a.payload, b.payload)
-    if kind in ("gcd", "gcd-supported"):
-        if b.payload == 0:
-            return True
-        if a.payload == 0:
-            return False
-        return b.payload % a.payload == 0
-    if kind == "dvs":
-        if b.payload is None:
-            return True
-        if a.payload is None:
-            return False
-        return a.payload <= b.payload
-    if kind == "lagrassa":
-        return _LAG_ORDER.index(b.payload) <= _LAG_ORDER.index(a.payload)
-    return qi_contains(a.payload, b.payload)
+    return ideal_sum(a, b).payload == a.payload
 
 
 def ideal_membership(a, x):
@@ -257,17 +192,9 @@ def ideal_membership(a, x):
     kind = inst.kind
     if kind == "n0":
         return a.payload.contains(p)
-    if kind in ("gcd", "gcd-supported"):
-        if p == 0:
-            return True
-        return a.payload != 0 and p % a.payload == 0
-    if kind == "dvs":
-        if p is None:
-            return True
-        return a.payload is not None and p >= a.payload
     if kind == "lagrassa":
         return p in _LAG_MEMBERS[a.payload]
-    return qi_contains(a.payload, p)
+    return payload_add(kind, a.payload, p) == a.payload
 
 
 def ideal_equals(a, b):
@@ -279,15 +206,12 @@ def is_subtractive(a):
     kind = a.instance.kind
     if kind == "n0":
         return nat.nat_is_subtractive(a.payload)
-    if kind in ("gcd", "gcd-supported", "dvs", "quad5"):
-        return True
-    members = _LAG_MEMBERS[a.payload]
-    from .instances import payload_add
-
-    for x in ("0", "u", "1"):
-        for y in ("0", "u", "1"):
-            if payload_add("lagrassa", x, y) in members and x in members and y not in members:
-                return False
+    if kind == "lagrassa":
+        members = _LAG_MEMBERS[a.payload]
+        for x in ("0", "u", "1"):
+            for y in ("0", "u", "1"):
+                if payload_add(kind, x, y) in members and x in members and y not in members:
+                    return False
     return True
 
 
@@ -306,11 +230,9 @@ def is_prime(a):
         if a.payload == "full":
             return False
         members = _LAG_MEMBERS[a.payload]
-        from .instances import payload_mul
-
         for x in ("0", "u", "1"):
             for y in ("0", "u", "1"):
-                if payload_mul("lagrassa", x, y) in members and x not in members and y not in members:
+                if payload_mul(kind, x, y) in members and x not in members and y not in members:
                     return False
         return True
     q = a.payload
@@ -323,16 +245,9 @@ def is_prime(a):
 
 
 def is_maximal(a):
-    kind = a.instance.kind
-    if kind == "n0":
+    if a.instance.kind == "n0":
         return nat.nat_is_maximal(a.payload)
-    if kind in ("gcd", "gcd-supported"):
-        return a.payload != 0 and is_prime(a)
-    if kind == "dvs":
-        return a.payload == 1
-    if kind == "lagrassa":
-        return a.payload == "u"
-    return not a.payload.is_zero() and is_prime(a)
+    return not is_zero(a) and is_prime(a)
 
 
 def min_nonzero(a):
@@ -351,26 +266,13 @@ def divides(a, b):
     if kind == "n0":
         q = nat.nat_divides(a.payload, b.payload)
         return None if q is None else Ideal(inst, q)
-    if kind in ("gcd", "gcd-supported"):
-        if b.payload == 0:
-            return zero_ideal(inst)
-        if b.payload % a.payload:
-            return None
-        return Ideal(inst, b.payload // a.payload)
-    if kind == "dvs":
-        if b.payload is None:
-            return zero_ideal(inst)
-        if b.payload < a.payload:
-            return None
-        return Ideal(inst, b.payload - a.payload)
     if kind == "lagrassa":
         for c in _LAG_ORDER:
             cand = Ideal(inst, c)
             if ideal_product(a, cand).payload == b.payload:
                 return cand
         return None
-    q = qi_divide(b.payload, a.payload)
-    return None if q is None else Ideal(inst, q)
+    return _cofactor(inst, b.payload, a.payload)
 
 
 def separating_member(small, big):
@@ -468,10 +370,6 @@ def generators(a):
     if kind == "n0":
         g = nat.minimal_generators(a.payload)
         return g if g else (0,)
-    if kind in ("gcd", "gcd-supported"):
-        return (a.payload,)
-    if kind == "dvs":
-        return (a.payload,)
     if kind == "lagrassa":
         return ({"zero": "0", "u": "u", "full": "1"}[a.payload],)
     return (a.payload,)

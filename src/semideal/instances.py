@@ -136,12 +136,23 @@ def element(inst, value):
     raise ValueError(kind)
 
 
+# kind: (zero payload, one payload)
+CONSTANTS = {
+    "n0": (0, 1),
+    "gcd": (0, 1),
+    "gcd-supported": (0, 1),
+    "dvs": (None, 0),
+    "lagrassa": ("0", "1"),
+    "quad5": (QI_ZERO, QI_ONE),
+}
+
+
 def zero(inst):
-    return element(inst, {"dvs": None, "lagrassa": "0", "quad5": QI_ZERO}.get(inst.kind, 0))
+    return Element(inst, CONSTANTS[inst.kind][0])
 
 
 def one(inst):
-    return element(inst, {"dvs": 0, "lagrassa": "1", "quad5": QI_ONE}.get(inst.kind, 1))
+    return Element(inst, CONSTANTS[inst.kind][1])
 
 
 _LAG_ADD = {

@@ -46,7 +46,6 @@ from .ideals import (
     min_nonzero,
     separating_member,
     unit_ideal,
-    zero_ideal,
 )
 from .instances import check_semidomain, payload_str
 from .quadratic import enumerate_ideals

@@ -395,6 +395,32 @@ def test_cli_usage_errors(capsys):
     assert run(["twogen", "--instance", "gcd", "I(12)", "x"], capsys)[0] == 2
 
 
+def test_cli_options_belong_to_their_subcommand(tmp_path, capsys):
+    # --trials and --config are read only by laws; --bound by no subcommand
+    for argv in (
+        ["eval", "--instance", "gcd", "--bound", "3", "I(4)"],
+        ["eval", "--instance", "gcd", "--trials", "5", "I(4)"],
+        ["factor", "--instance", "gcd", "--config", "suite.cfg", "I(4)"],
+        ["laws", "reyes", "--instance", "gcd", "--bound", "3"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv
+    code, doc, _ = run_json(["laws", "reyes", "--instance", "gcd", "--trials", "4"], capsys)
+    assert code == 0 and doc["result"]["trials"] == 4
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("law reyes instance gcd trials 6 seed 1\n")
+    code, out, _ = run(["laws", "--config", str(cfg)], capsys)
+    assert code == 0 and out.startswith("PASS  reyes") and "trials=6" in out
+
+
+def test_cli_rejects_a_denominator_outside_the_support(capsys):
+    inst = "gcd-supported(2,3)"
+    for text in ("I(1/5)", "I(5)"):
+        code, out, err = run(["eval", "--instance", inst, text], capsys)
+        assert code == 3 and out == "" and err.startswith("OutOfSupport: 5 has a prime factor"), text
+    assert run(["eval", "--instance", inst, "I(1/6)"], capsys)[:2] == (0, "I(1/6)\n")
+
+
 def test_cli_unsupported_json_shape(capsys):
     code, doc, _ = run_json(["eval", "--instance", "lagrassa", "I(1)"], capsys)
     assert code == 3

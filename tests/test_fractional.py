@@ -19,6 +19,7 @@ from semideal import (
     InstanceMismatch,
     NotAMember,
     NotFractional,
+    OutOfSupport,
     Unsupported,
     UnknownPrime,
     ZeroDivisorIdeal,
@@ -149,6 +150,16 @@ def test_from_generators_validation():
     # gcd-supported rejects generators with primes outside the support
     with pytest.raises(Exception):
         frac_from_generators(GS, [Fraction(5, 2)])
+
+
+def test_from_generators_rejects_a_denominator_outside_the_support():
+    # 1/5 is no fraction of two 2,3-smooth elements, just as 5 is no element
+    for rats in ([Fraction(1, 5)], [Fraction(1, 2), Fraction(1, 10)], [Fraction(3, 35)]):
+        with pytest.raises(OutOfSupport):
+            frac_from_generators(GS, rats)
+    assert frac_from_generators(GS, [Fraction(1, 6)]).payload == Fraction(1, 6)
+    assert frac_from_generators(instance("gcd-supported(2,3,5)"), [Fraction(1, 5)]).payload == Fraction(1, 5)
+    assert frac_from_generators(GCD, [Fraction(1, 5)]).payload == Fraction(1, 5)
 
 
 def test_binary_ops_scaling_equivariance():
