@@ -28,6 +28,7 @@ from .errors import (
     OutOfSupport,
     ParseError,
     SemidealError,
+    TooLarge,
     UnknownLaw,
     UnknownPrime,
     Unsupported,

@@ -154,6 +154,8 @@ def _law_line(report, expected_fail, ok):
 
 def _cmd_laws(args):
     if args.config:
+        if (args.law, args.instance, args.trials) != (None, None, None):
+            raise UsageError("--config runs the file's own rows: give no law id, --instance or --trials with it")
         suites = _parse_config(args.config)
         results = []
         all_ok = True
@@ -187,7 +189,7 @@ def _cmd_laws(args):
     if not args.law:
         raise UsageError("laws needs a law id or --config")
     inst = _require_instance(args)
-    report = check_law(inst, args.law, args.trials, args.seed)
+    report = check_law(inst, args.law, 200 if args.trials is None else args.trials, args.seed)
     # A failure only counts against the exit code (and gets the marker) on
     # instances where the law is supposed to hold.
     unexpected = report.status == "fail" and inst.is_dedekind
@@ -323,7 +325,7 @@ def _build_parser():
                 p.add_argument("expr", help="ideal expression, e.g. 'I(2)*I(3) & I(4)'")
             elif extra == "law?":
                 p.add_argument("law", nargs="?", help=f"one of: {', '.join(LAW_IDS)}")
-                p.add_argument("--trials", type=int, default=200, help="trial budget for sampled suites")
+                p.add_argument("--trials", type=int, help="trial budget for sampled suites (default 200)")
                 p.add_argument("--config", help="law suite config file")
             elif extra == "member":
                 p.add_argument("member", type=int, help="nonzero member of the ideal")

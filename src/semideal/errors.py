@@ -71,5 +71,9 @@ class DMCapExceeded(SemidealError):
     name = "DMCapExceeded"
 
 
+class TooLarge(SemidealError):
+    name = "TooLarge"
+
+
 class InternalError(SemidealError):
     name = "InternalError"

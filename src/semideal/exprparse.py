@@ -16,50 +16,38 @@ equal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
+from .reports import Record
 
 
-@dataclass(frozen=True)
-class IdealLit:
-    values: tuple  # nonempty tuple of Fractions
+class IdealLit(Record):
+    __slots__ = ("values",)  # nonempty tuple of Fractions
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
+class Sum(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Intersect:
-    left: object
-    right: object
+class Intersect(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
+class Product(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
+class Power(Record):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Quotient:
-    numerator: object
-    denominator: object
+class Quotient(Record):
+    __slots__ = ("numerator", "denominator")
 
 
-@dataclass(frozen=True)
-class Invert:
-    arg: object
+class Invert(Record):
+    __slots__ = ("arg",)
 
 
 _PUNCT = ("(", ")", "[", "]", ":", ",", "+", "&", "*", "^", "/")

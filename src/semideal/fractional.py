@@ -21,7 +21,6 @@ multiplicatively cancellative), so every entry point rejects it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import natideal as nat
@@ -50,9 +49,10 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
 )
-from .instances import element, instance, one, payload_mul
+from .instances import Tagged, element, instance, one, payload_mul
 from .primes import factorint, is_prime_int
 from .quadratic import QI_ONE, QuadIdeal, qi_conj, qi_factor, qi_mul
+from .reports import Record
 from .spectrum import PrimeLabel
 
 
@@ -61,10 +61,8 @@ def _reject_lagrassa(inst):
         raise Unsupported("lagrassa is not multiplicatively cancellative; no fraction semifield")
 
 
-@dataclass(frozen=True)
-class FracIdeal:
-    instance: object
-    payload: object
+class FracIdeal(Tagged):
+    __slots__ = ()
 
     def __repr__(self):
         return f"FracIdeal({self.instance.id}, {frac_str(self)})"
@@ -318,9 +316,8 @@ def frac_str(a: FracIdeal) -> str:
 # unique factorization into primes
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    items: tuple  # ((PrimeLabel, int), ...) sorted, all exponents nonzero
+class ExponentVector(Record):
+    __slots__ = ("items",)  # ((PrimeLabel, int), ...) sorted, all exponents nonzero
 
     @staticmethod
     def of(mapping):

@@ -23,11 +23,10 @@ ideals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import natideal as nat
 from .errors import InstanceMismatch, InternalError, NotMaximal, Unsupported, ZeroDivisorIdeal
-from .instances import CONSTANTS, Element, element, payload_add, payload_mul
+from .instances import CONSTANTS, Element, Tagged, element, payload_add, payload_mul
 from .primes import factorint, is_prime_int
 from .quadratic import QI_ONE, qi_divide, qi_factor, qi_mul, prime_for_root
 
@@ -39,10 +38,8 @@ _ZERO = {kind: z for kind, (z, _) in CONSTANTS.items()} | {"n0": nat.NAT_ZERO, "
 _UNIT = {kind: u for kind, (_, u) in CONSTANTS.items()} | {"n0": nat.NAT_FULL, "lagrassa": "full"}
 
 
-@dataclass(frozen=True)
-class Ideal:
-    instance: object
-    payload: object
+class Ideal(Tagged):
+    __slots__ = ()
 
 
 def _check(inst, *ideals):

@@ -19,25 +19,20 @@ QuadIdeal for quad5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InstanceMismatch, OutOfSupport
 from .primes import is_prime_int
 from .quadratic import QI_ONE, QI_ZERO, QuadIdeal, enumerate_ideals, qi_add, qi_mul
-from .reports import LawReport
+from .reports import LawReport, Record
 
 KINDS = ("n0", "gcd", "gcd-supported", "dvs", "lagrassa", "quad5")
 
 
-@dataclass(frozen=True)
-class Instance:
-    id: str
-    kind: str
-    support: tuple | None
-    is_semidomain: bool
-    is_subtractive: bool
-    is_dedekind: bool
-    is_noetherian: bool
+class Instance(Record):
+    __slots__ = ("id", "kind", "support", "is_semidomain", "is_subtractive", "is_dedekind", "is_noetherian")
+
+    def __hash__(self):  # the canonical id determines every other field
+        return hash(self.id)
 
 
 _FLAGS = {
@@ -90,10 +85,24 @@ def instance(spec):
     return inst
 
 
-@dataclass(frozen=True)
-class Element:
-    instance: Instance
-    payload: object
+class Tagged(Record):
+    """A payload tagged with its instance: the shape of elements and of ideals."""
+
+    __slots__ = ("instance", "payload")
+
+    def __init__(self, instance, payload):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.instance, self.payload) == (other.instance, other.payload)
+
+    def __hash__(self):
+        return hash((self.instance, self.payload))
+
+
+class Element(Tagged):
+    __slots__ = ()
 
 
 def _smooth(n, support):

@@ -22,17 +22,25 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from ._kernels import additive_closure
 from .errors import EmptyIdeal, ZeroDivisorIdeal
+from .reports import Record
 
 
-@dataclass(frozen=True, order=True)
-class NatIdeal:
-    d: int
-    c: int
-    ex: tuple
+class NatIdeal(Record):
+    __slots__ = ("d", "c", "ex")
+
+    def __init__(self, d, c, ex):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "ex", ex)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.d, self.c, self.ex) == (other.d, other.c, other.ex)
+
+    def __hash__(self):
+        return hash((self.d, self.c, self.ex))
 
     def contains(self, x):
         if x == 0:

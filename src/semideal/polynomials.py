@@ -8,15 +8,12 @@ gcd instance the coefficient sums are gcds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .instances import payload_add, payload_mul, payload_str, zero
+from .reports import Record
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    instance: object
-    coeffs: tuple
+class Polynomial(Record):
+    __slots__ = ("instance", "coeffs")
 
     def degree(self):
         return len(self.coeffs) - 1

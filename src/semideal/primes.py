@@ -1,15 +1,24 @@
 """Integer number-theory helpers: primality, factorization, square roots."""
 
+from .errors import TooLarge
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI12 = 318665857834031151167461  # least strong pseudoprime to all 12 bases (Sorenson, Webster 2017)
 
 
 def is_prime_int(n):
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
+    """Miller-Rabin to the 12 prime bases up to 37, proven exact below _PSI12.
+
+    From _PSI12 on, an n that one of the bases divides is still answered
+    (False); any other n raises TooLarge.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= _PSI12:
+        raise TooLarge(f"primality of {n} is not decided: the test is exact below {_PSI12}")
     d = n - 1
     r = 0
     while d % 2 == 0:

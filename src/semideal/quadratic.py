@@ -8,10 +8,10 @@ norm is g*g*a. All operations are integer-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyIdeal, InternalError, NotPrime
 from .primes import factorint, is_prime_int, sqrt_mod_prime
+from .reports import Record
 
 def _xgcd(a, b):
     old_r, r = a, b
@@ -25,11 +25,19 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True, order=True)
-class QuadIdeal:
-    g: int
-    a: int
-    b: int
+class QuadIdeal(Record):
+    __slots__ = ("g", "a", "b")
+
+    def __init__(self, g, a, b):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.g, self.a, self.b) == (other.g, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.g, self.a, self.b))
 
     def is_zero(self):
         return self.g == 0

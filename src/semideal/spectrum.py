@@ -9,21 +9,22 @@ is the HNF coefficient of the degree-one prime over p (None for inert p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import natideal as nat
 from .errors import UnknownPrime
 from .ideals import Ideal, ideal_contains, ideal_equals, zero_ideal
 from .primes import primes_up_to
 from .quadratic import prime_for_root, qi_prime_split
+from .reports import Record
 
 
-@dataclass(frozen=True)
-class PrimeLabel:
-    instance: object
-    kind: str  # "numeric" | "max" | "t" | "u" | "quad"
-    p: int | None = None
-    b: int | None = None
+class PrimeLabel(Record):
+    __slots__ = ("instance", "kind", "p", "b")  # kind: "numeric" | "max" | "t" | "u" | "quad"
+
+    def __init__(self, instance, kind, p=None, b=None):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "b", b)
 
     def sort_key(self):
         order = {"numeric": 0, "quad": 0, "max": 1, "t": 0, "u": 0}

@@ -377,6 +377,13 @@ def test_cli_laws_config_usage_errors(tmp_path, capsys):
     code, _, err = run(["laws", "--config", str(tmp_path / "missing.cfg")], capsys)
     assert code == 2 and "usage error" in err
 
+    # the file's rows are the whole run: a law id, --instance or --trials beside it is refused
+    good = tmp_path / "good.cfg"
+    good.write_text("law reyes instance dvs trials 5 seed 1\n")
+    for extra in (["dedekind2-law-3", "--instance", "n0", "--trials", "9"], ["reyes"], ["--instance", "dvs"], ["--trials", "5"]):
+        code, out, err = run(["laws", *extra, "--config", str(good)], capsys)
+        assert code == 2 and out == "" and "give no law id, --instance or --trials" in err, extra
+
 
 # ---------------------------------------------------------------------------
 # CLI: failure plumbing and determinism
@@ -411,6 +418,15 @@ def test_cli_options_belong_to_their_subcommand(tmp_path, capsys):
     cfg.write_text("law reyes instance gcd trials 6 seed 1\n")
     code, out, _ = run(["laws", "--config", str(cfg)], capsys)
     assert code == 0 and out.startswith("PASS  reyes") and "trials=6" in out
+
+
+def test_cli_refuses_an_undecided_primality(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+    argv = ["classify", "--instance", "gcd", "I(318665857834031151167461)"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == "" and err.startswith("TooLarge:")
+    code, doc, _ = run_json(argv, capsys)
+    assert code == 3 and doc["result"]["error"] == "TooLarge"
 
 
 def test_cli_rejects_a_denominator_outside_the_support(capsys):

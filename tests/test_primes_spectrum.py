@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from semideal import UnknownPrime, instance, is_prime, krull_dimension, label_from_text, spectrum
+from semideal import TooLarge, UnknownPrime, instance, is_prime, krull_dimension, label_from_text, spectrum
 from semideal.ideals import ideal_equals, ideal_from_generators
 from semideal.natideal import NAT_MAX
 from semideal.primes import factorint, is_prime_int, primes_up_to, sqrt_mod_prime
@@ -26,6 +26,21 @@ def test_is_prime_int_matches_sieve():
         assert is_prime_int(n) == (n in sieve)
     assert is_prime_int(2**61 - 1)  # a Mersenne prime
     assert not is_prime_int(2**61 + 1)  # divisible by 3
+
+
+def test_is_prime_int_refuses_what_twelve_bases_cannot_decide():
+    # psi_12 is the least strong pseudoprime to all twelve bases 2..37
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    for n in (psi12, 2**89 - 1):
+        with pytest.raises(TooLarge):
+            is_prime_int(n)
+    # a factor up to 37 still decides the answer
+    assert not is_prime_int(37 * psi12) and not is_prime_int(2**100)
+    with pytest.raises(TooLarge):
+        is_prime(ideal_from_generators(GCD, [psi12]))
+    with pytest.raises(TooLarge):
+        instance(f"gcd-supported(2,{psi12})")
 
 
 def test_primes_up_to():
