@@ -33,7 +33,7 @@ from .ideals import (
     is_subtractive,
     search_between,
 )
-from .instances import element, instance, payload_str
+from .instances import element, instance
 from .laws import LAW_IDS, check_law
 from .polynomials import poly
 from .spectrum import label_from_text
@@ -78,7 +78,7 @@ def _cmd_eval(args):
     result = {"text": frac_str(frac), "integral": integral}
     if integral:
         gens = generators(to_ideal(frac))
-        result["generators"] = [payload_str(inst.kind, g) for g in gens]
+        result["generators"] = [inst.arith.estr(g) for g in gens]
     if not args.json:
         print(result["text"])
     _emit(args, "eval", inst.id, result, None, "pass", args.seed)
@@ -230,8 +230,8 @@ def _cmd_sandwich(args):
     c, d = sandwich(frac)
     result = {
         "ideal": frac_str(frac),
-        "c": payload_str(inst.kind, c),
-        "d": payload_str(inst.kind, d),
+        "c": inst.arith.estr(c),
+        "d": inst.arith.estr(d),
     }
     if not args.json:
         print(f"c={result['c']} d={result['d']}")
@@ -249,7 +249,7 @@ def _coeffs(inst, text):
 
 def _cmd_dm(args):
     inst = _require_instance(args)
-    if inst.kind not in ("n0", "gcd", "gcd-supported", "dvs"):
+    if not inst.arith.numeric:
         raise Unsupported(f"dm coefficients are numeric; not available on {inst.kind}")
     f = _coeffs(inst, args.f)
     g = _coeffs(inst, args.g)
@@ -280,7 +280,7 @@ def _cmd_between(args):
         witness = None
         text = "none"
     else:
-        gens = [payload_str(inst.kind, g) for g in generators(found)]
+        gens = [inst.arith.estr(g) for g in generators(found)]
         result = {"found": True, "ideal": ideal_str(found), "generators": gens}
         witness = {"ideal": ideal_str(found)}
         text = result["ideal"]

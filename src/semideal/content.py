@@ -9,7 +9,7 @@ deg(g) + 1.
 
 from __future__ import annotations
 
-from .errors import DMCapExceeded, InstanceMismatch, InternalError
+from .errors import DMCapExceeded, InstanceMismatch, InternalError, Unsupported
 from .ideals import (
     Ideal,
     ideal_contains,
@@ -21,7 +21,7 @@ from .ideals import (
     separating_member,
     unit_ideal,
 )
-from .instances import payload_add, payload_mul, payload_str
+from .instances import Lagrassa, instance
 from .polynomials import Polynomial, poly_mul, poly_str
 from .reports import ContentReport, LawReport
 
@@ -45,7 +45,7 @@ def gaussian_check(f: Polynomial, g: Polynomial) -> ContentReport:
     if not gaussian:
         member = separating_member(cfg, prod)
         witness = {
-            "member": payload_str(inst.kind, member) if member is not None else None,
+            "member": inst.arith.estr(member) if member is not None else None,
             "in": "c(f)c(g)",
             "not_in": "c(fg)",
         }
@@ -82,6 +82,8 @@ def dm_exponent(f: Polynomial, g: Polynomial) -> int:
 # ---------------------------------------------------------------------------
 # module-level cancellation probes
 
+_LAG = instance("lagrassa").arith
+
 
 def _span(vectors, width):
     """Close a set of lagrassa tuples under + and scalar multiplication."""
@@ -91,9 +93,9 @@ def _span(vectors, width):
         nxt = set(out)
         for v in out:
             for w in out:
-                nxt.add(tuple(payload_add("lagrassa", a, b) for a, b in zip(v, w)))
+                nxt.add(tuple(_LAG.eadd(a, b) for a, b in zip(v, w)))
             for s in ("u", "1"):
-                nxt.add(tuple(payload_mul("lagrassa", s, a) for a in v))
+                nxt.add(tuple(_LAG.emul(s, a) for a in v))
         if nxt == out:
             return frozenset(out)
         out = nxt
@@ -119,7 +121,7 @@ def _scale_module(a_members, module, width):
     gens = set()
     for s in a_members:
         for v in module:
-            gens.add(tuple(payload_mul("lagrassa", s, x) for x in v))
+            gens.add(tuple(_LAG.emul(s, x) for x in v))
     return _span(gens, width)
 
 
@@ -130,12 +132,10 @@ def m_cancellation_check(a: Ideal, module_spec) -> LawReport:
     lagrassa instance (n <= 2), or ("ideal-pairs", [(P, Q), ...]) to test
     given pairs of ideals as S-subsemimodules of S on any instance.
     """
-    from .errors import Unsupported
-
     inst = a.instance
     tag, arg = module_spec
     if tag == "power":
-        if inst.kind != "lagrassa":
+        if not isinstance(inst.arith, Lagrassa):
             raise Unsupported("power sweeps enumerate lagrassa modules only")
         if not 1 <= arg <= 2:
             raise Unsupported("module power is bounded by 2")

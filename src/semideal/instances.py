@@ -1,4 +1,4 @@
-"""Semiring instance descriptors and element-level arithmetic.
+"""Semiring instances, and one arithmetic object per instance kind.
 
 Supported instances:
 
@@ -10,43 +10,656 @@ Supported instances:
                     u*u = u*1 = u (additively idempotent, not cancellative)
   quad5             ideals of Z[w], w*w = -5, under ideal sum and product
 
-Elements are tagged with their instance so mixed-instance operations fail
-loudly. Payloads: int for the three gcd-like instances and n0, int-or-None
-(None is the zero) for dvs, one of "0" / "u" / "1" for lagrassa, and a
-QuadIdeal for quad5.
+Elements and ideals are tagged with their instance so mixed-instance
+operations fail loudly. ``Instance.arith`` is the arithmetic of the
+instance's kind on raw payloads: element payloads (int for n0 and the gcd
+family, int-or-None for dvs where None is the zero, "0" / "u" / "1" for
+lagrassa, a QuadIdeal for quad5), ideal payloads, the fractional payloads of
+``fractional`` (``split`` reads one as A/d, ``join`` writes A/d back in
+canonical form), prime labels, and the law sampler's grid, random draw and
+shrink steps. This module is the only one that tells the kinds apart.
+
+``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
+quad5), where an ideal is stored as its generator, an element payload:
+
+  (a) + (b) = (a + b)          (a)(b) = (ab)          (a)^k by squaring
+  (a) & (b) = ab / (a + b)     [(a) : (b)] = a / (a + b)
+  (a) >= (b)  iff  a + b = a   x in (a)  iff  a + x = a
+
+where c = num / den is the exact ``cofactor`` with c * den = num. Those
+ideals are subtractive, and maximal iff nonzero and prime. ``N0`` stores a
+NatIdeal (``natideal``) and ``Lagrassa`` one of its three ideals "zero",
+"u", "full". Kind methods call ``natideal`` and ``quadratic`` through their
+module bindings, so a tracer that rebinds those functions sees the calls.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 
-from .errors import InstanceMismatch, OutOfSupport
-from .primes import is_prime_int
-from .quadratic import QI_ONE, QI_ZERO, QuadIdeal, enumerate_ideals, qi_add, qi_mul
+from . import natideal as nat
+from .errors import InstanceMismatch, InternalError, NotFractional, OutOfSupport, Unsupported
+from .primes import factorint, is_prime_int, primes_up_to
+from .quadratic import (
+    QI_ONE,
+    QI_ZERO,
+    QuadIdeal,
+    enumerate_ideals,
+    prime_for_root,
+    qi_add,
+    qi_conj,
+    qi_divide,
+    qi_factor,
+    qi_mul,
+    qi_prime_split,
+    qi_principal_int,
+)
 from .reports import LawReport, Record
 
-KINDS = ("n0", "gcd", "gcd-supported", "dvs", "lagrassa", "quad5")
+
+def _natural(value, message):
+    v = int(value)
+    if v != value or v < 0:
+        raise ValueError(message)
+    return v
 
 
-class Instance(Record):
-    __slots__ = ("id", "kind", "support", "is_semidomain", "is_subtractive", "is_dedekind", "is_noetherian")
+def _smooth(n, support):
+    if n == 0:
+        return True
+    for p in support:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class Kind:
+    """Payload arithmetic of the principal kinds; subclasses give the rest."""
+
+    factorial = True  # nonzero ideals factor into prime labels
+    numeric = False  # element payloads are naturals (polynomial coefficients for dm)
+    whole_grid = False  # the law grid is every ideal: sweep all of it, whatever the budget
+
+    def __init__(self, inst):
+        self.instance = inst
+        self.support = inst.support
+
+    def ideal(self, gens):
+        """The ideal payload generated by validated element payloads."""
+        acc = self.zero
+        for g in gens:
+            acc = self.add(acc, g)
+        return acc
+
+    def power(self, a, k):
+        out = self.one
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
+        return out
+
+    def meet(self, x, y):
+        p = self.mul(x, y)
+        if p == self.zero:
+            return p
+        c = self.cofactor(p, self.add(x, y))
+        if c is None:
+            raise InternalError("the sum of two principal ideals did not divide their product")
+        return c
+
+    def quotient(self, a, b):
+        """[a : b] = {x : x*b inside a}; b is nonzero."""
+        if a == self.zero:
+            return a
+        c = self.cofactor(a, self.add(a, b))
+        if c is None:
+            raise InternalError("a principal ideal is not divisible by its sum with another")
+        return c
+
+    def contains(self, a, b):
+        """True iff b is a subset of a."""
+        return self.add(a, b) == a
+
+    member = contains  # x in (a) iff (x) is inside (a)
+
+    def generators(self, a):
+        return (a,)
+
+    def estr(self, x):
+        return str(x)
+
+    def is_subtractive(self, a):
+        return True
+
+    def is_maximal(self, a):
+        return a != self.zero and self.is_prime(a)
+
+    def min_nonzero(self, a):
+        raise Unsupported("min_nonzero is defined for the n0 instance")
+
+    def separating(self, small, big):
+        """An element payload in big but not in small, or None."""
+        if small == big or big == self.zero or self.member(small, big):
+            return None
+        return big
+
+    def divisors(self, p, times=1):
+        """Every ideal containing p**times, for a nonzero ideal p, in canonical order."""
+        box = [self.one]
+        for (label, q, b), e in self.factor(p).items():
+            prime = self.prime(label, q, b)
+            box = [self.mul(d, self.power(prime, k)) for d in box for k in range(e * times + 1)]
+        return sorted(box, key=self.key)
+
+    def between(self, m):
+        """An ideal strictly between m*m and m, or None; every ideal containing
+        m*m divides it, so its divisors decide existence."""
+        m2 = self.mul(m, m)
+        for c in self.divisors(m, 2):
+            if self.contains(c, m2) and self.contains(m, c) and c != m2 and c != m:
+                return c
+        return None
+
+    def key(self, p):
+        return p
+
+    def scale(self, A, t):
+        """The ideal A*(t) for a nonzero element payload t."""
+        return self.mul(A, t)
+
+    def clear(self, rats, max_denominator):
+        """(numerators, denominator) of nonnegative rational generators."""
+        den = math.lcm(*(r.denominator for r in rats))
+        if max_denominator is not None and den > max_denominator:
+            raise NotFractional(f"common denominator {den} exceeds bound {max_denominator}")
+        self.element(den)  # OutOfSupport for a denominator outside a gcd-supported support
+        return [int(r * den) for r in rats], den
+
+    def frac_mul(self, x, y):
+        A, da = self.split(x)
+        B, db = self.split(y)
+        return self.join(self.mul(A, B), self.emul(da, db))
+
+    k_mul = frac_mul  # a K-element is the payload of the principal fractional ideal it generates
+
+    def k_generator(self, p):
+        return p
+
+    def k_one(self):
+        return self.join(self.one, self.eone)
+
+    def sandwich(self, p):
+        return self.split(p)  # A = (c) is principal
+
+    def frac_str(self, p):
+        A, d = self.split(p)
+        if A == self.zero:
+            return "(0)"
+        return "I(" + ",".join(str(Fraction(g, d)) for g in self.generators(A)) + ")"
+
+    def shrink(self, a):
+        return ()
+
+    def cover(self, a, b):
+        """An invertible ideal containing a, built from the sampled b."""
+        return self.add(a, b)
+
+
+class GcdFamily(Kind):
+    """gcd, and gcd-supported(P) when support is the prime set P."""
+
+    numeric = True
+    ezero = zero = 0
+    eone = one = 1
+    add = eadd = math.gcd
+    mul = emul = operator.mul
+    meet = math.lcm
+
+    def element(self, value):
+        v = _natural(value, "naturals only")
+        if self.support is not None and not _smooth(v, self.support):
+            raise OutOfSupport(f"{v} has a prime factor outside {self.support}")
+        return v
+
+    def elements(self, bound):
+        return [n for n in range(bound + 1) if self.support is None or _smooth(n, self.support)]
+
+    def quotient(self, a, b):
+        return a // math.gcd(a, b)
+
+    def cofactor(self, num, den):
+        return num // den if num % den == 0 else None
+
+    def str(self, a):
+        return f"I({a})"
+
+    def is_prime(self, a):
+        return a == 0 or (a != 1 and is_prime_int(a))
+
+    def factor(self, a):
+        return {("numeric", p, None): e for p, e in factorint(a).items()}
+
+    def prime(self, label, p, b):
+        return p
+
+    def prime_labels(self, bound):
+        return [("numeric", p, None) for p in self.support or primes_up_to(bound)]
+
+    def split(self, p):
+        return p.numerator, p.denominator
+
+    def join(self, A, d):
+        return Fraction(A, d)
+
+    def grid(self):
+        if self.support is None:
+            return [1, 2, 3, 4, 5, 6, 12, 30, 7, 96]
+        p, q = self.support[0], self.support[1] if len(self.support) > 1 else self.support[0]
+        return sorted({1, p, q, p * q, p * p, p * p * q, p**3 * q * q})
+
+    def random(self, rng):
+        if self.support is None:
+            return rng.randint(1, 10**6)
+        g = 1
+        for p in self.support:
+            g *= p ** rng.randint(0, 9)
+        return g
+
+    def shrink(self, a):
+        if a > 1 and (self.support is None or _smooth(a - 1, self.support)):
+            yield a - 1
+
+
+class Dvs(Kind):
+    """dvs: the exponent n stands for t^n, None for the zero."""
+
+    numeric = True
+    ezero = zero = None
+    eone = one = 0
+
+    def element(self, value):
+        return None if value is None else _natural(value, "exponents of elements are nonnegative")
+
+    def elements(self, bound):
+        return [None] + list(range(bound + 1))
+
+    def add(self, x, y):
+        return y if x is None else x if y is None else min(x, y)
+
+    def mul(self, x, y):
+        return None if x is None or y is None else x + y
+
+    eadd, emul = add, mul
+
+    def meet(self, x, y):
+        return None if x is None or y is None else max(x, y)
+
+    def quotient(self, a, b):
+        return None if a is None else max(a - b, 0)
+
+    def cofactor(self, num, den):
+        return num - den if num >= den else None
+
+    def estr(self, x):
+        if x is None:
+            return "0"
+        return "1" if x == 0 else f"t^{x}"
+
+    def str(self, a):
+        if a is None:
+            return "(0)"
+        return "S" if a == 0 else f"t^{a}"
+
+    def is_prime(self, a):
+        return a is None or a == 1
+
+    def factor(self, a):
+        return {("t", None, None): a}
+
+    def prime(self, label, p, b):
+        return 1
+
+    def prime_labels(self, bound):
+        return [("t", None, None)]
+
+    def split(self, p):
+        return (None, 0) if p is None else (max(p, 0), max(-p, 0))
+
+    def join(self, A, d):
+        return None if A is None else A - d
+
+    def clear(self, rats, max_denominator):
+        if any(r.denominator != 1 for r in rats):
+            raise Unsupported("dvs generators are written t^n with integer n")
+        return [r.numerator for r in rats], 0
+
+    frac_str = str  # the method above, not the builtin: t^n reads right for a negative n too
+
+    def grid(self):
+        return [0, 1, 2, 5, 3]
+
+    def random(self, rng):
+        return rng.randint(0, 20)
+
+    shrink = GcdFamily.shrink
+
+
+class Quad5(Kind):
+    """quad5: an element of the semiring is an ideal of Z[w], a QuadIdeal."""
+
+    ezero = zero = QI_ZERO
+    eone = one = QI_ONE
+    _pool = None  # the random law sample, built on first use
+
+    def element(self, value):
+        if isinstance(value, QuadIdeal):
+            return value
+        return qi_principal_int(_natural(value, "quad5 elements are QuadIdeals or naturals n meaning n*O"))
+
+    def elements(self, bound):
+        return [QI_ZERO] + enumerate_ideals(bound)
+
+    def add(self, x, y):
+        return qi_add(x, y)
+
+    def mul(self, x, y):
+        return qi_mul(x, y)
+
+    eadd, emul = add, mul
+
+    def cofactor(self, num, den):
+        return qi_divide(num, den)
+
+    def estr(self, x):
+        if x.is_zero():
+            return "0"
+        prim = "" if x.a == 1 else f"({x.a}, {x.b}+w)"
+        if x.g == 1:
+            return prim or "1"
+        return f"{x.g}*{prim}" if prim else str(x.g)
+
+    def str(self, a):
+        if a.is_zero():
+            return "(0)"
+        prim = "O" if a.a == 1 else f"({a.a}, {a.b}+w)"
+        return prim if a.g == 1 else f"{a.g}*{prim}"
+
+    def is_prime(self, q):  # zero, or a single prime to the first power
+        return q.is_zero() or (q != QI_ONE and list(qi_factor(q).values()) == [1])
+
+    def factor(self, q):
+        return {("quad", p, b): e for (p, b), e in qi_factor(q).items()}
+
+    def prime(self, label, p, b):
+        return prime_for_root(p, b)
+
+    def prime_labels(self, bound):
+        return [("quad", p, q.b if q.norm() == p else None) for p in primes_up_to(bound) for q in qi_prime_split(p)]
+
+    def key(self, q):
+        return (q.norm(), q.a, q.b)
+
+    # a fractional ideal is (Fraction scalar, primitive QuadIdeal)
+    def split(self, p):
+        scalar, prim = p
+        return QuadIdeal(scalar.numerator, prim.a, prim.b), QuadIdeal(scalar.denominator, 1, 0)
+
+    def join(self, A, d):
+        """A/d for d a nonzero element payload, a positive int or any nonzero ideal."""
+        if isinstance(d, QuadIdeal):
+            if d.a == 1:  # d = (g), a rational integer
+                d = d.g
+            else:  # d * conj(d) = (N(d)), so A/d = A*conj(d)/N(d)
+                A, d = qi_mul(A, qi_conj(d)), d.norm()
+        if A.is_zero():
+            return (Fraction(0), QI_ONE)
+        return (Fraction(A.g, d), QuadIdeal(1, A.a, A.b))
+
+    def frac_str(self, p):
+        scalar, prim = p
+        if not scalar:
+            return "(0)"
+        body = "O" if prim.a == 1 else f"({prim.a}, {prim.b}+w)"
+        return body if scalar == 1 else f"{scalar}*{body}"
+
+    def grid(self):
+        return enumerate_ideals(12)
+
+    def random(self, rng):
+        if self._pool is None:
+            self._pool = enumerate_ideals(200)
+        return rng.choice(self._pool)
+
+
+_N0_GRID = ((1,), (2,), (3,), (4,), (5,), (2, 3), (3, 4, 5), (4, 6, 9), (2, 5), (6, 10, 15), (4, 5), (3, 5, 7))
+
+
+class N0(Kind):
+    """n0: an ideal is a NatIdeal; a fractional ideal is (den, NatIdeal) with
+    gcd(den, content) == 1, and a K-element is a Fraction."""
+
+    factorial = False
+    numeric = True
+    ezero, eone = 0, 1
+    zero, one = nat.NAT_ZERO, nat.NAT_FULL
+    eadd, emul = operator.add, operator.mul
+
+    element, elements = GcdFamily.element, GcdFamily.elements  # the naturals, support None
+
+    def ideal(self, gens):
+        return nat.from_generators(gens)
+
+    def add(self, x, y):
+        return nat.nat_sum(x, y)
+
+    def mul(self, x, y):
+        return nat.nat_product(x, y)
+
+    def power(self, a, k):
+        return nat.nat_power(a, k)
+
+    def meet(self, x, y):
+        return nat.nat_intersect(x, y)
+
+    def quotient(self, a, b):
+        return nat.nat_quotient(a, b)
+
+    def cofactor(self, num, den):
+        return nat.nat_divides(den, num)
+
+    def contains(self, a, b):
+        return nat.nat_contains(a, b)
+
+    def member(self, a, x):
+        return a.contains(x)
+
+    def generators(self, a):
+        return nat.minimal_generators(a) or (0,)
+
+    def str(self, a):
+        return "I(%s)" % ",".join(map(str, self.generators(a)))
+
+    def is_subtractive(self, a):
+        return nat.nat_is_subtractive(a)
+
+    def is_prime(self, a):
+        return nat.nat_is_prime(a)
+
+    def is_maximal(self, a):
+        return nat.nat_is_maximal(a)
+
+    def min_nonzero(self, a):
+        return a.min_nonzero()
+
+    def separating(self, small, big):
+        """A full period past both conductors decides the question exactly."""
+        if big == nat.NAT_ZERO:
+            return None
+        bound = max(small.c, big.c) + math.lcm(max(small.d, 1), max(big.d, 1)) + 1
+        for x in big.members_below(bound):
+            if x and not small.contains(x):
+                return x
+        return None
+
+    def between(self, m):
+        return nat.nat_between(m)
+
+    def prime(self, label, p, b):
+        return nat.NatIdeal(p, 0, ()) if label == "numeric" else nat.NAT_MAX
+
+    def prime_labels(self, bound):
+        return [("numeric", p, None) for p in primes_up_to(bound)] + [("max", None, None)]
+
+    def split(self, p):
+        return p[1], p[0]
+
+    def join(self, A, d):
+        if A.d == 0:
+            return (1, A)
+        g = math.gcd(d, A.d)
+        return (d // g, nat.nat_unscale(A, g))
+
+    def scale(self, A, t):
+        return nat.nat_scale(A, t)
+
+    def k_generator(self, p):
+        gens = nat.minimal_generators(p[1])
+        return Fraction(gens[0], p[0]) if len(gens) == 1 else None
+
+    def k_mul(self, x, y):
+        return x * y
+
+    def k_one(self):
+        return Fraction(1)
+
+    def sandwich(self, p):  # the least c with c*d in A
+        d, A = p
+        return (nat._scale_quotient(A, d).min_nonzero(), d)
+
+    def grid(self):
+        return [nat.from_generators(g) for g in _N0_GRID]
+
+    def random(self, rng):
+        return nat.from_generators([rng.randint(1, 40) for _ in range(rng.randint(1, 4))])
+
+    def shrink(self, a):
+        gens = list(nat.minimal_generators(a))
+        if len(gens) > 1:
+            yield nat.from_generators(sorted(gens)[:-1])
+        for i, g in enumerate(gens):
+            if g > 1:
+                yield nat.from_generators(gens[:i] + [g - 1] + gens[i + 1 :])
+
+    def cover(self, a, b):
+        """The principal (m) with m dividing the content of a, so invertible."""
+        m = math.gcd(b.min_nonzero() if b != nat.NAT_ZERO else 1, a.d)
+        return nat.from_generators([max(m, 1)])
+
+
+_LAG_ELEMENTS = ("0", "u", "1")
+_LAG_RANK = {"zero": 0, "u": 1, "full": 2}  # its ideals form a chain
+_LAG_MEMBERS = {"zero": ("0",), "u": ("0", "u"), "full": ("0", "u", "1")}
+
+
+class Lagrassa(Kind):
+    """lagrassa: its three ideals "zero" < "u" < "full"; a product is the smaller factor."""
+
+    factorial = False
+    whole_grid = True
+    ezero, eone, zero, one = "0", "1", "zero", "full"
+
+    def element(self, value):
+        if value not in _LAG_ELEMENTS:
+            raise ValueError("lagrassa elements are '0', 'u', '1'")
+        return value
+
+    def elements(self, bound):
+        return list(_LAG_ELEMENTS)
+
+    # x + y is the larger of x, y in the chain 0 < 1 < u, and x * y the smaller in 0 < u < 1
+    def eadd(self, x, y):
+        return max(x, y, key="01u".index)
+
+    def emul(self, x, y):
+        return min(x, y, key="0u1".index)
+
+    def ideal(self, gens):
+        return ("zero", "u", "full")[max((_LAG_ELEMENTS.index(p) for p in gens), default=0)]
+
+    def add(self, x, y):
+        return max(x, y, key=_LAG_RANK.get)
+
+    def mul(self, x, y):
+        return min(x, y, key=_LAG_RANK.get)
+
+    meet = mul
+
+    def quotient(self, a, b):
+        members = _LAG_MEMBERS[a]
+        return self.ideal([x for x in _LAG_ELEMENTS if all(self.emul(x, y) in members for y in _LAG_MEMBERS[b])])
+
+    def cofactor(self, num, den):
+        return next((c for c in _LAG_RANK if self.mul(den, c) == num), None)
+
+    def member(self, a, x):
+        return x in _LAG_MEMBERS[a]
+
+    def generators(self, a):
+        return (_LAG_MEMBERS[a][-1],)
+
+    def str(self, a):
+        return {"zero": "(0)", "u": "(u)", "full": "L"}[a]
+
+    def is_subtractive(self, a):
+        return a != "u"  # u + 1 = u lies in (u), and 1 does not
+
+    def is_prime(self, a):
+        return a != "full"  # a product lies in (u) only when a factor does
+
+    def separating(self, small, big):
+        if small == big:
+            return None
+        return next((x for x in ("u", "1") if self.member(big, x) and not self.member(small, x)), None)
+
+    def divisors(self, p, times=1):
+        return list(_LAG_RANK)
+
+    def prime(self, label, p, b):
+        return "u"
+
+    def prime_labels(self, bound):
+        return [("u", None, None)]
+
+    def grid(self):
+        return list(_LAG_RANK)
+
+
+# kind: (arithmetic, semidomain, subtractive ideals only, dedekind, noetherian)
+_KINDS = {
+    "n0": (N0, True, False, False, True),
+    "gcd": (GcdFamily, True, True, True, True),
+    "gcd-supported": (GcdFamily, True, True, True, True),
+    "dvs": (Dvs, True, True, True, True),
+    "lagrassa": (Lagrassa, False, False, False, True),
+    # quad5: Z[w] is a Noetherian Dedekind domain, so every ideal of its
+    # semiring of ideals is principal, generated by the sum of its members
+    # (a finite sum, hence a member), and that generator is invertible.
+    "quad5": (Quad5, True, True, True, True),
+}
+KINDS = tuple(_KINDS)
+
+
+class Instance(Record, derived=("arith",)):
+    __slots__ = ("id", "kind", "support", "is_semidomain", "is_subtractive", "is_dedekind", "is_noetherian", "arith")
 
     def __hash__(self):  # the canonical id determines every other field
         return hash(self.id)
 
-
-_FLAGS = {
-    # kind: (semidomain, subtractive ideals only, dedekind, noetherian)
-    "n0": (True, False, False, True),
-    "gcd": (True, True, True, True),
-    "gcd-supported": (True, True, True, True),
-    "dvs": (True, True, True, True),
-    "lagrassa": (False, False, False, True),
-    # quad5: Z[w] is a Noetherian Dedekind domain, so every ideal of its
-    # semiring of ideals is principal, generated by the sum of its members
-    # (a finite sum, hence a member), and that generator is invertible.
-    "quad5": (True, True, True, True),
-}
 
 _CACHE = {}
 
@@ -78,9 +691,12 @@ def instance(spec):
             raise ValueError(f"unknown instance: {spec!r}")
     elif spec not in KINDS:
         raise ValueError(f"unknown instance: {spec!r}")
-    flags = _FLAGS[kind]
+    arith, *flags = _KINDS[kind]
     canonical = kind if support is None else "gcd-supported(%s)" % ",".join(map(str, support))
-    inst = _CACHE.get(canonical) or Instance(canonical, kind, support, *flags)
+    inst = _CACHE.get(canonical)
+    if inst is None:
+        inst = Instance(canonical, kind, support, *flags)
+        object.__setattr__(inst, "arith", arith(inst))
     _CACHE[spec] = _CACHE[canonical] = inst
     return inst
 
@@ -105,107 +721,25 @@ class Element(Tagged):
     __slots__ = ()
 
 
-def _smooth(n, support):
-    if n == 0:
-        return True
-    for p in support:
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
 def element(inst, value):
     """Validate a raw payload and tag it."""
-    kind = inst.kind
-    if kind in ("n0", "gcd", "gcd-supported"):
-        v = int(value)
-        if v != value or v < 0:
-            raise ValueError("naturals only")
-        if kind == "gcd-supported" and not _smooth(v, inst.support):
-            raise OutOfSupport(f"{v} has a prime factor outside {inst.support}")
-        return Element(inst, v)
-    if kind == "dvs":
-        if value is None:
-            return Element(inst, None)
-        v = int(value)
-        if v != value or v < 0:
-            raise ValueError("exponents of elements are nonnegative")
-        return Element(inst, v)
-    if kind == "lagrassa":
-        if value not in ("0", "u", "1"):
-            raise ValueError("lagrassa elements are '0', 'u', '1'")
-        return Element(inst, value)
-    if kind == "quad5":
-        if isinstance(value, QuadIdeal):
-            return Element(inst, value)
-        v = int(value)
-        if v != value or v < 0:
-            raise ValueError("quad5 elements are QuadIdeals or naturals n meaning n*O")
-        return Element(inst, QI_ZERO if v == 0 else QuadIdeal(v, 1, 0))
-    raise ValueError(kind)
-
-
-# kind: (zero payload, one payload)
-CONSTANTS = {
-    "n0": (0, 1),
-    "gcd": (0, 1),
-    "gcd-supported": (0, 1),
-    "dvs": (None, 0),
-    "lagrassa": ("0", "1"),
-    "quad5": (QI_ZERO, QI_ONE),
-}
+    return Element(inst, inst.arith.element(value))
 
 
 def zero(inst):
-    return Element(inst, CONSTANTS[inst.kind][0])
+    return Element(inst, inst.arith.ezero)
 
 
 def one(inst):
-    return Element(inst, CONSTANTS[inst.kind][1])
-
-
-_LAG_ADD = {
-    ("0", "0"): "0", ("0", "u"): "u", ("0", "1"): "1",
-    ("u", "0"): "u", ("u", "u"): "u", ("u", "1"): "u",
-    ("1", "0"): "1", ("1", "u"): "u", ("1", "1"): "1",
-}
-_LAG_MUL = {
-    ("0", "0"): "0", ("0", "u"): "0", ("0", "1"): "0",
-    ("u", "0"): "0", ("u", "u"): "u", ("u", "1"): "u",
-    ("1", "0"): "0", ("1", "u"): "u", ("1", "1"): "1",
-}
+    return Element(inst, inst.arith.eone)
 
 
 def payload_add(kind, x, y):
-    if kind == "n0":
-        return x + y
-    if kind in ("gcd", "gcd-supported"):
-        return math.gcd(x, y)
-    if kind == "dvs":
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return min(x, y)
-    if kind == "lagrassa":
-        return _LAG_ADD[(x, y)]
-    if kind == "quad5":
-        return qi_add(x, y)
-    raise ValueError(kind)
+    return instance(kind).arith.eadd(x, y)
 
 
 def payload_mul(kind, x, y):
-    if kind in ("n0", "gcd", "gcd-supported"):
-        return x * y
-    if kind == "dvs":
-        if x is None or y is None:
-            return None
-        return x + y
-    if kind == "lagrassa":
-        return _LAG_MUL[(x, y)]
-    if kind == "quad5":
-        return qi_mul(x, y)
-    raise ValueError(kind)
+    return instance(kind).arith.emul(x, y)
 
 
 def element_op(inst, op, x, y):
@@ -214,43 +748,19 @@ def element_op(inst, op, x, y):
         if e.instance is not inst:
             raise InstanceMismatch(f"operand from {e.instance.id}, expected {inst.id}")
     if op == "add":
-        return Element(inst, payload_add(inst.kind, x.payload, y.payload))
+        return Element(inst, inst.arith.eadd(x.payload, y.payload))
     if op == "mul":
-        return Element(inst, payload_mul(inst.kind, x.payload, y.payload))
+        return Element(inst, inst.arith.emul(x.payload, y.payload))
     raise ValueError(f"unknown op {op!r}")
 
 
 def payload_str(kind, x):
-    if kind == "dvs":
-        if x is None:
-            return "0"
-        return "1" if x == 0 else f"t^{x}"
-    if kind == "quad5":
-        if x.is_zero():
-            return "0"
-        prim = "" if x.a == 1 else f"({x.a}, {x.b}+w)"
-        if x.g == 1:
-            return prim or "1"
-        return f"{x.g}*{prim}" if prim else str(x.g)
-    return str(x)
+    return instance(kind).arith.estr(x)
 
 
 def enumerate_payloads(inst, bound):
     """Deterministically ordered finite element sample, zero first."""
-    kind = inst.kind
-    if kind == "n0":
-        return list(range(bound + 1))
-    if kind == "gcd":
-        return list(range(bound + 1))
-    if kind == "gcd-supported":
-        return [n for n in range(bound + 1) if _smooth(n, inst.support)]
-    if kind == "dvs":
-        return [None] + list(range(bound + 1))
-    if kind == "lagrassa":
-        return ["0", "u", "1"]
-    if kind == "quad5":
-        return [QI_ZERO] + enumerate_ideals(bound)
-    raise ValueError(kind)
+    return inst.arith.elements(bound)
 
 
 def check_semidomain(inst, bound):
@@ -259,23 +769,18 @@ def check_semidomain(inst, bound):
     For each nonzero a the map b -> a*b must be injective; the first collision
     (a, b, c) with a*b == a*c and b != c is the returned witness.
     """
-    elems = enumerate_payloads(inst, bound)
-    zero_p = zero(inst).payload
+    ar = inst.arith
+    elems = ar.elements(bound)
     trials = 0
     for a in elems:
-        if a == zero_p:
+        if a == ar.ezero:
             continue
         seen = {}
         for b in elems:
             trials += 1
-            p = payload_mul(inst.kind, a, b)
+            p = ar.emul(a, b)
             if p in seen and seen[p] != b:
-                witness = {
-                    "a": payload_str(inst.kind, a),
-                    "b": payload_str(inst.kind, seen[p]),
-                    "c": payload_str(inst.kind, b),
-                    "product": payload_str(inst.kind, p),
-                }
+                witness = {"a": ar.estr(a), "b": ar.estr(seen[p]), "c": ar.estr(b), "product": ar.estr(p)}
                 return LawReport("multiplicative-cancellation", inst.id, trials, 0, "fail", witness)
             seen[p] = b
     return LawReport("multiplicative-cancellation", inst.id, trials, 0, "pass", None)

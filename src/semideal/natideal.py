@@ -24,7 +24,7 @@ import sys
 from bisect import bisect_left
 
 from ._kernels import additive_closure
-from .errors import EmptyIdeal, ZeroDivisorIdeal
+from .errors import EmptyIdeal, TooLarge, ZeroDivisorIdeal
 from .reports import Record
 
 
@@ -69,6 +69,12 @@ class NatIdeal(Record):
         return out
 
 
+# Budgets of a canonical form, past which it raises TooLarge: the scaled closure
+# window (2 MiB of bitmap) and the members below the conductor (a tuple of about
+# 40 MB). The largest inputs of the tests and the benchmark need 331,780 and 130,811.
+MAX_WINDOW_BITS = 1 << 24
+MAX_EX = 1 << 20
+
 NAT_ZERO = NatIdeal(0, 0, ())
 NAT_FULL = NatIdeal(1, 0, ())
 NAT_MAX = NatIdeal(1, 2, ())  # every natural except 1
@@ -99,6 +105,8 @@ def _scaled_bits_to_ideal(d, mask, run):
         return NatIdeal(d, 0, ())
     z0 = gaps.bit_length() - 1
     below = mask & ((1 << z0) - 1) & ~1
+    if below.bit_count() > MAX_EX:
+        raise TooLarge(f"the ideal has {below.bit_count()} members below its conductor, over {MAX_EX}")
     words = memoryview(below.to_bytes((z0 + 63) // 64 * 8, sys.byteorder)).cast("Q")
     if sys.byteorder == "big":
         words = words[::-1]  # least significant word first
@@ -123,6 +131,8 @@ def from_generators(gens):
     m = scaled[0]
     limit = 4 * scaled[-1] + 1
     while True:
+        if limit > MAX_WINDOW_BITS:
+            raise TooLarge(f"the closure of {len(gens)} generators up to {gens[-1]} needs over {MAX_WINDOW_BITS} bits")
         mask = additive_closure(scaled, limit)
         run = _run_start(mask, m)
         if run is not None:

@@ -8,7 +8,8 @@ gcd instance the coefficient sums are gcds).
 
 from __future__ import annotations
 
-from .instances import payload_add, payload_mul, payload_str, zero
+from .errors import InstanceMismatch
+from .instances import zero
 from .reports import Record
 
 
@@ -35,7 +36,7 @@ def poly_str(f):
     for i, c in enumerate(f.coeffs):
         if c == zp:
             continue
-        cs = payload_str(f.instance.kind, c)
+        cs = f.instance.arith.estr(c)
         if i == 0:
             parts.append(cs)
         else:
@@ -46,8 +47,6 @@ def poly_str(f):
 
 def poly_mul(f, g):
     if f.instance is not g.instance:
-        from .errors import InstanceMismatch
-
         raise InstanceMismatch("polynomials over different instances")
     inst = f.instance
     zp = zero(inst).payload
@@ -56,5 +55,5 @@ def poly_mul(f, g):
     out = [zp] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs):
-            out[i + j] = payload_add(inst.kind, out[i + j], payload_mul(inst.kind, a, b))
+            out[i + j] = inst.arith.eadd(out[i + j], inst.arith.emul(a, b))
     return poly(inst, out)

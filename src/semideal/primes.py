@@ -1,6 +1,8 @@
 """Integer number-theory helpers: primality, factorization, square roots."""
 
-from .errors import TooLarge
+import math
+
+from .errors import InternalError, TooLarge
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI12 = 318665857834031151167461  # least strong pseudoprime to all 12 bases (Sorenson, Webster 2017)
@@ -37,26 +39,44 @@ def is_prime_int(n):
     return True
 
 
+TRIAL_LIMIT = 10**7  # trial divisors tried (about 0.5 s of work) before an unsplit cofactor is refused
+
+
 def factorint(n):
-    """Trial-division factorization, {prime: exponent}."""
+    """Trial-division factorization, {prime: exponent}, multiplied back.
+
+    Past the divisor 1000 a cofactor below _PSI12 is tested with is_prime_int
+    whenever it changed, so a large prime ends the search. A cofactor left
+    unsplit past TRIAL_LIMIT, composite or too large to test, raises TooLarge.
+    """
     if n <= 0:
         raise ValueError("positive integer required")
     out = {}
+    m = n
     for p in (2, 3, 5):
-        while n % p == 0:
+        while m % p == 0:
             out[p] = out.get(p, 0) + 1
-            n //= p
+            m //= p
     f = 7
     inc = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f * f <= n:
-        while n % f == 0:
+    tested = None
+    while f * f <= m:
+        if f > 1000 and m != tested:
+            if m < _PSI12 and is_prime_int(m):
+                break
+            tested = m
+        if f > TRIAL_LIMIT:
+            raise TooLarge(f"{n} is not factored within the budget: its cofactor {m} has no factor up to {TRIAL_LIMIT}")
+        while m % f == 0:
             out[f] = out.get(f, 0) + 1
-            n //= f
+            m //= f
         f += inc[i]
         i = (i + 1) % 8
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    if math.prod(p**e for p, e in out.items()) != n:
+        raise InternalError(f"the factorization of {n} does not multiply back")
     return out
 
 

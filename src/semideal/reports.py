@@ -5,6 +5,8 @@ its fields in ``__slots__``; its records are immutable, equal only to records
 of the same class with equal fields, hashed by their fields, and shown as
 ``Name(field=value, ...)``. Records built or compared on hot paths write
 their own ``__init__``, ``__eq__`` and ``__hash__`` with the same meaning.
+A slot named in ``derived`` (``class C(Record, derived=(...))``) is set by the
+code that builds the record from its fields, and is not a field itself.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ class Record:
 
     _fields = ()
 
-    def __init_subclass__(cls):
-        cls._fields = cls.__base__._fields + cls.__slots__
+    def __init_subclass__(cls, derived=()):
+        cls._fields = cls.__base__._fields + tuple(n for n in cls.__slots__ if n not in derived)
         cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):

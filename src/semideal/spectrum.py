@@ -9,11 +9,8 @@ is the HNF coefficient of the degree-one prime over p (None for inert p).
 
 from __future__ import annotations
 
-from . import natideal as nat
 from .errors import UnknownPrime
 from .ideals import Ideal, ideal_contains, ideal_equals, zero_ideal
-from .primes import primes_up_to
-from .quadratic import prime_for_root, qi_prime_split
 from .reports import Record
 
 
@@ -42,41 +39,12 @@ class PrimeLabel(Record):
         return f"P{self.p}[{self.b}]"
 
     def ideal(self):
-        inst = self.instance
-        kind = self.kind
-        if kind == "numeric":
-            if inst.kind == "n0":
-                return Ideal(inst, nat.NatIdeal(self.p, 0, ()))
-            return Ideal(inst, self.p)
-        if kind == "max":
-            return Ideal(inst, nat.NAT_MAX)
-        if kind == "t":
-            return Ideal(inst, 1)
-        if kind == "u":
-            return Ideal(inst, "u")
-        return Ideal(inst, prime_for_root(self.p, self.b))
+        return Ideal(self.instance, self.instance.arith.prime(self.kind, self.p, self.b))
 
 
 def spectrum(inst, bound=10):
     """The classified prime labels, materialized up to bound where infinite."""
-    kind = inst.kind
-    if kind == "n0":
-        labels = [PrimeLabel(inst, "numeric", p) for p in primes_up_to(bound)]
-        labels.append(PrimeLabel(inst, "max"))
-        return labels
-    if kind == "gcd":
-        return [PrimeLabel(inst, "numeric", p) for p in primes_up_to(bound)]
-    if kind == "gcd-supported":
-        return [PrimeLabel(inst, "numeric", p) for p in inst.support]
-    if kind == "dvs":
-        return [PrimeLabel(inst, "t")]
-    if kind == "lagrassa":
-        return [PrimeLabel(inst, "u")]
-    labels = []
-    for p in primes_up_to(bound):
-        for q in qi_prime_split(p):
-            labels.append(PrimeLabel(inst, "quad", p, q.b if q.norm() == p else None))
-    return labels
+    return [PrimeLabel(inst, *lab) for lab in inst.arith.prime_labels(bound)]
 
 
 def label_from_text(inst, text):

@@ -3,9 +3,11 @@
 import argparse
 import json
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -427,6 +429,42 @@ def test_cli_refuses_an_undecided_primality(capsys):
     assert code == 3 and out == "" and err.startswith("TooLarge:")
     code, doc, _ = run_json(argv, capsys)
     assert code == 3 and doc["result"]["error"] == "TooLarge"
+
+
+def run_bounded(argv, seconds=30):
+    """Run the CLI in a fresh interpreter capped at 1 GiB of address space;
+    returns (exit code, stderr, wall seconds). Past ``seconds`` it raises."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "semideal.cli", *argv], capture_output=True, text=True, timeout=seconds, preexec_fn=cap
+    )
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--instance", "gcd", "I(318665857834031151167461)"],
+        ["factor", "--instance", "gcd", f"I({10000000000000000051 * 100000000000000000039})"],
+        ["eval", "--instance", "n0", "I(2,3)^16"],
+        ["eval", "--instance", "n0", "I(2,3)^64"],
+    ],
+    ids=["psi12", "semiprime40", "n0-power16", "n0-power64"],
+)
+def test_cli_refuses_inputs_past_the_budgets(argv):
+    code, err, seconds = run_bounded(argv)
+    assert code == 3 and err.startswith("TooLarge:"), err
+    assert seconds < 10
+
+
+def test_cli_between_factors_the_maximal_ideal_not_its_square():
+    # 1000000000039 is prime; its square is past what trial division splits
+    code, err, seconds = run_bounded(["between", "--instance", "gcd", "I(1000000000039)"])
+    assert (code, err) == (0, "") and seconds < 10
 
 
 def test_cli_rejects_a_denominator_outside_the_support(capsys):

@@ -19,7 +19,7 @@ from semideal import (
     unit_ideal,
 )
 from semideal.fractional import frac_from_ideal, frac_invert
-from semideal.laws import LAW_IDS, _shrink_variants
+from semideal.laws import LAW_IDS
 
 N0 = instance("n0")
 GCD = instance("gcd")
@@ -204,14 +204,15 @@ def test_failing_witnesses_are_shrink_minimal():
     ]
     from semideal.laws import _CHECKERS
 
+    ar = N0.arith
     for law, names in cases:
         _, _, checker = _CHECKERS[law]
-        tup = tuple(_nat(int(s[2:-1])) for s in names)
-        assert checker(tup) is not None
+        tup = tuple(_nat(int(s[2:-1])).payload for s in names)
+        assert checker(ar, *tup) is not None
         for i in range(len(tup)):
-            for cand in _shrink_variants(tup[i]):
+            for cand in ar.shrink(tup[i]):
                 trial = tup[:i] + (cand,) + tup[i + 1 :]
-                assert checker(trial) is None, (law, i, ideal_str(cand))
+                assert checker(ar, *trial) is None, (law, i, ar.str(cand))
 
 
 def test_determinism_same_args_same_report():

@@ -1,6 +1,8 @@
 """Number-theory helpers, classified spectra, Krull dimension."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +43,31 @@ def test_is_prime_int_refuses_what_twelve_bases_cannot_decide():
         is_prime(ideal_from_generators(GCD, [psi12]))
     with pytest.raises(TooLarge):
         instance(f"gcd-supported(2,{psi12})")
+
+
+def test_factorint_stops_at_its_trial_budget():
+    # a large prime cofactor is recognised, a cofactor left unsplit refused,
+    # and a small factor of a number past psi_12 still found; run apart so
+    # that unbounded trial division fails on the timeout
+    code = (
+        "from semideal.errors import TooLarge\n"
+        "from semideal.primes import factorint\n"
+        "assert factorint(2**61 - 1) == {2**61 - 1: 1}\n"
+        "assert factorint(12 * 1000003 * 1000033) == {2: 2, 3: 1, 1000003: 1, 1000033: 1}\n"
+        "assert factorint(100003 * (10**20 + 39)) == {100003: 1, 10**20 + 39: 1}\n"
+        "for n in (318665857834031151167461, 1000000007 * 1000000009):\n"
+        "    try:\n"
+        "        factorint(n)\n"
+        "    except TooLarge as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    budget = "is not factored within the budget: its cofactor {} has no factor up to 10000000"
+    assert proc.stdout.splitlines() == [
+        "318665857834031151167461 " + budget.format(318665857834031151167461),
+        "1000000016000000063 " + budget.format(1000000016000000063),
+    ]
 
 
 def test_primes_up_to():
