@@ -2,7 +2,14 @@
 
 Exit codes: 0 all checks passed; 1 a law failed where success was expected
 (or an expected failure passed); 2 usage or syntax errors; 3 a library
-error (unsupported operation, precondition violation), reported by name.
+error (unsupported operation, precondition violation, an input past a
+budget), reported by name.
+
+Each subcommand is a function from (instance, args) to an ``Outcome``: the
+text it prints, and the result, witness, status and exit code of its
+``--json`` line. ``COMMANDS`` maps each subcommand to its function and its
+own arguments; ``main`` alone resolves ``--instance``, prints, and maps
+exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -11,9 +18,10 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 
-from .content import dm_exponent, gaussian_check
-from .errors import ParseError, SemidealError, Unsupported
+from .content import contents, dm_exponent, gaussian_check
+from .errors import ParseError, SemidealError, TooLarge, Unsupported
 from .exprparse import eval_expr, parse_expr
 from .fractional import (
     frac_invert,
@@ -39,67 +47,49 @@ from .polynomials import poly
 from .spectrum import label_from_text
 
 
-def _emit(args, command, inst_id, result, witness, status, seed):
-    if args.json:
-        doc = {
-            "command": command,
-            "instance": inst_id,
-            "result": result,
-            "witness": witness,
-            "status": status,
-            "seed": seed,
-        }
-        print(json.dumps(doc, sort_keys=True))
-    return 0
+class UsageError(Exception):
+    pass
 
 
-def _require_instance(args):
+# instance: the report's instance field when it is not the --instance one
+# (a --config run names the instances of its rows)
+Outcome = namedtuple("Outcome", "text result witness status code instance", defaults=(None, "pass", 0, None))
+
+
+def _instance(args):
     if not args.instance:
         raise UsageError("--instance is required for this command")
     return instance(args.instance)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _eval_ideal(inst, text):
     return eval_expr(inst, parse_expr(text))
 
 
+def _witness_line(witness):
+    return "" if witness is None else f"\n       witness: {json.dumps(witness, sort_keys=True)}"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_eval(args):
-    inst = _require_instance(args)
+def _eval(inst, args):
     frac = _eval_ideal(inst, args.expr)
     integral = is_integral(frac)
     result = {"text": frac_str(frac), "integral": integral}
     if integral:
-        gens = generators(to_ideal(frac))
-        result["generators"] = [inst.arith.estr(g) for g in gens]
-    if not args.json:
-        print(result["text"])
-    _emit(args, "eval", inst.id, result, None, "pass", args.seed)
-    return 0
+        result["generators"] = [inst.arith.estr(g) for g in generators(to_ideal(frac))]
+    return Outcome(result["text"], result)
 
 
-def _cmd_factor(args):
-    inst = _require_instance(args)
+def _factor(inst, args):
     vec = uft_factor(_eval_ideal(inst, args.expr))
-    result = {
-        "text": vec.text(),
-        "factors": [{"prime": lab.text(), "exponent": e} for lab, e in vec.items],
-    }
-    if not args.json:
-        print(result["text"])
-    _emit(args, "factor", inst.id, result, None, "pass", args.seed)
-    return 0
+    text = vec.text()
+    return Outcome(text, {"text": text, "factors": [{"prime": lab.text(), "exponent": e} for lab, e in vec.items]})
 
 
-def _cmd_classify(args):
-    inst = _require_instance(args)
+def _classify(inst, args):
     frac = _eval_ideal(inst, args.expr)
     ideal = to_ideal(frac)
     result = {
@@ -108,10 +98,7 @@ def _cmd_classify(args):
         "subtractive": is_subtractive(ideal),
         "invertible": frac_invert(frac) is not None,
     }
-    if not args.json:
-        print(" ".join(f"{k}={str(v).lower()}" for k, v in result.items()))
-    _emit(args, "classify", inst.id, result, None, "pass", args.seed)
-    return 0
+    return Outcome(" ".join(f"{k}={str(v).lower()}" for k, v in result.items()), result)
 
 
 def _parse_config(path):
@@ -149,94 +136,55 @@ def _law_line(report, expected_fail, ok):
     else:
         tag = "XFAIL" if expected_fail else "FAIL "
     note = "" if ok else "  <-- unexpected"
-    return f"{tag} {report.law:<28} {report.instance:<20} trials={report.trials} seed={report.seed}{note}"
+    line = f"{tag} {report.law:<28} {report.instance:<20} trials={report.trials} seed={report.seed}{note}"
+    return line + _witness_line(report.witness)
 
 
-def _cmd_laws(args):
+def _laws(inst, args):
     if args.config:
         if (args.law, args.instance, args.trials) != (None, None, None):
             raise UsageError("--config runs the file's own rows: give no law id, --instance or --trials with it")
         suites = _parse_config(args.config)
-        results = []
-        all_ok = True
-        first_bad = None
+        lines, results, first_bad = [], [], None
         for law, inst_id, trials, seed, expected_fail in suites:
             report = check_law(instance(inst_id), law, trials, seed)
             ok = (report.status == "fail") == expected_fail
-            all_ok = all_ok and ok
             if not ok and first_bad is None:
                 first_bad = report
-            results.append(
-                {
-                    "law": report.law,
-                    "instance": report.instance,
-                    "trials": report.trials,
-                    "seed": report.seed,
-                    "status": report.status,
-                    "expected": "fail" if expected_fail else "pass",
-                    "ok": ok,
-                    "witness": report.witness,
-                }
-            )
-            if not args.json:
-                print(_law_line(report, expected_fail, ok))
-                if report.witness is not None:
-                    print(f"       witness: {json.dumps(report.witness, sort_keys=True)}")
-        status = "pass" if all_ok else "fail"
+            results.append({**report.to_dict(), "expected": "fail" if expected_fail else "pass", "ok": ok})
+            lines.append(_law_line(report, expected_fail, ok))
         inst_field = ",".join(sorted({inst_id for _, inst_id, _, _, _ in suites}))
-        _emit(args, "laws", inst_field, results, first_bad.witness if first_bad else None, status, args.seed)
-        return 0 if all_ok else 1
+        if first_bad is None:
+            return Outcome("\n".join(lines), results, None, "pass", 0, inst_field)
+        return Outcome("\n".join(lines), results, first_bad.witness, "fail", 1, inst_field)
     if not args.law:
         raise UsageError("laws needs a law id or --config")
-    inst = _require_instance(args)
+    inst = inst or _instance(args)
     report = check_law(inst, args.law, 200 if args.trials is None else args.trials, args.seed)
     # A failure only counts against the exit code (and gets the marker) on
     # instances where the law is supposed to hold.
     unexpected = report.status == "fail" and inst.is_dedekind
-    if not args.json:
-        print(_law_line(report, False, not unexpected))
-        if report.witness is not None:
-            print(f"       witness: {json.dumps(report.witness, sort_keys=True)}")
-    _emit(args, "laws", inst.id, report.to_dict(), report.witness, report.status, args.seed)
-    return 1 if unexpected else 0
+    text = _law_line(report, False, not unexpected)
+    return Outcome(text, report.to_dict(), report.witness, report.status, 1 if unexpected else 0)
 
 
-def _cmd_twogen(args):
-    inst = _require_instance(args)
+def _twogen(inst, args):
     ideal = to_ideal(_eval_ideal(inst, args.expr))
     a, b = two_generators(ideal, args.member)
-    result = {"ideal": ideal_str(ideal), "a": a, "b": b}
-    if not args.json:
-        print(f"a={a} b={b}")
-    _emit(args, "twogen", inst.id, result, None, "pass", args.seed)
-    return 0
+    return Outcome(f"a={a} b={b}", {"ideal": ideal_str(ideal), "a": a, "b": b})
 
 
-def _cmd_localize(args):
-    inst = _require_instance(args)
-    ideal = to_ideal(_eval_ideal(inst, args.expr))
-    local = localize(inst, args.prime, ideal)
-    exponent = local.payload
-    result = {"text": ideal_str(local), "exponent": exponent}
-    if not args.json:
-        print(result["text"])
-    _emit(args, "localize", inst.id, result, None, "pass", args.seed)
-    return 0
+def _localize(inst, args):
+    local = localize(inst, args.prime, to_ideal(_eval_ideal(inst, args.expr)))
+    text = ideal_str(local)
+    return Outcome(text, {"text": text, "exponent": local.payload})
 
 
-def _cmd_sandwich(args):
-    inst = _require_instance(args)
+def _sandwich(inst, args):
     frac = _eval_ideal(inst, args.expr)
     c, d = sandwich(frac)
-    result = {
-        "ideal": frac_str(frac),
-        "c": inst.arith.estr(c),
-        "d": inst.arith.estr(d),
-    }
-    if not args.json:
-        print(f"c={result['c']} d={result['d']}")
-    _emit(args, "sandwich", inst.id, result, None, "pass", args.seed)
-    return 0
+    result = {"ideal": frac_str(frac), "c": inst.arith.estr(c), "d": inst.arith.estr(d)}
+    return Outcome(f"c={result['c']} d={result['d']}", result)
 
 
 def _coeffs(inst, text):
@@ -247,51 +195,68 @@ def _coeffs(inst, text):
     return poly(inst, [element(inst, v).payload for v in values])
 
 
-def _cmd_dm(args):
-    inst = _require_instance(args)
+def _dm(inst, args):
     if not inst.arith.numeric:
         raise Unsupported(f"dm coefficients are numeric; not available on {inst.kind}")
     f = _coeffs(inst, args.f)
     g = _coeffs(inst, args.g)
-    report = gaussian_check(f, g)
-    n = dm_exponent(f, g)
-    doc = report.to_dict()
-    doc["dm_exponent"] = n
-    if not args.json:
-        print(
-            f"gaussian={str(report.gaussian).lower()} dm_exponent={n} "
-            f"c(f)={report.content_f} c(g)={report.content_g} c(fg)={report.content_fg}"
-        )
-        if report.witness is not None:
-            print(f"       witness: {json.dumps(report.witness, sort_keys=True)}")
-    _emit(args, "dm", inst.id, doc, report.witness, "pass", args.seed)
-    return 0
+    cs = contents(f, g)
+    report = gaussian_check(f, g, cs)
+    n = dm_exponent(f, g, cs)
+    text = (
+        f"gaussian={str(report.gaussian).lower()} dm_exponent={n} "
+        f"c(f)={report.content_f} c(g)={report.content_g} c(fg)={report.content_fg}"
+    )
+    return Outcome(text + _witness_line(report.witness), {**report.to_dict(), "dm_exponent": n}, report.witness)
 
 
-def _cmd_between(args):
-    inst = _require_instance(args)
+def _between(inst, args):
     try:
         target = label_from_text(inst, args.target).ideal()
     except SemidealError:
         target = to_ideal(_eval_ideal(inst, args.target))
     found = search_between(target)
     if found is None:
-        result = {"found": False}
-        witness = None
-        text = "none"
-    else:
-        gens = [inst.arith.estr(g) for g in generators(found)]
-        result = {"found": True, "ideal": ideal_str(found), "generators": gens}
-        witness = {"ideal": ideal_str(found)}
-        text = result["ideal"]
-    if not args.json:
-        print(text)
-    _emit(args, "between", inst.id, result, witness, "pass", args.seed)
-    return 0
+        return Outcome("none", {"found": False})
+    text = ideal_str(found)
+    gens = [inst.arith.estr(g) for g in generators(found)]
+    return Outcome(text, {"found": True, "ideal": text, "generators": gens}, {"ideal": text})
 
 
 # ---------------------------------------------------------------------------
 # argv plumbing
+
+_EXPR = ("expr", {"help": "ideal expression, e.g. 'I(2)*I(3) & I(4)'"})
+
+# subcommand -> (function, its arguments after --instance and --json)
+COMMANDS = {
+    "eval": (_eval, [_EXPR]),
+    "factor": (_factor, [_EXPR]),
+    "classify": (_classify, [_EXPR]),
+    "laws": (
+        _laws,
+        [
+            ("--seed", {"type": int, "help": "seed for sampled suites"}),
+            ("law", {"nargs": "?", "help": f"one of: {', '.join(LAW_IDS)}"}),
+            ("--trials", {"type": int, "help": "trial budget for sampled suites (default 200)"}),
+            ("--config", {"help": "law suite config file"}),
+        ],
+    ),
+    "twogen": (_twogen, [_EXPR, ("member", {"type": int, "help": "nonzero member of the ideal"})]),
+    "localize": (_localize, [("prime", {"type": int, "help": "rational prime to localize at"}), _EXPR]),
+    "sandwich": (_sandwich, [_EXPR]),
+    "dm": (
+        _dm,
+        [
+            ("f", {"help": "comma-separated coefficients of f, ascending degree"}),
+            ("g", {"help": "comma-separated coefficients of g, ascending degree"}),
+        ],
+    ),
+    "between": (
+        _between,
+        [("target", {"help": "maximal ideal: a prime label (MAX, t, u, 7, P3[1]) or an expression"})],
+    ),
+}
 
 
 @functools.cache
@@ -301,80 +266,58 @@ def _build_parser():
         description="Exact ideal arithmetic over six decidable semiring instances.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (fn, arguments) in COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--instance", help="instance id, e.g. n0, gcd, gcd-supported(2,3), dvs, lagrassa, quad5")
         p.add_argument("--json", action="store_true", help="emit one JSON report line")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-
-    for name, fn, extras in (
-        ("eval", _cmd_eval, ("expr",)),
-        ("factor", _cmd_factor, ("expr",)),
-        ("classify", _cmd_classify, ("expr",)),
-        ("laws", _cmd_laws, ("law?",)),
-        ("twogen", _cmd_twogen, ("expr", "member")),
-        ("localize", _cmd_localize, ("prime", "expr")),
-        ("sandwich", _cmd_sandwich, ("expr",)),
-        ("dm", _cmd_dm, ("f", "g")),
-        ("between", _cmd_between, ("target",)),
-    ):
-        p = sub.add_parser(name)
-        common(p)
-        for extra in extras:
-            if extra == "expr":
-                p.add_argument("expr", help="ideal expression, e.g. 'I(2)*I(3) & I(4)'")
-            elif extra == "law?":
-                p.add_argument("law", nargs="?", help=f"one of: {', '.join(LAW_IDS)}")
-                p.add_argument("--trials", type=int, help="trial budget for sampled suites (default 200)")
-                p.add_argument("--config", help="law suite config file")
-            elif extra == "member":
-                p.add_argument("member", type=int, help="nonzero member of the ideal")
-            elif extra == "prime":
-                p.add_argument("prime", type=int, help="rational prime to localize at")
-            elif extra == "f":
-                p.add_argument("f", help="comma-separated coefficients of f, ascending degree")
-            elif extra == "g":
-                p.add_argument("g", help="comma-separated coefficients of g, ascending degree")
-            elif extra == "target":
-                p.add_argument("target", help="maximal ideal: a prime label (MAX, t, u, 7, P3[1]) or an expression")
-        p.set_defaults(fn=fn)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn, seed=0)  # the report's seed reads 0 outside laws
     return top
 
 
+def _report(args, instance_id, result, witness, status):
+    doc = {
+        "command": args.command,
+        "instance": instance_id,
+        "result": result,
+        "witness": witness,
+        "status": status,
+        "seed": args.seed,
+    }
+    print(json.dumps(doc, sort_keys=True))
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        # a laws --config run takes its instances from the file
+        inst = _instance(args) if args.instance or args.command != "laws" else None
+        out = args.fn(inst, args)
+        if args.json:
+            _report(args, inst.id if out.instance is None else out.instance, out.result, out.witness, out.status)
+        elif out.text:
+            print(out.text)
+        return out.code
+    except (UsageError, OSError, ValueError) as exc:
+        if "integer string conversion" not in str(exc):
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        # CPython's limit on the digits of an int read from or written as text
+        error = TooLarge(f"a number has more than {sys.get_int_max_str_digits()} digits, past int/str conversion")
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except SemidealError as exc:
-        if getattr(args, "json", False):
-            doc = {
-                "command": args.command,
-                "instance": args.instance or "-",
-                "result": {"error": exc.name, "message": str(exc)},
-                "witness": None,
-                "status": "unsupported",
-                "seed": args.seed,
-            }
-            print(json.dumps(doc, sort_keys=True))
-        else:
-            print(f"{exc.name}: {exc}", file=sys.stderr)
-        return 3
+        error = exc
+    if args.json:
+        _report(args, args.instance or "-", {"error": error.name, "message": str(error)}, None, "unsupported")
+    else:
+        print(f"{error.name}: {error}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

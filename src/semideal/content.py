@@ -4,7 +4,8 @@ The content of f is the ideal spanned by its coefficients. c(fg) always sits
 inside c(f)c(g); gaussian_check reports whether they agree exactly and, when
 they do not, exhibits a member of the product missing from c(fg).
 dm_exponent finds the least n with c(f)^(n+1) c(g) = c(f)^n c(fg), capped at
-deg(g) + 1.
+deg(g) + 1. Both take the three contents from ``contents``, which a caller
+that asks both questions computes once and passes to each.
 """
 
 from __future__ import annotations
@@ -30,13 +31,17 @@ def content(f: Polynomial) -> Ideal:
     return ideal_from_generators(f.instance, list(f.coeffs))
 
 
-def gaussian_check(f: Polynomial, g: Polynomial) -> ContentReport:
+def contents(f: Polynomial, g: Polynomial):
+    """(c(f), c(g), c(fg)), which gaussian_check and dm_exponent share."""
     if f.instance is not g.instance:
         raise InstanceMismatch("polynomials over different instances")
+    return content(f), content(g), content(poly_mul(f, g))
+
+
+def gaussian_check(f: Polynomial, g: Polynomial, cs=None) -> ContentReport:
+    """cs: contents(f, g), when the caller has them already."""
+    cf, cg, cfg = cs or contents(f, g)
     inst = f.instance
-    cf = content(f)
-    cg = content(g)
-    cfg = content(poly_mul(f, g))
     prod = ideal_product(cf, cg)
     if not ideal_contains(prod, cfg):
         raise InternalError("content of the product escaped the product of contents")
@@ -63,13 +68,10 @@ def gaussian_check(f: Polynomial, g: Polynomial) -> ContentReport:
     )
 
 
-def dm_exponent(f: Polynomial, g: Polynomial) -> int:
-    """Least n with c(f)^(n+1) c(g) = c(f)^n c(fg); raises past deg(g) + 1."""
-    if f.instance is not g.instance:
-        raise InstanceMismatch("polynomials over different instances")
-    cf = content(f)
-    cg = content(g)
-    cfg = content(poly_mul(f, g))
+def dm_exponent(f: Polynomial, g: Polynomial, cs=None) -> int:
+    """Least n with c(f)^(n+1) c(g) = c(f)^n c(fg); raises past deg(g) + 1.
+    cs: contents(f, g), when the caller has them already."""
+    cf, cg, cfg = cs or contents(f, g)
     cap = g.degree() + 1 if g.degree() >= 0 else 1
     power = unit_ideal(f.instance)  # c(f)^n as n climbs
     for n in range(cap + 1):

@@ -18,7 +18,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import NotFractional, ParseError
+from .fractional import (
+    frac_from_generators,
+    frac_intersect,
+    frac_invert,
+    frac_power,
+    frac_product,
+    frac_quotient,
+    frac_str,
+    frac_sum,
+)
 from .reports import Record
 
 
@@ -212,16 +222,6 @@ def unparse(node):
 
 def eval_expr(inst, node):
     """Evaluate to a FracIdeal; literals clear denominators instance-wide."""
-    from .errors import NotFractional
-    from .fractional import (
-        frac_from_generators,
-        frac_intersect,
-        frac_invert,
-        frac_power,
-        frac_product,
-        frac_quotient,
-        frac_sum,
-    )
 
     def go(n):
         if isinstance(n, IdealLit):
@@ -240,8 +240,6 @@ def eval_expr(inst, node):
             inner = go(n.arg)
             inv = frac_invert(inner)
             if inv is None:
-                from .fractional import frac_str
-
                 raise NotFractional(f"{frac_str(inner)} is not invertible")
             return inv
         raise TypeError(f"not an expression node: {n!r}")

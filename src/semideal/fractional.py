@@ -172,20 +172,15 @@ def frac_quotient(a: FracIdeal, b: FracIdeal) -> FracIdeal:
 
 
 def frac_power(a: FracIdeal, k: int) -> FracIdeal:
+    """(A/d)^k = A^k / d^k; a negative k powers the inverse."""
     if k < 0:
         inv = frac_invert(a)
         if inv is None:
             raise Unsupported("negative power of a non-invertible ideal")
         return frac_power(inv, -k)
-    out = frac_unit(a.instance)
-    base = a
-    while k:
-        if k & 1:
-            out = frac_product(out, base)
-        k >>= 1
-        if k:
-            base = frac_product(base, base)
-    return out
+    ar = a.instance.arith
+    A, d = ar.split(a.payload)
+    return FracIdeal(a.instance, ar.join(ar.power(A, k), ar.power(d, k, element=True)))
 
 
 def frac_invert(a: FracIdeal):

@@ -17,7 +17,10 @@ family, int-or-None for dvs where None is the zero, "0" / "u" / "1" for
 lagrassa, a QuadIdeal for quad5), ideal payloads, the fractional payloads of
 ``fractional`` (``split`` reads one as A/d, ``join`` writes A/d back in
 canonical form), prime labels, and the law sampler's grid, random draw and
-shrink steps. This module is the only one that tells the kinds apart.
+shrink steps. This module is the only one that compares ``.kind`` with a
+kind name; four ``isinstance`` tests of the kind class remain elsewhere
+(``fractional.localize``, ``fractional.two_generators``, ``laws.check_law``,
+``content.m_cancellation_check``).
 
 ``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
 quad5), where an ideal is stored as its generator, an element payload:
@@ -40,7 +43,7 @@ import operator
 from fractions import Fraction
 
 from . import natideal as nat
-from .errors import InstanceMismatch, InternalError, NotFractional, OutOfSupport, Unsupported
+from .errors import InstanceMismatch, InternalError, NotFractional, OutOfSupport, TooLarge, Unsupported
 from .primes import factorint, is_prime_int, primes_up_to
 from .quadratic import (
     QI_ONE,
@@ -57,6 +60,13 @@ from .quadratic import (
     qi_principal_int,
 )
 from .reports import LawReport, Record
+
+
+# The budget of Kind.power, the one power loop (ideal_power, frac_power and
+# the prime-power divisors): a power of a payload whose size (the natural, the
+# norm, the gcd of an n0 ideal) would pass 2^20 bits, about 315,000 digits, is
+# refused with TooLarge before its first product.
+MAX_POWER_BITS = 1 << 20
 
 
 def _natural(value, message):
@@ -93,15 +103,31 @@ class Kind:
             acc = self.add(acc, g)
         return acc
 
-    def power(self, a, k):
-        out = self.one
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
+    def power(self, a, k, element=False):
+        """a**k for k >= 0 of an ideal payload, or of an element payload when
+        element, squaring no further than the top bit of k. Before any product
+        it raises TooLarge if the result would pass MAX_POWER_BITS bits."""
+        bits = k * self.log2(a)
+        if bits > MAX_POWER_BITS:
+            raise TooLarge(f"the power would have about {bits:.0f} bits, past the budget of {MAX_POWER_BITS}")
+        mul, one = (self.emul, self.eone) if element else (self.mul, self.one)
+        if not k:
+            return one
+        while not k & 1:
+            a = mul(a, a)
             k >>= 1
-            if k:
-                a = self.mul(a, a)
+        out = a  # not one times a, which would canonicalise a again
+        while k := k >> 1:
+            a = mul(a, a)
+            if k & 1:
+                out = mul(out, a)
         return out
+
+    def log2(self, a):
+        """log2 of the size of a payload, which a product adds up: of the
+        natural, the norm or the gcd of the ideal. 0 where products do not
+        grow the payload (dvs exponents add, lagrassa is finite)."""
+        return 0
 
     def meet(self, x, y):
         p = self.mul(x, y)
@@ -234,6 +260,9 @@ class GcdFamily(Kind):
 
     def cofactor(self, num, den):
         return num // den if num % den == 0 else None
+
+    def log2(self, a):
+        return math.log2(a) if a > 1 else 0
 
     def str(self, a):
         return f"I({a})"
@@ -375,6 +404,9 @@ class Quad5(Kind):
     def cofactor(self, num, den):
         return qi_divide(num, den)
 
+    def log2(self, a):
+        return GcdFamily.log2(self, a.norm())
+
     def estr(self, x):
         if x.is_zero():
             return "0"
@@ -460,8 +492,8 @@ class N0(Kind):
     def mul(self, x, y):
         return nat.nat_product(x, y)
 
-    def power(self, a, k):
-        return nat.nat_power(a, k)
+    def log2(self, a):  # an element, or an ideal by its gcd d: the gcd of a**k is d**k
+        return GcdFamily.log2(self, a if isinstance(a, int) else a.d)
 
     def meet(self, x, y):
         return nat.nat_intersect(x, y)

@@ -202,20 +202,6 @@ def nat_product(i, j):
     return from_generators([a * b for a in gi for b in gj])
 
 
-def nat_power(i, k):
-    if k < 0:
-        raise ValueError("negative ideal power")
-    out = NAT_FULL
-    base = i
-    while k:
-        if k & 1:
-            out = nat_product(out, base)
-        k >>= 1
-        if k:
-            base = nat_product(base, base)
-    return out
-
-
 def nat_intersect(i, j):
     if i.d == 0 or j.d == 0:
         return NAT_ZERO

@@ -17,16 +17,18 @@ import io
 
 from semideal.cli import main
 
-DIGEST = "251368aeaef45eeeea2dc44229f976f29a3ad58033e08df477f678eee609a299"
+DIGEST = "23f3b996f9c9bec36abeafd9e8b0cfdf2c223211832aa219088ebe0ebf159e2b"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5")
 
 # (subcommand, its arguments after --instance)
 COMMANDS = [
-    *(("eval", [e]) for e in ("I(4)+I(6)", "I(2)*I(3) & I(4)", "[I(12):I(6)]^2", "inv I(2)", "I(1/2,3)", "I(2,3)^3", "I(0)")),
+    *(("eval", [e]) for e in ("I(4)+I(6)", "I(2)*I(3) & I(4)", "[I(12):I(6)]^2", "inv I(2)", "I(1/2,3)")),
+    *(("eval", [e]) for e in ("I(2,3)^3", "I(0)")),
     *(("factor", [e]) for e in ("I(84)", "I(6/35)", "I(2,3)", "I(0)")),
     *(("classify", [e]) for e in ("I(7)", "I(12)", "I(2,3)", "I(1)")),
-    *(("laws", [law, "--trials", "5", "--seed", "3"]) for law in ("dedekind2-law-3", "reyes", "multiplicative-cancellation")),
+    *(("laws", [law, "--trials", "5", "--seed", "3"]) for law in ("dedekind2-law-3", "reyes")),
+    ("laws", ["multiplicative-cancellation", "--trials", "5", "--seed", "3"]),
     ("laws", ["dedekind-identity"]),
     *(("twogen", [e, m]) for e, m in (("I(12)", "24"), ("I(12)", "5"))),
     *(("localize", [p, e]) for p, e in (("2", "I(12)"), ("4", "I(12)"), ("3", "I(1/3)"))),
@@ -93,9 +95,13 @@ def render(tmp_path):
     cfg.write_text(CONFIG)
     bad = tmp_path / "bad.cfg"
     bad.write_text("law reyes gcd trials 5 seed 1\n")
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("# no rows\n")
     for argv in (
         ["laws", "--config", str(cfg)],
         ["laws", "--config", str(cfg), "--json", "--seed", "4"],
+        ["laws", "--config", str(empty)],
+        ["laws", "--config", str(empty), "--json"],
         ["laws", "--config", str(bad)],
         ["laws", "--config", str(tmp_path / "missing.cfg")],
         ["laws", "reyes", "--config", str(cfg)],

@@ -452,13 +452,28 @@ def run_bounded(argv, seconds=30):
         ["factor", "--instance", "gcd", f"I({10000000000000000051 * 100000000000000000039})"],
         ["eval", "--instance", "n0", "I(2,3)^16"],
         ["eval", "--instance", "n0", "I(2,3)^64"],
+        ["eval", "--instance", "gcd", "I(2)^10000000000"],
+        ["eval", "--instance", "n0", "I(1/2)^10000000000"],
     ],
-    ids=["psi12", "semiprime40", "n0-power16", "n0-power64"],
+    ids=["psi12", "semiprime40", "n0-power16", "n0-power64", "gcd-power-1e10", "n0-denominator-power-1e10"],
 )
 def test_cli_refuses_inputs_past_the_budgets(argv):
     code, err, seconds = run_bounded(argv)
     assert code == 3 and err.startswith("TooLarge:"), err
     assert seconds < 10
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit in this Python")
+def test_cli_names_a_number_too_long_to_print(capsys):
+    # 2^100000 has 30,103 digits, past CPython's default limit of 4,300
+    too_long = (("gcd", "I(2)^100000"), ("quad5", "I(2)^100000"), ("n0", "I(1/2)^100000"), ("gcd", f"I({'7' * 5000})"))
+    for inst, text in too_long:
+        code, out, err = run(["eval", "--instance", inst, text], capsys)
+        assert code == 3 and out == "" and err.startswith("TooLarge: a number has more than"), (inst, err)
+        code, doc, _ = run_json(["eval", "--instance", inst, text], capsys)
+        assert code == 3 and doc["result"]["error"] == "TooLarge"
+    code, out, _ = run(["eval", "--instance", "gcd", "I(2)^4000"], capsys)
+    assert code == 0 and out == f"I({2**4000})\n"
 
 
 def test_cli_between_factors_the_maximal_ideal_not_its_square():

@@ -20,6 +20,7 @@ from semideal import (
     NotAMember,
     NotFractional,
     OutOfSupport,
+    TooLarge,
     Unsupported,
     UnknownPrime,
     ZeroDivisorIdeal,
@@ -41,6 +42,7 @@ from semideal import (
     ideal_from_generators,
     ideal_intersect,
     ideal_membership,
+    ideal_power,
     ideal_product,
     ideal_quotient,
     ideal_str,
@@ -57,7 +59,7 @@ from semideal import (
     unit_ideal,
     zero_ideal,
 )
-from semideal import fractional, natideal, quadratic
+from semideal import instances, quadratic
 from semideal.fractional import FracIdeal, frac_is_zero, frac_unit, frac_zero, k_mul, k_one
 from semideal.instances import element
 from semideal.natideal import NAT_ZERO, nat_unscale
@@ -296,44 +298,64 @@ def test_power():
         frac_power(m, -1)
 
 
-# (module, product name, power, base): each power loop and the product it calls
+# (power, base, product of two of its values, owner and name of the product
+# its loop calls): frac_power and ideal_power run the kind object's one power
+# loop, which multiplies with the kind's ``mul``; qi_pow has its own loop
 POWER_LOOPS = [
     pytest.param(
-        fractional, "frac_product", frac_power,
-        frac_from_generators(N0, [Fraction(2, 5), Fraction(3, 5)]), id="frac-n0",
+        frac_power, frac_from_generators(N0, [Fraction(2, 5), Fraction(3, 5)]), frac_product, N0.arith, "mul",
+        id="frac-n0",
     ),
     pytest.param(
-        fractional, "frac_product", frac_power,
-        frac_from_generators(GCD, [Fraction(6, 5)]), id="frac-gcd",
+        frac_power, frac_from_generators(GCD, [Fraction(6, 5)]), frac_product, GCD.arith, "mul", id="frac-gcd"
     ),
     pytest.param(
-        fractional, "frac_product", frac_power,
-        frac_from_generators(Q5, [Fraction(2), Fraction(3, 2)]), id="frac-quad5",
+        frac_power, frac_from_generators(Q5, [Fraction(2), Fraction(3, 2)]), frac_product, Q5.arith, "mul",
+        id="frac-quad5",
     ),
-    pytest.param(
-        natideal, "nat_product", natideal.nat_power,
-        natideal.from_generators([2, 3]), id="nat-n0",
-    ),
-    pytest.param(quadratic, "qi_mul", quadratic.qi_pow, QuadIdeal(1, 2, 1), id="qi-quad5"),
+    pytest.param(ideal_power, ideal_from_generators(N0, [2, 3]), ideal_product, N0.arith, "mul", id="nat-n0"),
+    pytest.param(quadratic.qi_pow, QuadIdeal(1, 2, 1), quadratic.qi_mul, quadratic, "qi_mul", id="qi-quad5"),
 ]
 
 
-@pytest.mark.parametrize("module, name, power, base", POWER_LOOPS)
-def test_power_squares_no_further_than_the_top_bit(monkeypatch, module, name, power, base):
-    product = getattr(module, name)
+@pytest.mark.parametrize("power, base, times, owner, name", POWER_LOOPS)
+def test_power_squares_no_further_than_the_top_bit(monkeypatch, power, base, times, owner, name):
+    product = getattr(owner, name)
     calls = []
 
     def counted(x, y):
         calls.append(None)
         return product(x, y)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setitem(vars(owner), name, counted)
     acc = power(base, 0)
     for k in range(10):
         calls.clear()
-        assert power(base, k) == acc
+        value = power(base, k)
         assert len(calls) <= max(k.bit_length() - 1, 0) + bin(k).count("1")
-        acc = product(acc, base)
+        assert calls or k <= 1  # the loop multiplies with the counted product
+        assert value == acc
+        acc = times(acc, base)
+
+
+def test_power_refuses_a_result_past_its_budget():
+    budget = instances.MAX_POWER_BITS
+    cases = [
+        (ideal_power, ideal_from_generators(GCD, [2])),
+        (ideal_power, ideal_from_generators(N0, [2, 4])),  # its gcd 2 is raised to the power
+        (ideal_power, ideal_from_generators(Q5, [2])),
+        (frac_power, frac_from_generators(GCD, [Fraction(1, 2)])),
+        (frac_power, frac_from_generators(N0, [Fraction(1, 2)])),  # only the denominator grows
+        (frac_power, frac_from_generators(Q5, [Fraction(3, 2)])),
+    ]
+    for power, a in cases:
+        with pytest.raises(TooLarge):
+            power(a, 10**10)
+        power(a, budget // 4)  # within it: the largest size here is the quad5 norm 9 < 2^4
+    # the size of a unit, a zero or a dvs exponent does not grow
+    ideal_power(ideal_from_generators(GCD, [1]), 10**10)
+    frac_power(frac_from_generators(N0, [0]), 10**10)
+    assert ideal_power(ideal_from_generators(DVS, [3]), 10**10).payload == 3 * 10**10
 
 
 def test_sandwich():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semideal.errors import EmptyIdeal, ZeroDivisorIdeal
+from semideal.ideals import Ideal, ideal_power
+from semideal.instances import instance
 from semideal.natideal import (
     NAT_FULL,
     NAT_MAX,
@@ -23,7 +25,6 @@ from semideal.natideal import (
     nat_is_maximal,
     nat_is_prime,
     nat_is_subtractive,
-    nat_power,
     nat_product,
     nat_quotient,
     nat_scale,
@@ -38,6 +39,8 @@ from oracles import (
     n0_sum,
     closure_members,
 )
+
+N0 = instance("n0")
 
 GEN_SETS = [
     (1,),
@@ -275,13 +278,17 @@ def test_zero_ideal_op_edges():
 
 def test_power():
     m = NAT_MAX
-    assert nat_power(m, 0) == NAT_FULL
-    assert nat_power(m, 1) == m
-    assert nat_power(m, 2) == nat_product(m, m)
-    assert nat_power(m, 2) == NatIdeal(1, 12, (4, 6, 8, 9, 10))
-    assert nat_power(m, 3) == nat_product(nat_product(m, m), m)
+
+    def power(i, k):
+        return ideal_power(Ideal(N0, i), k).payload
+
+    assert power(m, 0) == NAT_FULL
+    assert power(m, 1) == m
+    assert power(m, 2) == nat_product(m, m)
+    assert power(m, 2) == NatIdeal(1, 12, (4, 6, 8, 9, 10))
+    assert power(m, 3) == nat_product(nat_product(m, m), m)
     with pytest.raises(ValueError):
-        nat_power(m, -1)
+        power(m, -1)
 
 
 def test_contains_matches_window_subsets():
