@@ -51,6 +51,9 @@ class UsageError(Exception):
     pass
 
 
+_DIGIT_LIMIT = "integer string conversion"  # in the ValueError of CPython's int/str digit limit
+
+
 # instance: the report's instance field when it is not the --instance one
 # (a --config run names the instances of its rows)
 Outcome = namedtuple("Outcome", "text result witness status code instance", defaults=(None, "pass", 0, None))
@@ -169,13 +172,15 @@ def _laws(inst, args):
 
 
 def _twogen(inst, args):
+    member = _int(args.member, f"argument member: invalid int value: {args.member!r}")
     ideal = to_ideal(_eval_ideal(inst, args.expr))
-    a, b = two_generators(ideal, args.member)
+    a, b = two_generators(ideal, member)
     return Outcome(f"a={a} b={b}", {"ideal": ideal_str(ideal), "a": a, "b": b})
 
 
 def _localize(inst, args):
-    local = localize(inst, args.prime, to_ideal(_eval_ideal(inst, args.expr)))
+    prime = _int(args.prime, f"argument prime: invalid int value: {args.prime!r}")
+    local = localize(inst, prime, to_ideal(_eval_ideal(inst, args.expr)))
     text = ideal_str(local)
     return Outcome(text, {"text": text, "exponent": local.payload})
 
@@ -187,11 +192,19 @@ def _sandwich(inst, args):
     return Outcome(f"c={result['c']} d={result['d']}", result)
 
 
-def _coeffs(inst, text):
+def _int(text, message):
+    """int(text), or UsageError(message); past the int/str digit limit main reports TooLarge."""
     try:
-        values = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise UsageError(f"coefficients must be comma-separated naturals: {text!r}") from None
+        return int(text)
+    except ValueError as exc:
+        if _DIGIT_LIMIT in str(exc):
+            raise
+        raise UsageError(message) from None
+
+
+def _coeffs(inst, text):
+    message = f"coefficients must be comma-separated naturals: {text!r}"
+    values = [_int(tok, message) for tok in text.split(",")]
     return poly(inst, [element(inst, v).payload for v in values])
 
 
@@ -242,8 +255,8 @@ COMMANDS = {
             ("--config", {"help": "law suite config file"}),
         ],
     ),
-    "twogen": (_twogen, [_EXPR, ("member", {"type": int, "help": "nonzero member of the ideal"})]),
-    "localize": (_localize, [("prime", {"type": int, "help": "rational prime to localize at"}), _EXPR]),
+    "twogen": (_twogen, [_EXPR, ("member", {"help": "nonzero member of the ideal"})]),
+    "localize": (_localize, [("prime", {"help": "rational prime to localize at"}), _EXPR]),
     "sandwich": (_sandwich, [_EXPR]),
     "dm": (
         _dm,
@@ -303,7 +316,7 @@ def main(argv=None):
             print(out.text)
         return out.code
     except (UsageError, OSError, ValueError) as exc:
-        if "integer string conversion" not in str(exc):
+        if _DIGIT_LIMIT not in str(exc):
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
         # CPython's limit on the digits of an int read from or written as text

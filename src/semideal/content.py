@@ -22,7 +22,7 @@ from .ideals import (
     separating_member,
     unit_ideal,
 )
-from .instances import Lagrassa, instance
+from .instances import instance
 from .polynomials import Polynomial, poly_mul, poly_str
 from .reports import ContentReport, LawReport
 
@@ -137,7 +137,7 @@ def m_cancellation_check(a: Ideal, module_spec) -> LawReport:
     inst = a.instance
     tag, arg = module_spec
     if tag == "power":
-        if not isinstance(inst.arith, Lagrassa):
+        if not inst.arith.finite:
             raise Unsupported("power sweeps enumerate lagrassa modules only")
         if not 1 <= arg <= 2:
             raise Unsupported("module power is bounded by 2")

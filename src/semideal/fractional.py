@@ -41,7 +41,7 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
 )
-from .instances import GcdFamily, Tagged, instance
+from .instances import Tagged, instance
 from .primes import factorint, is_prime_int
 from .quadratic import qi_mul
 from .reports import Record
@@ -306,7 +306,7 @@ def divisors_containing(a: Ideal):
 
 def localize(inst, p, a: Ideal) -> Ideal:
     """Image of a under localization at (p), as an ideal of the dvs instance."""
-    if not isinstance(inst.arith, GcdFamily):
+    if not inst.arith.gcd_family:
         raise Unsupported(f"localization is defined for the gcd family, not {inst.kind}")
     if not is_prime_int(p):
         raise UnknownPrime(f"{p} is not prime")
@@ -325,7 +325,7 @@ def localize(inst, p, a: Ideal) -> Ideal:
 def two_generators(a: Ideal, member: int):
     """Given nonzero member of nonzero a, a second generator b with a = (member, b)."""
     inst = a.instance
-    if not isinstance(inst.arith, GcdFamily):
+    if not inst.arith.gcd_family:
         raise Unsupported(f"two-generator search runs on the gcd family, not {inst.kind}")
     g = a.payload
     if g == 0:

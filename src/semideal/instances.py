@@ -18,9 +18,7 @@ lagrassa, a QuadIdeal for quad5), ideal payloads, the fractional payloads of
 ``fractional`` (``split`` reads one as A/d, ``join`` writes A/d back in
 canonical form), prime labels, and the law sampler's grid, random draw and
 shrink steps. This module is the only one that compares ``.kind`` with a
-kind name; four ``isinstance`` tests of the kind class remain elsewhere
-(``fractional.localize``, ``fractional.two_generators``, ``laws.check_law``,
-``content.m_cancellation_check``).
+kind name or tests the class of a kind object; other modules read its flags.
 
 ``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
 quad5), where an ideal is stored as its generator, an element payload:
@@ -29,8 +27,9 @@ quad5), where an ideal is stored as its generator, an element payload:
   (a) & (b) = ab / (a + b)     [(a) : (b)] = a / (a + b)
   (a) >= (b)  iff  a + b = a   x in (a)  iff  a + x = a
 
-where c = num / den is the exact ``cofactor`` with c * den = num. Those
-ideals are subtractive, and maximal iff nonzero and prime. ``N0`` stores a
+where c = num / den is the exact ``cofactor`` with c * den = num; each kind
+computes that meet in closed form (lcm, max, the lattice intersection).
+Those ideals are subtractive, and maximal iff nonzero and prime. ``N0`` stores a
 NatIdeal (``natideal``) and ``Lagrassa`` one of its three ideals "zero",
 "u", "full". Kind methods call ``natideal`` and ``quadratic`` through their
 module bindings, so a tracer that rebinds those functions sees the calls.
@@ -55,6 +54,7 @@ from .quadratic import (
     qi_conj,
     qi_divide,
     qi_factor,
+    qi_meet,
     qi_mul,
     qi_prime_split,
     qi_principal_int,
@@ -90,7 +90,8 @@ class Kind:
 
     factorial = True  # nonzero ideals factor into prime labels
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
-    whole_grid = False  # the law grid is every ideal: sweep all of it, whatever the budget
+    gcd_family = False  # gcd and gcd-supported: localization, two generators, coprime identities
+    finite = False  # the law grid is every ideal, swept whatever the budget; content sweeps its modules
 
     def __init__(self, inst):
         self.instance = inst
@@ -128,15 +129,6 @@ class Kind:
         natural, the norm or the gcd of the ideal. 0 where products do not
         grow the payload (dvs exponents add, lagrassa is finite)."""
         return 0
-
-    def meet(self, x, y):
-        p = self.mul(x, y)
-        if p == self.zero:
-            return p
-        c = self.cofactor(p, self.add(x, y))
-        if c is None:
-            raise InternalError("the sum of two principal ideals did not divide their product")
-        return c
 
     def quotient(self, a, b):
         """[a : b] = {x : x*b inside a}; b is nonzero."""
@@ -239,7 +231,7 @@ class Kind:
 class GcdFamily(Kind):
     """gcd, and gcd-supported(P) when support is the prime set P."""
 
-    numeric = True
+    numeric = gcd_family = True
     ezero = zero = 0
     eone = one = 1
     add = eadd = math.gcd
@@ -276,8 +268,9 @@ class GcdFamily(Kind):
     def prime(self, label, p, b):
         return p
 
-    def prime_labels(self, bound):
-        return [("numeric", p, None) for p in self.support or primes_up_to(bound)]
+    def prime_labels(self, bound, low=2):
+        """Labels of the primes over low <= p <= bound, and of those no p names (here the support)."""
+        return [("numeric", p, None) for p in self.support or primes_up_to(bound, low)]
 
     def split(self, p):
         return p.numerator, p.denominator
@@ -353,7 +346,7 @@ class Dvs(Kind):
     def prime(self, label, p, b):
         return 1
 
-    def prime_labels(self, bound):
+    def prime_labels(self, bound, low=2):
         return [("t", None, None)]
 
     def split(self, p):
@@ -401,6 +394,9 @@ class Quad5(Kind):
 
     eadd, emul = add, mul
 
+    def meet(self, x, y):
+        return qi_meet(x, y)
+
     def cofactor(self, num, den):
         return qi_divide(num, den)
 
@@ -430,8 +426,9 @@ class Quad5(Kind):
     def prime(self, label, p, b):
         return prime_for_root(p, b)
 
-    def prime_labels(self, bound):
-        return [("quad", p, q.b if q.norm() == p else None) for p in primes_up_to(bound) for q in qi_prime_split(p)]
+    def prime_labels(self, bound, low=2):
+        primes = primes_up_to(bound, low)
+        return [("quad", p, q.b if q.norm() == p else None) for p in primes for q in qi_prime_split(p)]
 
     def key(self, q):
         return (q.norm(), q.a, q.b)
@@ -544,8 +541,8 @@ class N0(Kind):
     def prime(self, label, p, b):
         return nat.NatIdeal(p, 0, ()) if label == "numeric" else nat.NAT_MAX
 
-    def prime_labels(self, bound):
-        return [("numeric", p, None) for p in primes_up_to(bound)] + [("max", None, None)]
+    def prime_labels(self, bound, low=2):
+        return [("numeric", p, None) for p in primes_up_to(bound, low)] + [("max", None, None)]
 
     def split(self, p):
         return p[1], p[0]
@@ -602,7 +599,7 @@ class Lagrassa(Kind):
     """lagrassa: its three ideals "zero" < "u" < "full"; a product is the smaller factor."""
 
     factorial = False
-    whole_grid = True
+    finite = True
     ezero, eone, zero, one = "0", "1", "zero", "full"
 
     def element(self, value):
@@ -664,7 +661,7 @@ class Lagrassa(Kind):
     def prime(self, label, p, b):
         return "u"
 
-    def prime_labels(self, bound):
+    def prime_labels(self, bound, low=2):
         return [("u", None, None)]
 
     def grid(self):

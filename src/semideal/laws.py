@@ -31,7 +31,7 @@ import random
 
 from .errors import Unsupported, UnknownLaw
 from .fractional import _invert, _quotient
-from .instances import GcdFamily, check_semidomain
+from .instances import check_semidomain
 from .reports import LawReport
 
 LAW_IDS = (
@@ -59,7 +59,7 @@ def _tuples(ar, arity, trials, seed):
     """Grid prefix in deterministic order, then random fill, trials total."""
     grid = ar.grid()
     tuples = itertools.product(grid, repeat=arity)
-    if ar.whole_grid:
+    if ar.finite:
         return tuples
     rng = random.Random(seed)
     fill = (tuple(ar.random(rng) for _ in range(arity)) for _ in range(trials - len(grid) ** arity))
@@ -274,7 +274,7 @@ def check_law(inst, law, trials=200, seed=0) -> LawReport:
         report = check_semidomain(inst, bound=min(trials, 60))
         return LawReport(report.law, report.instance, report.trials, seed, report.status, report.witness)
     if law == "coprime-identities":
-        if not isinstance(inst.arith, GcdFamily):
+        if not inst.arith.gcd_family:
             raise Unsupported(f"coprime-identities needs numeric prime ideals, not {inst.kind}")
         return _check_coprime(inst, trials, seed)
     if law not in _CHECKERS:

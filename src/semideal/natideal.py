@@ -205,9 +205,12 @@ def nat_product(i, j):
 def nat_intersect(i, j):
     if i.d == 0 or j.d == 0:
         return NAT_ZERO
-    d = i.d * j.d // math.gcd(i.d, j.d)
+    d = math.lcm(i.d, j.d)
     t = max(i.c, j.c)
-    extras = [x for x in i.members_below(t) if x and j.contains(x)]
+    # a common member is a multiple of d: one of i's exceptions, or one from i's conductor on
+    start = -(-max(i.c, 1) // d) * d
+    extras = [x for x in i.ex if x % d == 0 and j.contains(x)]
+    extras += [x for x in range(start, t, d) if j.contains(x)]
     return from_periodic(d, t, extras)
 
 

@@ -109,6 +109,6 @@ def sqrt_mod_prime(a, p):
     return r
 
 
-def primes_up_to(bound):
-    """Primes <= bound, ascending."""
-    return [p for p in range(2, bound + 1) if is_prime_int(p)]
+def primes_up_to(bound, low=2):
+    """Primes p with low <= p <= bound, ascending."""
+    return [p for p in range(max(low, 2), bound + 1) if is_prime_int(p)]

@@ -3,6 +3,13 @@
 Nonzero ideals are kept in Hermite normal form g*(a*Z + (b+w)*Z) with g >= 1,
 a >= 1, 0 <= b < a and a | b*b + 5; the zero ideal is the g = 0 marker. The
 norm is g*g*a. All operations are integer-exact.
+
+Products, sums and meets are closed forms, each checked by ``_from_hnf``: a
+product is Dirichlet composition (Cohen, GTM 138, Alg. 5.4.7), with
+e = gcd(a1, a2, b1+b2) = y*(u*a1 + v*a2) + x*(b1+b2) it is g1*g2*e*(A, B+w),
+A = a1*a2/e^2, B = (y*(u*a1*b2 + v*a2*b1) + x*(b1*b2-5))/e; a sum is the
+two-row HNF of both bases, and a meet the lattice intersection (``qi_meet``).
+Only ``qi_normalize`` runs the general reduction ``_hnf2``.
 """
 
 from __future__ import annotations
@@ -109,18 +116,17 @@ def qi_normalize(elements):
 def qi_mul(i, j):
     if i.is_zero() or j.is_zero():
         return QI_ZERO
+    g = i.g * j.g
     if j.a == 1:  # j = (j.g), a rational integer
-        return QuadIdeal(i.g * j.g, i.a, i.b)
+        return QuadIdeal(g, i.a, i.b)
     if i.a == 1:
-        return QuadIdeal(i.g * j.g, j.a, j.b)
-    rows = [
-        (i.a * j.a, 0),
-        (i.a * j.b, i.a),
-        (j.a * i.b, j.a),
-        (i.b * j.b - 5, i.b + j.b),
-    ]
-    alpha, beta, delta = _hnf2(rows)
-    return _from_hnf(i.g * j.g * alpha, i.g * j.g * beta, i.g * j.g * delta)
+        return QuadIdeal(g, j.a, j.b)
+    # Dirichlet composition: e = u*a1*y + v*a2*y + (b1+b2)*x is the least w-coefficient
+    a1, b1, a2, b2 = i.a, i.b, j.a, j.b
+    d, u, v = _xgcd(a1, a2)
+    e, y, x = _xgcd(d, b1 + b2)
+    beta = y * (u * a1 * b2 + v * a2 * b1) + x * (b1 * b2 - 5)
+    return _from_hnf(g * (a1 * a2 // e), g * beta, g * e)
 
 
 def qi_add(i, j):
@@ -128,13 +134,27 @@ def qi_add(i, j):
         return j
     if j.is_zero():
         return i
-    rows = [
-        (i.g * i.a, 0),
-        (i.g * i.b, i.g),
-        (j.g * j.a, 0),
-        (j.g * j.b, j.g),
-    ]
-    return _from_hnf(*_hnf2(rows))
+    # the two-row HNF of the basis rows (g*a, 0), (g*b, g) of both ideals
+    g1, g2 = i.g, j.g
+    delta, u, v = _xgcd(g1, g2)
+    beta = u * g1 * i.b + v * g2 * j.b
+    alpha = math.gcd(g1 * i.a, g2 * j.a, g1 * i.b - g1 // delta * beta, g2 * j.b - g2 // delta * beta)
+    return _from_hnf(alpha, beta, delta)
+
+
+def qi_meet(i, j):
+    """The intersection: x + y*w lies in g*(a, b+w) iff g | y and x = b*y (mod g*a),
+    so a common member has lcm(g1, g2) | y and G | (b1 - b2)*y, G = gcd(g1*a1, g2*a2),
+    and its x is found by CRT modulo lcm(g1*a1, g2*a2)."""
+    if i.is_zero() or j.is_zero():
+        return QI_ZERO
+    m1, m2 = i.g * i.a, j.g * j.a
+    L = math.lcm(i.g, j.g)
+    G, s, _ = _xgcd(m1, m2)
+    delta = L * (G // math.gcd(G, L * (i.b - j.b)))
+    r1, r2 = i.b * delta, j.b * delta
+    alpha = m1 // G * m2
+    return _from_hnf(alpha, (r1 + m1 * s * ((r2 - r1) // G)) % alpha, delta)
 
 
 def qi_pow(i, k):

@@ -48,10 +48,13 @@ def spectrum(inst, bound=10):
 
 
 def label_from_text(inst, text):
-    """Parse a label printed by text(); integers mean numeric primes."""
-    for lab in spectrum(inst, 101):
-        if lab.text() == text:
-            return lab
+    """Parse a label of spectrum(inst, 101) printed by text(); integers mean numeric
+    primes. Only the labels over the p that "p", "Pp" or "Pp[b]" names are built."""
+    digits = text.removeprefix("P").split("[", 1)[0]
+    p = int(digits) if len(digits) <= 3 and digits.isascii() and digits.isdigit() else 0  # 101 has 3 digits
+    for label in (PrimeLabel(inst, *lab) for lab in inst.arith.prime_labels(min(p, 101), p)):
+        if label.text() == text:
+            return label
     raise UnknownPrime(f"unknown prime label {text!r} for {inst.id}")
 
 

@@ -433,7 +433,7 @@ def test_cli_refuses_an_undecided_primality(capsys):
 
 def run_bounded(argv, seconds=30):
     """Run the CLI in a fresh interpreter capped at 1 GiB of address space;
-    returns (exit code, stderr, wall seconds). Past ``seconds`` it raises."""
+    returns (exit code, stdout, stderr, wall seconds). Past ``seconds`` it raises."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -442,7 +442,7 @@ def run_bounded(argv, seconds=30):
     proc = subprocess.run(
         [sys.executable, "-m", "semideal.cli", *argv], capture_output=True, text=True, timeout=seconds, preexec_fn=cap
     )
-    return proc.returncode, proc.stderr, time.perf_counter() - start
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 @pytest.mark.parametrize(
@@ -458,8 +458,16 @@ def run_bounded(argv, seconds=30):
     ids=["psi12", "semiprime40", "n0-power16", "n0-power64", "gcd-power-1e10", "n0-denominator-power-1e10"],
 )
 def test_cli_refuses_inputs_past_the_budgets(argv):
-    code, err, seconds = run_bounded(argv)
+    code, _, err, seconds = run_bounded(argv)
     assert code == 3 and err.startswith("TooLarge:"), err
+    assert seconds < 10
+
+
+@pytest.mark.parametrize("expr", ["I(1) & I(200000000,300000000)", "[I(200000000,300000000) : I(1)]"])
+def test_cli_n0_meet_lists_only_common_multiples(expr):
+    # the meet visits multiples of lcm(1, 10^8) below 2*10^8, not every natural
+    code, out, err, seconds = run_bounded(["eval", "--instance", "n0", expr])
+    assert code == 0 and out == "I(200000000,300000000)\n", err
     assert seconds < 10
 
 
@@ -476,9 +484,27 @@ def test_cli_names_a_number_too_long_to_print(capsys):
     assert code == 0 and out == f"I({2**4000})\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit in this Python")
+def test_cli_names_a_long_natural_outside_an_expression(capsys):
+    long = "7" * 5000
+    for argv in (
+        ["dm", "--instance", "gcd", f"{long},1", "2"],
+        ["twogen", "--instance", "gcd", "I(12)", long],
+        ["localize", "--instance", "gcd", long, "I(12)"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == "" and err.startswith("TooLarge: a number has more than"), (argv[0], err)
+        code, doc, _ = run_json(argv, capsys)
+        assert code == 3 and doc["result"]["error"] == "TooLarge"
+    # a number that is not one stays a usage error
+    for argv in (["twogen", "--instance", "gcd", "I(12)", "x"], ["localize", "--instance", "n0", "x", "I(12)"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "invalid int value: 'x'" in err
+
+
 def test_cli_between_factors_the_maximal_ideal_not_its_square():
     # 1000000000039 is prime; its square is past what trial division splits
-    code, err, seconds = run_bounded(["between", "--instance", "gcd", "I(1000000000039)"])
+    code, _, err, seconds = run_bounded(["between", "--instance", "gcd", "I(1000000000039)"])
     assert (code, err) == (0, "") and seconds < 10
 
 

@@ -17,7 +17,7 @@ import types
 from fractions import Fraction
 
 import semideal
-from semideal import fractional, ideals
+from semideal import fractional, ideals, instances
 from semideal.instances import KINDS, instance
 
 DIGEST = "55a6100a0f782ea8603c02cd000a4140a3873c6c727034bae0efaf6300d69319"
@@ -186,11 +186,29 @@ def test_ideal_and_fractional_layers_render_as_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
 
 
+KIND_CLASSES = {name for name, obj in vars(instances).items() if isinstance(obj, type) and issubclass(obj, instances.Kind)}
+
+
+def _names(node):
+    """The names a class argument of isinstance mentions: x, mod.x, (x, y)."""
+    for n in getattr(node, "elts", [node]):
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            yield n.id if isinstance(n, ast.Name) else n.attr
+
+
 def kind_comparisons(source):
-    """(line, text) of every comparison of ``.kind`` with a kind literal in source."""
+    """(line, text) of every comparison of ``.kind`` with a kind literal, and
+    of every isinstance test against a kind class, in source."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and KIND_CLASSES.intersection(_names(node.args[1]))
+        ):
+            found.append((node.lineno, ast.unparse(node)))
         if not isinstance(node, ast.Compare):
             continue
         sides = [node.left, *node.comparators]
@@ -206,6 +224,8 @@ def kind_comparisons(source):
 
 def test_the_checker_finds_a_kind_comparison():
     source = 'a = inst.kind == "n0"\nb = x.kind in ("gcd", "dvs")\nc = lab.kind == "numeric"\nd = kind == "n0"\n'
+    assert [line for line, _ in kind_comparisons(source)] == [1, 2]
+    source = "a = isinstance(ar, GcdFamily)\nb = isinstance(ar, (int, instances.Lagrassa))\nc = isinstance(x, Element)\n"
     assert [line for line, _ in kind_comparisons(source)] == [1, 2]
 
 

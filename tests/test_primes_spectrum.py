@@ -141,8 +141,9 @@ def test_labels_sort_stably():
 
 def test_label_from_text_roundtrip():
     for inst in (N0, GCD, GS, DVS, LAG, Q5):
-        for lab in spectrum(inst, 23):
+        for lab in spectrum(inst, 101):
             assert label_from_text(inst, lab.text()) == lab
+    assert label_from_text(instance("gcd-supported(103)"), "103").p == 103  # a support past the bound
     with pytest.raises(UnknownPrime):
         label_from_text(GCD, "4")
     with pytest.raises(UnknownPrime):
@@ -151,6 +152,27 @@ def test_label_from_text_roundtrip():
         label_from_text(GS, "5")  # outside the support
     with pytest.raises(UnknownPrime):
         label_from_text(Q5, "P11[1]")  # inert primes carry no root
+    # past the bound, a split prime without its root, no prime, a wrong root, a leading zero
+    for text in ("P103", "P3", "P4", "P3[0]", "059", "P" + "1" * 5000, "1" * 5000, "P²", "", "P"):
+        with pytest.raises(UnknownPrime):
+            label_from_text(Q5, text)
+    with pytest.raises(UnknownPrime):
+        label_from_text(GCD, "MAX")
+
+
+def test_label_lookup_splits_at_most_its_own_prime(monkeypatch):
+    from semideal import instances
+
+    split = []
+    real = instances.qi_prime_split
+    monkeypatch.setattr(instances, "qi_prime_split", lambda p: split.append(p) or real(p))
+    for text in [lab.text() for lab in spectrum(Q5, 101)] + ["P103", "P3", "P4", "MAX", "t"]:
+        split.clear()
+        try:
+            label_from_text(Q5, text)
+        except UnknownPrime:
+            pass
+        assert len(split) <= 1, (text, split)
 
 
 def test_krull_dimension():

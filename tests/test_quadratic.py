@@ -16,6 +16,7 @@ from semideal.quadratic import (
     qi_contains,
     qi_divide,
     qi_factor,
+    qi_meet,
     qi_member,
     qi_mul,
     qi_normalize,
@@ -70,36 +71,58 @@ def test_normalize_is_smallest_containing_ideal():
             assert qi_member(q, -5 * y, x)
 
 
+# every ideal of norm <= 60, the zero ideal, and scaled ideals with g > 1
+POOL = [QI_ZERO, *enumerate_ideals(60), *(QuadIdeal(g, q.a, q.b) for g in (2, 3) for q in enumerate_ideals(15))]
+
+
+def hnf_generators(q):
+    """g*a and g*(b + w) as (x, y) pairs; none for the zero ideal."""
+    return [] if q.is_zero() else [(q.g * q.a, 0), (q.g * q.b, q.g)]
+
+
 def test_mul_known_and_brute():
     assert qi_mul(P2, P2) == QuadIdeal(2, 1, 0)
     assert qi_mul(P3, P3C) == QuadIdeal(3, 1, 0)
     assert qi_mul(P5, P5) == QuadIdeal(5, 1, 0)
-    pool = enumerate_ideals(15)
-    for i in pool:
-        for j in pool:
-            prod = qi_mul(i, j)
-            # product is generated by pairwise products of the HNF generators
-            gens_i = [(i.g * i.a, 0), (i.g * i.b, i.g)]
-            gens_j = [(j.g * j.a, 0), (j.g * j.b, j.g)]
-            pieces = []
-            for x1, y1 in gens_i:
-                for x2, y2 in gens_j:
-                    # (x1 + y1 w)(x2 + y2 w) = x1 x2 - 5 y1 y2 + (x1 y2 + x2 y1) w
-                    pieces.append((x1 * x2 - 5 * y1 * y2, x1 * y2 + x2 * y1))
-            assert prod == qi_normalize(pieces)
+    for i in POOL:
+        for j in POOL:
+            # the product is generated by the pairwise products of the HNF generators:
+            # (x1 + y1 w)(x2 + y2 w) = x1 x2 - 5 y1 y2 + (x1 y2 + x2 y1) w
+            pieces = [
+                (x1 * x2 - 5 * y1 * y2, x1 * y2 + x2 * y1)
+                for x1, y1 in hnf_generators(i)
+                for x2, y2 in hnf_generators(j)
+            ]
+            assert qi_mul(i, j) == qi_normalize(pieces), (i, j)
 
 
 def test_add_known_and_brute():
     assert qi_add(P2, QuadIdeal(2, 1, 0)) == P2
     assert qi_add(P3, P3C) == QI_ONE
-    pool = enumerate_ideals(15)
-    for i in pool:
-        for j in pool:
+    for i in POOL:
+        for j in POOL:
             s = qi_add(i, j)
-            assert qi_normalize(
-                [(i.g * i.a, 0), (i.g * i.b, i.g), (j.g * j.a, 0), (j.g * j.b, j.g)]
-            ) == s
+            assert qi_normalize(hnf_generators(i) + hnf_generators(j)) == s, (i, j)
             assert qi_contains(s, i) and qi_contains(s, j)
+
+
+def test_meet_matches_membership_box():
+    assert qi_meet(P3, P3C) == QuadIdeal(3, 1, 0)
+    assert qi_meet(P2, QuadIdeal(2, 1, 0)) == QuadIdeal(2, 1, 0)
+    boxes = {}
+
+    def box(q):
+        if q not in boxes:
+            boxes[q] = members_box(q, box=6)
+        return boxes[q]
+
+    for i in POOL:
+        for j in POOL:
+            m = qi_meet(i, j)
+            assert box(m) == box(i) & box(j), (i, j)
+            # exact past the box: the meet lies in both, and (i & j)(i + j) = ij
+            assert qi_contains(i, m) and qi_contains(j, m)
+            assert qi_mul(m, qi_add(i, j)) == qi_mul(i, j), (i, j)
 
 
 def test_norm_multiplicative():
