@@ -9,7 +9,7 @@ Each subcommand is a function from (instance, args) to an ``Outcome``: the
 text it prints, and the result, witness, status and exit code of its
 ``--json`` line. ``COMMANDS`` maps each subcommand to its function and its
 own arguments; ``main`` alone resolves ``--instance``, prints, and maps
-exceptions to exit codes.
+exceptions to exit codes. A query is parsed once, by its subcommand's parser.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .ideals import (
     search_between,
 )
 from .instances import element, instance
-from .laws import LAW_IDS, check_law
+from .laws import LAW_IDS, MAX_TRIALS, check_law
 from .polynomials import poly
 from .spectrum import label_from_text
 
@@ -122,11 +122,8 @@ def _parse_config(path):
             )
             if not ok:
                 raise UsageError(f"{path}:{lineno}: expected 'law <id> instance <id> trials <n> seed <n> [expect fail]'")
-            try:
-                trials = int(toks[5])
-                seed = int(toks[7])
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: trials and seed must be integers") from None
+            message = f"{path}:{lineno}: trials and seed must be integers"
+            trials, seed = _int(toks[5], message), _int(toks[7], message)
             if trials < 1:
                 raise UsageError(f"{path}:{lineno}: trials must be >= 1")
             suites.append((toks[1], toks[3], trials, seed, len(toks) == 10))
@@ -144,6 +141,10 @@ def _law_line(report, expected_fail, ok):
 
 
 def _laws(inst, args):
+    # read as text like twogen's member, so a long natural is TooLarge; a seed
+    # that does not read is reported as 0
+    seed, args.seed = args.seed, 0
+    args.seed = _int(seed, f"argument --seed: invalid int value: {seed!r}")
     if args.config:
         if (args.law, args.instance, args.trials) != (None, None, None):
             raise UsageError("--config runs the file's own rows: give no law id, --instance or --trials with it")
@@ -162,8 +163,11 @@ def _laws(inst, args):
         return Outcome("\n".join(lines), results, first_bad.witness, "fail", 1, inst_field)
     if not args.law:
         raise UsageError("laws needs a law id or --config")
+    trials = 200 if args.trials is None else _int(args.trials, f"argument --trials: invalid int value: {args.trials!r}")
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
     inst = inst or _instance(args)
-    report = check_law(inst, args.law, 200 if args.trials is None else args.trials, args.seed)
+    report = check_law(inst, args.law, trials, args.seed)
     # A failure only counts against the exit code (and gets the marker) on
     # instances where the law is supposed to hold.
     unexpected = report.status == "fail" and inst.is_dedekind
@@ -249,9 +253,9 @@ COMMANDS = {
     "laws": (
         _laws,
         [
-            ("--seed", {"type": int, "help": "seed for sampled suites"}),
+            ("--seed", {"help": "seed for sampled suites"}),
             ("law", {"nargs": "?", "help": f"one of: {', '.join(LAW_IDS)}"}),
-            ("--trials", {"type": int, "help": "trial budget for sampled suites (default 200)"}),
+            ("--trials", {"help": f"trials for sampled suites (default 200, at most {MAX_TRIALS})"}),
             ("--config", {"help": "law suite config file"}),
         ],
     ),
@@ -274,19 +278,21 @@ COMMANDS = {
 
 @functools.cache
 def _build_parser():
+    """The top parser, and each subcommand's own parser by name."""
     top = argparse.ArgumentParser(
         prog="semideal",
         description="Exact ideal arithmetic over six decidable semiring instances.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, (fn, arguments) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = parsers[name] = sub.add_parser(name)
         p.add_argument("--instance", help="instance id, e.g. n0, gcd, gcd-supported(2,3), dvs, lagrassa, quad5")
         p.add_argument("--json", action="store_true", help="emit one JSON report line")
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        p.set_defaults(fn=fn, seed=0)  # the report's seed reads 0 outside laws
-    return top
+        p.set_defaults(command=name, fn=fn, seed=0)  # the report's seed reads 0 outside laws
+    return top, parsers
 
 
 def _report(args, instance_id, result, witness, status):
@@ -302,8 +308,13 @@ def _report(args, instance_id, result, witness, status):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    top, parsers = _build_parser()
+    # A query is parsed once, by its subcommand's parser; the top parser
+    # answers only help and a missing or unknown subcommand.
+    parser = parsers.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv[1:]) if parser else top.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -29,7 +29,7 @@ import itertools
 import math
 import random
 
-from .errors import Unsupported, UnknownLaw
+from .errors import TooLarge, Unsupported, UnknownLaw
 from .fractional import _invert, _quotient
 from .instances import check_semidomain
 from .reports import LawReport
@@ -269,7 +269,15 @@ def _check_coprime(inst, trials, seed):
 # entry point
 
 
+# Trials one check may run. Past n0's grid of 12^3 triples a random
+# dedekind-identity trial costs several ms: 10^4 trials there took 64 s on a
+# 2-core x86_64 VM, where a gcd row takes under half a second.
+MAX_TRIALS = 10_000
+
+
 def check_law(inst, law, trials=200, seed=0) -> LawReport:
+    if trials > MAX_TRIALS:
+        raise TooLarge(f"more than {MAX_TRIALS} trials asked of {law}")
     if law == "multiplicative-cancellation":
         report = check_semidomain(inst, bound=min(trials, 60))
         return LawReport(report.law, report.instance, report.trials, seed, report.status, report.witness)

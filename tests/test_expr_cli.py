@@ -303,6 +303,11 @@ def test_cli_laws_single(capsys):
     code, _, err = run(["laws", "--instance", "gcd"], capsys)
     assert code == 2 and "usage error" in err
 
+    # the --config rule: at least one trial (a zero-trial run of a failing law read PASS)
+    for trials in ("0", "-5"):
+        argv = ["laws", "dedekind2-law-1", "--instance", "n0", "--trials", trials]
+        assert run(argv, capsys) == (2, "", "usage error: trials must be >= 1\n"), trials
+
 
 def test_cli_laws_single_failure_on_quad5_exits_1(monkeypatch, capsys):
     # quad5 is Dedekind, so a failing law there is unexpected: exit 1, marked
@@ -454,8 +459,17 @@ def run_bounded(argv, seconds=30):
         ["eval", "--instance", "n0", "I(2,3)^64"],
         ["eval", "--instance", "gcd", "I(2)^10000000000"],
         ["eval", "--instance", "n0", "I(1/2)^10000000000"],
+        ["laws", "reyes", "--instance", "gcd", "--trials", "100000000"],
     ],
-    ids=["psi12", "semiprime40", "n0-power16", "n0-power64", "gcd-power-1e10", "n0-denominator-power-1e10"],
+    ids=[
+        "psi12",
+        "semiprime40",
+        "n0-power16",
+        "n0-power64",
+        "gcd-power-1e10",
+        "n0-denominator-power-1e10",
+        "laws-trials-1e8",
+    ],
 )
 def test_cli_refuses_inputs_past_the_budgets(argv):
     code, _, err, seconds = run_bounded(argv)
@@ -485,12 +499,20 @@ def test_cli_names_a_number_too_long_to_print(capsys):
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit in this Python")
-def test_cli_names_a_long_natural_outside_an_expression(capsys):
+def test_cli_names_a_long_natural_outside_an_expression(tmp_path, capsys):
     long = "7" * 5000
+    # a --config row past the digit limit or past the trial budget
+    for name, trials, message in (("long.cfg", long, "a number has more"), ("many.cfg", "100000", "more than 10000")):
+        cfg = tmp_path / name
+        cfg.write_text(f"law reyes instance gcd trials {trials} seed 1\n")
+        code, out, err = run(["laws", "--config", str(cfg)], capsys)
+        assert code == 3 and out == "" and err.startswith(f"TooLarge: {message}"), (name, err)
     for argv in (
         ["dm", "--instance", "gcd", f"{long},1", "2"],
         ["twogen", "--instance", "gcd", "I(12)", long],
         ["localize", "--instance", "gcd", long, "I(12)"],
+        ["laws", "reyes", "--instance", "gcd", "--trials", long],
+        ["laws", "reyes", "--instance", "gcd", "--seed", long],
     ):
         code, out, err = run(argv, capsys)
         assert code == 3 and out == "" and err.startswith("TooLarge: a number has more than"), (argv[0], err)
@@ -578,6 +600,60 @@ def test_cli_builds_the_parser_once(monkeypatch, capsys):
     ):
         assert run(argv, capsys)[0] == expected, argv
     assert built == []
+
+
+def test_cli_parses_each_query_once(monkeypatch, capsys):
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in (
+        ["eval", "--instance", "gcd", "I(4)+I(6)"],
+        ["factor", "--instance", "gcd", "I(84)"],
+        ["classify", "--instance", "gcd", "I(7)", "--json"],
+        ["laws", "reyes", "--instance", "gcd", "--trials", "5"],
+        ["twogen", "--instance", "gcd", "I(12)", "24"],
+        ["localize", "--instance", "gcd", "2", "I(12)"],
+        ["sandwich", "--instance", "gcd", "I(3/2)"],
+        ["dm", "--instance", "gcd", "2,3", "4,6"],
+        ["between", "--instance", "gcd", "5"],
+    ):
+        calls.clear()
+        assert run(argv, capsys)[0] == 0, argv
+        assert calls == [f"semideal {argv[0]}"], argv
+    # so the subcommand's parser is the one that reports an extra argument
+    code, _, err = run(["eval", "--instance", "gcd", "I(4)", "extra"], capsys)
+    assert code == 2 and err.endswith("\nsemideal eval: error: unrecognized arguments: extra\n")
+
+
+# argv whose parse goes past a plain subcommand query: (argv, exit code, stdout)
+EDGE_ARGV = [
+    (["eval", "--instance", "gcd", "--", "I(4)+I(6)"], 0, "I(2)\n"),
+    (["eval", "--inst", "gcd", "I(4)+I(6)"], 0, "I(2)\n"),
+    (["eval", "--instance=gcd", "I(4)+I(6)"], 0, "I(2)\n"),
+    (["eval", "--instance", "gcd", "I(6)", "--js"], 0, '{"command": "eval", "instance": "gcd", "result": '
+     '{"generators": ["6"], "integral": true, "text": "I(6)"}, "seed": 0, "status": "pass", "witness": null}\n'),
+    ([], 2, ""),
+    (["bogus"], 2, ""),
+    (["eval", "--instance", "gcd"], 2, ""),
+    (["eval", "--instance", "gcd", "I(4)", "extra"], 2, ""),
+]
+
+
+def test_cli_edge_argv(capsys):
+    for argv, code, out in EDGE_ARGV:
+        assert run(argv, capsys)[:2] == (code, out), argv
+    # a leading "--" goes to the top parser, which argparse versions read differently
+    code, out, err = run(["--", "eval", "--instance", "gcd", "I(4)+I(6)"], capsys)
+    assert (code, out) == (0, "I(2)\n") or (code, out, err.splitlines()[-1][:16]) == (2, "", "semideal: error:")
+    # the top parser's help, also when a subcommand follows -h
+    for argv in (["--help"], ["-h", "eval"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.startswith("usage: semideal [-h]") and "{eval,factor," in out, argv
 
 
 def test_cli_reused_parser_leaks_no_state(capsys):

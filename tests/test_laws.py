@@ -5,6 +5,7 @@ import json
 import pytest
 
 from semideal import (
+    TooLarge,
     UnknownLaw,
     Unsupported,
     check_law,
@@ -19,7 +20,7 @@ from semideal import (
     unit_ideal,
 )
 from semideal.fractional import frac_from_ideal, frac_invert
-from semideal.laws import LAW_IDS
+from semideal.laws import LAW_IDS, MAX_TRIALS
 
 N0 = instance("n0")
 GCD = instance("gcd")
@@ -251,6 +252,16 @@ def test_unknown_law_and_unsupported_combinations():
     for law in ("dedekind2-law-1", "reyes", "contains-iff-divides"):
         with pytest.raises(Unsupported):
             check_law(LAG, law)
+
+
+def test_trials_past_the_budget_are_refused():
+    # the sampled laws and both special routes; 10^9 n0 trials would run for days
+    for inst, law in ((N0, "dedekind-identity"), (GCD, "coprime-identities"), (GCD, "multiplicative-cancellation")):
+        with pytest.raises(TooLarge):
+            check_law(inst, law, trials=MAX_TRIALS + 1)
+        with pytest.raises(TooLarge):
+            check_law(inst, law, trials=10**9)
+    assert check_law(GCD, "reyes", trials=MAX_TRIALS, seed=1).trials == MAX_TRIALS
 
 
 def test_multiplicative_cancellation_routing():
