@@ -276,7 +276,7 @@ class GcdFamily(Kind):
         return p.numerator, p.denominator
 
     def join(self, A, d):
-        return Fraction(A, d)
+        return Fraction(A) if d == 1 else Fraction(A, d)
 
     def grid(self):
         if self.support is None:

@@ -15,6 +15,14 @@ in one pass over its 64-bit words. Minimal generators are found in ascending
 order, each the least member not yet a sum, and only they are shifted into
 the sums: one pass over the window per generator, not per member. Membership
 below the threshold is a binary search in ex.
+
+A triple with c == 0 and d > 0 is the principal ideal (g) = gN0, g = d, and
+every operation with a principal operand is answered in closed form, with no
+closure: generators whose gcd is their least member give (gcd); (g)·J is J
+scaled by g; (g) + J is (g) when g | J.d and J when g is in J; (g) ∩ J is J
+when g | J.d and (g) when g is in J; [A:(g)] = {x : xg in A} is A's members
+divided by g; [(g):B] = (g / gcd(g, B.d)); and J ⊆ (g) iff g | J.d, while
+(g) ⊆ J iff g is in J. Other operands take the closure.
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ class NatIdeal(Record):
     __slots__ = ("d", "c", "ex")
 
     def __init__(self, d, c, ex):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "ex", ex)
+        _set_d(self, d)
+        _set_c(self, c)
+        _set_ex(self, ex)
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and (self.d, self.c, self.ex) == (other.d, other.c, other.ex)
@@ -67,6 +75,14 @@ class NatIdeal(Record):
             start = self.c if self.c > 0 else self.d
             out.extend(range(start, bound, self.d))
         return out
+
+
+_set_d, _set_c, _set_ex = NatIdeal.d.__set__, NatIdeal.c.__set__, NatIdeal.ex.__set__
+
+
+def _generator(i):
+    """g when i is the principal ideal (g), else 0 (also for the zero ideal)."""
+    return 0 if i.c else i.d
 
 
 # Budgets of a canonical form, past which it raises TooLarge: the scaled closure
@@ -127,6 +143,8 @@ def from_generators(gens):
     if not gens:
         return NAT_ZERO
     d = math.gcd(*gens)
+    if d == gens[0]:
+        return NatIdeal(d, 0, ())
     scaled = [g // d for g in gens]
     m = scaled[0]
     limit = 4 * scaled[-1] + 1
@@ -192,10 +210,20 @@ def minimal_generators(i):
 
 
 def nat_sum(i, j):
+    for g, k in ((_generator(i), j), (_generator(j), i)):
+        if g:
+            if k.d % g == 0:
+                return NatIdeal(g, 0, ())
+            if k.contains(g):
+                return k
     return from_generators(minimal_generators(i) + minimal_generators(j))
 
 
 def nat_product(i, j):
+    if _generator(i):
+        return nat_scale(j, i.d)
+    if _generator(j):
+        return nat_scale(i, j.d)
     gi, gj = minimal_generators(i), minimal_generators(j)
     if not gi or not gj:
         return NAT_ZERO
@@ -205,6 +233,12 @@ def nat_product(i, j):
 def nat_intersect(i, j):
     if i.d == 0 or j.d == 0:
         return NAT_ZERO
+    for g, k in ((_generator(i), j), (_generator(j), i)):
+        if g:
+            if k.d % g == 0:
+                return k
+            if k.contains(g):
+                return NatIdeal(g, 0, ())
     d = math.lcm(i.d, j.d)
     t = max(i.c, j.c)
     # a common member is a multiple of d: one of i's exceptions, or one from i's conductor on
@@ -228,6 +262,10 @@ def nat_quotient(a, b):
         raise ZeroDivisorIdeal("quotient by the zero ideal")
     if a.d == 0:
         return NAT_ZERO
+    if _generator(a):
+        return NatIdeal(a.d // math.gcd(a.d, b.d), 0, ())
+    if _generator(b):
+        return _scale_quotient(a, b.d)
     q = NAT_FULL
     for g in minimal_generators(b):
         q = nat_intersect(q, _scale_quotient(a, g))
@@ -242,6 +280,10 @@ def nat_contains(i, j):
         return False
     if j.d % i.d:
         return False
+    if _generator(i):
+        return True
+    if _generator(j):
+        return i.contains(j.d)
     if any(not i.contains(e) for e in j.ex):
         return False
     x = j.c if j.c > 0 else j.d

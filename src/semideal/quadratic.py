@@ -36,9 +36,9 @@ class QuadIdeal(Record):
     __slots__ = ("g", "a", "b")
 
     def __init__(self, g, a, b):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_g(self, g)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and (self.g, self.a, self.b) == (other.g, other.a, other.b)
@@ -52,6 +52,8 @@ class QuadIdeal(Record):
     def norm(self):
         return self.g * self.g * self.a
 
+
+_set_g, _set_a, _set_b = QuadIdeal.g.__set__, QuadIdeal.a.__set__, QuadIdeal.b.__set__
 
 QI_ZERO = QuadIdeal(0, 1, 0)
 QI_ONE = QuadIdeal(1, 1, 0)

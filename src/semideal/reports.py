@@ -4,7 +4,9 @@
 its fields in ``__slots__``; its records are immutable, equal only to records
 of the same class with equal fields, hashed by their fields, and shown as
 ``Name(field=value, ...)``. Records built or compared on hot paths write
-their own ``__init__``, ``__eq__`` and ``__hash__`` with the same meaning.
+their own ``__init__``, ``__eq__`` and ``__hash__`` with the same meaning;
+such an ``__init__`` sets each slot through its descriptor's ``__set__``,
+bound once at module level.
 A slot named in ``derived`` (``class C(Record, derived=(...))``) is set by the
 code that builds the record from its fields, and is not a field itself.
 """

@@ -485,6 +485,14 @@ def test_cli_n0_meet_lists_only_common_multiples(expr):
     assert seconds < 10
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_cli_n0_principal_sum_needs_no_closure(g):
+    # (g) + J is (g) when g divides every member of J; the closure of J's generators would pass the window budget
+    code, out, err, seconds = run_bounded(["eval", "--instance", "n0", f"I({g}) + I(200000000,300000000)"])
+    assert code == 0 and out == f"I({g})\n", err
+    assert seconds < 10
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit in this Python")
 def test_cli_names_a_number_too_long_to_print(capsys):
     # 2^100000 has 30,103 digits, past CPython's default limit of 4,300

@@ -2,11 +2,13 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semideal import natideal
 from semideal.errors import EmptyIdeal, ZeroDivisorIdeal
 from semideal.ideals import Ideal, ideal_power
 from semideal.instances import instance
@@ -260,6 +262,90 @@ def test_binary_ops_match_oracle_hyp(ga, gb):
         assert_canonical(r)
         lim = window(r, 2)
         assert_matches(r, oracle(ga, gb, lim), lim)
+
+
+# Principal ideals (g) beside the zero, full and maximal ideals and the
+# generator sets: each closed form for a principal operand meets each kind of
+# operand, on either side, and so does the closure path between the others.
+POOL = [(NAT_ZERO, ()), (NAT_FULL, (1,)), (NAT_MAX, (2, 3))]
+POOL += [(NatIdeal(g, 0, ()), (g,)) for g in range(1, 13)]
+POOL += [(from_generators(gens), gens) for gens in GEN_SETS]
+
+
+def covering_window(*ideals):
+    """A bound past every conductor by a full common period of the ideals."""
+    return max(max(i.c, 1) for i in ideals) + math.lcm(*(max(i.d, 1) for i in ideals)) + 1
+
+
+@pytest.mark.parametrize("a, ga", POOL, ids=[str(gens) for _, gens in POOL])
+def test_pool_ops_match_oracle(a, ga):
+    for b, gb in POOL:
+        for op, oracle in ((nat_sum, n0_sum), (nat_product, n0_product), (nat_intersect, n0_intersect)):
+            r = op(a, b)
+            assert_canonical(r)
+            lim = covering_window(a, b, r)
+            assert_matches(r, oracle(ga, gb, lim), lim)
+        lim = covering_window(a, b)
+        assert nat_contains(a, b) == (n0_members(gb, lim) <= n0_members(ga, lim))
+        if b.d == 0:
+            with pytest.raises(ZeroDivisorIdeal):
+                nat_quotient(a, b)
+            continue
+        q = nat_quotient(a, b)
+        assert_canonical(q)
+        lim = covering_window(a, b, q)
+        assert_matches(q, n0_quotient(ga, gb, lim), lim)
+
+
+@pytest.mark.parametrize("a, ga", POOL[1:], ids=[str(gens) for _, gens in POOL[1:]])  # nonzero divisors
+def test_pool_divides_multiplies_back(a, ga):
+    for b, gb in POOL:
+        ab = nat_product(a, b)
+        q = nat_divides(a, ab)
+        assert q is not None and nat_product(a, q) == ab
+        q = nat_divides(a, b)
+        if a.c == 0:  # (g) divides b exactly when g divides every member of b
+            assert (q is None) == (b.d % a.d != 0)
+        if q is not None:
+            lim = covering_window(a, b, q)
+            assert_matches(b, n0_product(ga, minimal_generators(q), lim), lim)
+
+
+def test_principal_operands_need_no_closure(monkeypatch):
+    # A lost shortcut still answers correctly, through the closure, so only a
+    # count of the kernel, canonical-form and generator-pass calls that an
+    # operation makes through the module shows it.
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(natideal, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(natideal, name, wrapper)
+
+    for name in ("additive_closure", "from_generators", "from_periodic", "minimal_generators"):
+        counted(name)
+    j, j2 = from_generators([4, 6, 9]), from_generators([4, 6])
+    p = {g: NatIdeal(g, 0, ()) for g in (2, 3, 4, 6)}
+    cases = [
+        (lambda: natideal.from_generators([6, 12, 18]), p[6], {"from_generators": 1}),
+        (lambda: natideal.from_generators([5]), NatIdeal(5, 0, ()), {"from_generators": 1}),
+        (lambda: nat_product(p[6], j), nat_scale(j, 6), {}),
+        (lambda: nat_product(j, p[6]), nat_scale(j, 6), {}),
+        (lambda: nat_sum(p[2], j2), p[2], {}),  # 2 divides every member of j2
+        (lambda: nat_sum(j, p[4]), j, {}),  # 4 is a member of j
+        (lambda: nat_intersect(j2, p[2]), j2, {}),
+        (lambda: nat_intersect(p[4], j), p[4], {}),
+        (lambda: nat_quotient(p[6], j2), p[3], {}),
+        (lambda: nat_quotient(j, p[3]), NAT_MAX, {"from_periodic": 1}),  # {x : 3x in j}, one canonical form
+    ]
+    for k, (run, expected, work) in enumerate(cases):
+        calls.clear()
+        assert run() == expected, k
+        assert calls == Counter(work), k
 
 
 def test_zero_ideal_op_edges():
