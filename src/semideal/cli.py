@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed; 1 a law failed where success was expected
 (or an expected failure passed); 2 usage or syntax errors; 3 a library
 error (unsupported operation, precondition violation, an input past a
-budget), reported by name.
+budget), reported by name, and ``InternalError`` for a ``ValueError`` that is
+not ``InvalidInput``: a fault of the library, not of the query.
 
 Each subcommand is a function from (instance, args) to an ``Outcome``: the
 text it prints, and the result, witness, status and exit code of its
@@ -21,7 +22,7 @@ import sys
 from collections import namedtuple
 
 from .content import contents, dm_exponent, gaussian_check
-from .errors import ParseError, SemidealError, TooLarge, Unsupported
+from .errors import InternalError, InvalidInput, ParseError, SemidealError, TooLarge, Unsupported
 from .exprparse import eval_expr, parse_expr
 from .fractional import (
     frac_invert,
@@ -105,28 +106,32 @@ def _classify(inst, args):
 
 
 def _parse_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     suites = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            ok = (
-                len(toks) in (8, 10)
-                and toks[0] == "law"
-                and toks[2] == "instance"
-                and toks[4] == "trials"
-                and toks[6] == "seed"
-                and (len(toks) == 8 or toks[8:] == ["expect", "fail"])
-            )
-            if not ok:
-                raise UsageError(f"{path}:{lineno}: expected 'law <id> instance <id> trials <n> seed <n> [expect fail]'")
-            message = f"{path}:{lineno}: trials and seed must be integers"
-            trials, seed = _int(toks[5], message), _int(toks[7], message)
-            if trials < 1:
-                raise UsageError(f"{path}:{lineno}: trials must be >= 1")
-            suites.append((toks[1], toks[3], trials, seed, len(toks) == 10))
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        ok = (
+            len(toks) in (8, 10)
+            and toks[0] == "law"
+            and toks[2] == "instance"
+            and toks[4] == "trials"
+            and toks[6] == "seed"
+            and (len(toks) == 8 or toks[8:] == ["expect", "fail"])
+        )
+        if not ok:
+            raise UsageError(f"{path}:{lineno}: expected 'law <id> instance <id> trials <n> seed <n> [expect fail]'")
+        message = f"{path}:{lineno}: trials and seed must be integers"
+        trials, seed = _int(toks[5], message), _int(toks[7], message)
+        if trials < 1:
+            raise UsageError(f"{path}:{lineno}: trials must be >= 1")
+        suites.append((toks[1], toks[3], trials, seed, len(toks) == 10))
     return suites
 
 
@@ -326,17 +331,22 @@ def main(argv=None):
         elif out.text:
             print(out.text)
         return out.code
-    except (UsageError, OSError, ValueError) as exc:
-        if _DIGIT_LIMIT not in str(exc):
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
-        # CPython's limit on the digits of an int read from or written as text
-        error = TooLarge(f"a number has more than {sys.get_int_max_str_digits()} digits, past int/str conversion")
+    except (UsageError, InvalidInput, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except SemidealError as exc:
         error = exc
+    except ValueError as exc:
+        if _DIGIT_LIMIT in str(exc):
+            # CPython's limit on the digits of an int read from or written as text
+            error = TooLarge(f"a number has more than {sys.get_int_max_str_digits()} digits, past int/str conversion")
+        else:
+            # inputs are validated where they enter (InvalidInput), so any other
+            # ValueError is a fault of the library, not of the query
+            error = InternalError(f"{type(exc).__name__}: {exc}")
     if args.json:
         _report(args, args.instance or "-", {"error": error.name, "message": str(error)}, None, "unsupported")
     else:

@@ -1,7 +1,7 @@
 """Error types shared across the library.
 
 Every error carries a stable ``name`` used by the CLI when mapping failures
-to exit codes and messages.
+to exit codes and messages. ``InvalidInput`` is also a ``ValueError``.
 """
 
 
@@ -77,3 +77,11 @@ class TooLarge(SemidealError):
 
 class InternalError(SemidealError):
     name = "InternalError"
+
+
+class InvalidInput(SemidealError, ValueError):
+    """A value from outside the library that is not valid: an instance id, a
+    natural element, a number to factor. The CLI reports it as a usage error;
+    any other ``ValueError`` that reaches it is a fault of the library."""
+
+    name = "InvalidInput"

@@ -42,7 +42,7 @@ import operator
 from fractions import Fraction
 
 from . import natideal as nat
-from .errors import InstanceMismatch, InternalError, NotFractional, OutOfSupport, TooLarge, Unsupported
+from .errors import InstanceMismatch, InternalError, InvalidInput, NotFractional, OutOfSupport, TooLarge, Unsupported
 from .primes import factorint, is_prime_int, primes_up_to
 from .quadratic import (
     QI_ONE,
@@ -72,7 +72,7 @@ MAX_POWER_BITS = 1 << 20
 def _natural(value, message):
     v = int(value)
     if v != value or v < 0:
-        raise ValueError(message)
+        raise InvalidInput(message)
     return v
 
 
@@ -713,13 +713,13 @@ def instance(spec):
             try:
                 support = tuple(sorted({int(tok) for tok in rest[1:-1].split(",")}))
             except ValueError:
-                raise ValueError(f"bad prime set in instance id: {spec!r}") from None
+                raise InvalidInput(f"bad prime set in instance id: {spec!r}") from None
             if not support or not all(is_prime_int(p) for p in support):
-                raise ValueError(f"support must be a nonempty set of primes: {spec!r}")
+                raise InvalidInput(f"support must be a nonempty set of primes: {spec!r}")
         else:
-            raise ValueError(f"unknown instance: {spec!r}")
+            raise InvalidInput(f"unknown instance: {spec!r}")
     elif spec not in KINDS:
-        raise ValueError(f"unknown instance: {spec!r}")
+        raise InvalidInput(f"unknown instance: {spec!r}")
     arith, *flags = _KINDS[kind]
     canonical = kind if support is None else "gcd-supported(%s)" % ",".join(map(str, support))
     inst = _CACHE.get(canonical)

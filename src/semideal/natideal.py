@@ -11,10 +11,13 @@ equality.
 The closure bitmaps come from the pure kernel in ``_kernels``; an adaptive
 window is grown until min(gens/d) consecutive scaled members are seen, which
 certifies that everything beyond is a member. A bitmap is decoded into ex
-in one pass over its 64-bit words. Minimal generators are found in ascending
-order, each the least member not yet a sum, and only they are shifted into
-the sums: one pass over the window per generator, not per member. Membership
-below the threshold is a binary search in ex.
+in chunks of 4096 bits, each turned into one byte per bit and its members
+picked out with ``itertools.compress``, so no Python step runs per member.
+A periodic set is canonicalized by sorting its extras and stepping down
+only over the run of members that ends at the threshold. Minimal generators
+are found in ascending order, each the least member not yet a sum, and only
+they are shifted into the sums: one pass over the window per generator, not
+per member. Membership below the threshold is a binary search in ex.
 
 A triple with c == 0 and d > 0 is the principal ideal (g) = gN0, g = d, and
 every operation with a principal operand is answered in closed form, with no
@@ -28,8 +31,8 @@ divided by g; [(g):B] = (g / gcd(g, B.d)); and J ⊆ (g) iff g | J.d, while
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
+from itertools import compress
 
 from ._kernels import additive_closure
 from .errors import EmptyIdeal, TooLarge, ZeroDivisorIdeal
@@ -109,12 +112,19 @@ def _run_start(mask, m):
     return (z & -z).bit_length() - 1
 
 
+# A closure window is decoded _CHUNK bytes (4096 bits) at a time: a
+# window-sized byte-per-bit buffer (up to about 10^6 bytes) passes through the
+# C allocator and lets the resident set creep over many large ideals.
+_CHUNK = 512
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _scaled_bits_to_ideal(d, mask, run):
     """Canonical triple from an exact scaled membership mask.
 
     Bits of mask are exact up to at least ``run``; every scaled value >= run
-    is known to be a member. The members below the gap are read in one pass
-    over the mask's 64-bit words.
+    is known to be a member. The members below the gap are decoded a chunk
+    at a time, each chunk as one byte per bit.
     """
     gaps = ~mask & ((1 << (run + 1)) - 1)
     if gaps == 0:
@@ -123,16 +133,14 @@ def _scaled_bits_to_ideal(d, mask, run):
     below = mask & ((1 << z0) - 1) & ~1
     if below.bit_count() > MAX_EX:
         raise TooLarge(f"the ideal has {below.bit_count()} members below its conductor, over {MAX_EX}")
-    words = memoryview(below.to_bytes((z0 + 63) // 64 * 8, sys.byteorder)).cast("Q")
-    if sys.byteorder == "big":
-        words = words[::-1]  # least significant word first
+    raw = below.to_bytes((z0 + 7) // 8, "little")
     ex = []
-    for k, w in enumerate(words):
-        base = 64 * k - 1
-        while w:
-            low = w & -w
-            ex.append((base + low.bit_length()) * d)
-            w ^= low
+    step = 8 * _CHUNK * d
+    for k in range(0, len(raw), _CHUNK):
+        # bit i of the chunk becomes byte i: the binary digits, least significant first
+        bits = format(int.from_bytes(raw[k : k + _CHUNK], "little"), "b").encode()[::-1].translate(_BIT_BYTES)
+        start = 8 * k * d
+        ex.extend(compress(range(start, start + step, d), bits))
     return NatIdeal(d, (z0 + 1) * d, tuple(ex))
 
 
@@ -168,20 +176,19 @@ def from_periodic(d, threshold, extras):
         if any(extras):
             raise ValueError("zero period with extra members")
         return NAT_ZERO
-    ex = sorted({int(e) for e in extras if e})
+    ex = sorted(set(map(int, extras)) - {0})
     if any(e % d for e in ex):
         raise ValueError("extras must be multiples of the period")
     t = (max(0, threshold) + d - 1) // d  # scaled start of the periodic tail
-    scaled = {e // d for e in ex if e // d < t}
-    z0 = None
-    for n in range(t - 1, 0, -1):
-        if n not in scaled:
-            z0 = n
-            break
-    if z0 is None:
+    k = bisect_left(ex, t * d)
+    # the last gap below the tail: step down over the run of members ending at t - 1
+    z0 = t - 1
+    while k and ex[k - 1] == z0 * d:
+        k -= 1
+        z0 -= 1
+    if z0 <= 0:
         return NatIdeal(d, 0, ())
-    ex_out = tuple(sorted(n * d for n in scaled if n < z0))
-    return NatIdeal(d, (z0 + 1) * d, ex_out)
+    return NatIdeal(d, (z0 + 1) * d, tuple(ex[:k]))
 
 
 def minimal_generators(i):

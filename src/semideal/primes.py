@@ -2,7 +2,7 @@
 
 import math
 
-from .errors import InternalError, TooLarge
+from .errors import InternalError, InvalidInput, TooLarge
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI12 = 318665857834031151167461  # least strong pseudoprime to all 12 bases (Sorenson, Webster 2017)
@@ -50,7 +50,7 @@ def factorint(n):
     unsplit past TRIAL_LIMIT, composite or too large to test, raises TooLarge.
     """
     if n <= 0:
-        raise ValueError("positive integer required")
+        raise InvalidInput("positive integer required")
     out = {}
     m = n
     for p in (2, 3, 5):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from semideal import ParseError, instance
+from semideal import ParseError, instance, natideal
 from semideal.cli import main
 from semideal.exprparse import (
     IdealLit,
@@ -407,6 +407,26 @@ def test_cli_usage_errors(capsys):
     assert code == 2 and "syntax error" in err and "expected RAT" in err
     # argparse rejects a non-integer member before the command runs
     assert run(["twogen", "--instance", "gcd", "I(12)", "x"], capsys)[0] == 2
+
+
+def test_cli_reports_a_library_value_error_as_internal(monkeypatch, tmp_path, capsys):
+    # only InvalidInput is the query's fault; a bare ValueError from inside the library is not
+    def broken(*args):
+        raise ValueError("extras must be multiples of the period")
+
+    monkeypatch.setattr(natideal, "from_generators", broken)
+    code, out, err = run(["eval", "--instance", "n0", "I(2,3)"], capsys)
+    assert (code, out) == (3, "") and err == "InternalError: ValueError: extras must be multiples of the period\n"
+    code, doc, _ = run_json(["eval", "--instance", "n0", "I(2,3)"], capsys)
+    assert code == 3 and doc["status"] == "unsupported" and doc["result"]["error"] == "InternalError"
+    # the values the CLI validates stay usage errors: an instance id, an element, a config file
+    assert run(["eval", "--instance", "gcd-supported(4)", "I(2)"], capsys)[:2] == (2, "")
+    code, _, err = run(["dm", "--instance", "gcd", "1,2", "3,-1"], capsys)
+    assert code == 2 and err == "usage error: naturals only\n"
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe law")
+    code, _, err = run(["laws", "--config", str(binary)], capsys)
+    assert code == 2 and err.startswith("usage error:") and "codec" in err
 
 
 def test_cli_options_belong_to_their_subcommand(tmp_path, capsys):

@@ -209,8 +209,7 @@ def oracle_minimal_generators(gens):
     return tuple(g for g in gens if g not in closure_members([h for h in gens if h != g], g))
 
 
-@pytest.mark.parametrize("gens", LARGE_GEN_SETS, ids=str)
-def test_large_ideals_match_oracle(gens):
+def assert_matches_closure(gens):
     i = from_generators(gens)
     assert_canonical(i)
     lim = i.c + 2 * max(gens)
@@ -218,6 +217,81 @@ def test_large_ideals_match_oracle(gens):
     assert i.members_below(lim + 1) == sorted(mem)
     assert [x for x in range(lim + 1) if i.contains(x)] == sorted(mem)
     assert minimal_generators(i) == oracle_minimal_generators(gens)
+    return i
+
+
+@pytest.mark.parametrize("gens", LARGE_GEN_SETS, ids=str)
+def test_large_ideals_match_oracle(gens):
+    assert_matches_closure(gens)
+
+
+# Closure windows are decoded 4096 bits at a time. Each set's scaled members
+# fall on both sides of bits 4095/4096 and 8191/8192: (75, 113) has all four
+# bits, (91, 97) has 4095 but not 4096, (101, 103) 4096 but not 4095, and the
+# last two repeat the first two with d = 3 and d = 2.
+SEAM_GEN_SETS = [(75, 113), (91, 97), (101, 103), (225, 339), (182, 194)]
+
+
+@pytest.mark.parametrize("gens", SEAM_GEN_SETS, ids=str)
+def test_chunk_seams_match_oracle(gens):
+    i = assert_matches_closure(gens)
+    scaled = {e // i.d for e in i.ex}
+    assert i.c // i.d > 8192 + 8
+    for seam in (4096, 8192):
+        assert scaled.intersection(range(seam - 8, seam)) and scaled.intersection(range(seam, seam + 8))
+    assert from_periodic(i.d, i.c, reversed(i.ex)) == i
+
+
+def brute_periodic(d, threshold, extras):
+    """The triple of {0} u extras u {multiples of d >= threshold}, by scanning
+    for the least c past which every multiple of d is a member."""
+    if any(e % d for e in extras):
+        raise ValueError("extras must be multiples of the period")
+    members = {e for e in extras if e > 0}
+    top = max([threshold, d, *members]) + d
+    for c in range(0, top + d, d):
+        if all(x in members or x >= threshold for x in range(max(c, d), top + d, d)):
+            break
+    return NatIdeal(d, c, tuple(sorted(x for x in members if x < c)))
+
+
+PERIODIC_CASES = [
+    (3, 20, [9, 0, 6, 9, 18, 15, 12, 0, 3]),  # unsorted, duplicate and zero extras
+    (2, 10, [4, 10, 12, 30, 4]),  # extras at and past the threshold
+    (1, 8, [7, 8, 9, 3]),
+    (4, 0, [8, 16]),  # threshold 0
+    (4, -7, [12, 4]),  # negative threshold
+    (5, 25, [20, 15, 10, 5]),  # the run of members reaches 1: the ideal (5)
+    (1, 6, [5, 4, 3, 2, 1]),
+    (6, 31, [24, 30, 12]),  # a threshold that is not a multiple of d
+    (7, 7, []),
+    (2, 9000, list(range(8998, 4000, -2))),
+]
+
+
+@pytest.mark.parametrize("case", PERIODIC_CASES, ids=str)
+def test_from_periodic_matches_brute_force(case):
+    d, threshold, extras = case
+    got = from_periodic(d, threshold, iter(extras))
+    assert got == brute_periodic(d, threshold, extras)
+    assert_canonical(got)
+
+
+def test_from_periodic_matches_brute_force_on_random_sets():
+    rng = random.Random(15)
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        threshold = rng.randint(-2 * d, 30 * d)
+        extras = [d * rng.randint(0, 35) for _ in range(rng.randint(0, 20))]
+        assert from_periodic(d, threshold, extras) == brute_periodic(d, threshold, extras), (d, threshold, extras)
+
+
+@pytest.mark.parametrize("d, threshold, extras", [(3, 12, [6, 7]), (2, 0, [3]), (5, 5, [10, 0, 12])])
+def test_from_periodic_rejects_non_multiples(d, threshold, extras):
+    with pytest.raises(ValueError, match="multiples of the period"):
+        from_periodic(d, threshold, extras)
+    with pytest.raises(ValueError):
+        brute_periodic(d, threshold, extras)
 
 
 def pair_window(i, j):
