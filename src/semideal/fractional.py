@@ -15,6 +15,10 @@ per instance kind. The kind object owns the payload conventions:
 canonical form above, so results are canonical and equality is structural.
 lagrassa has no semifield of fractions to work in (it is not
 multiplicatively cancellative), so every entry point rejects it.
+
+On the gcd family, localization at p is the exponent of p in the generator
+(``primes.valuation``), and the second generator of ``two_generators`` is a
+closed form, aux*g.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .ideals import (
     zero_ideal,
 )
 from .instances import Tagged, instance
-from .primes import factorint, is_prime_int
+from .primes import is_prime_int, valuation
 from .quadratic import qi_mul
 from .reports import Record
 from .spectrum import PrimeLabel
@@ -315,7 +319,7 @@ def localize(inst, p, a: Ideal) -> Ideal:
     dvs = instance("dvs")
     if a.payload == 0:
         return zero_ideal(dvs)
-    return Ideal(dvs, _val(a.payload, p))
+    return Ideal(dvs, valuation(a.payload, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +327,12 @@ def localize(inst, p, a: Ideal) -> Ideal:
 
 
 def two_generators(a: Ideal, member: int):
-    """Given nonzero member of nonzero a, a second generator b with a = (member, b)."""
+    """Given nonzero member of nonzero a = (g), a second generator b with a = (member, b).
+
+    b = aux*g, with aux the least prime (on gcd-supported, the least support
+    prime) that does not divide member, or 1 when there is none: then
+    gcd(member, b) = g. A member of 1 gives b = 1.
+    """
     inst = a.instance
     if not inst.arith.gcd_family:
         raise Unsupported(f"two-generator search runs on the gcd family, not {inst.kind}")
@@ -332,35 +341,18 @@ def two_generators(a: Ideal, member: int):
         raise ZeroDivisorIdeal("the zero ideal is not invertible")
     if member == 0 or member % g != 0:
         raise NotAMember(f"{member} is not a nonzero member of I({g})")
-    fac = factorint(member)
-    if not fac:
+    if member == 1:
         b = 1
+    elif inst.support is None:
+        aux = 2
+        while member % aux == 0:
+            aux = next_prime(aux)
+        b = aux * g
     else:
-        if inst.support is None:
-            aux = 2
-            while aux in fac:
-                aux = next_prime(aux)
-        else:
-            aux = next((q for q in inst.support if q not in fac), 1)
-        parts = []
-        for p in fac:
-            piece = aux * p ** _val(g, p)
-            for q in fac:
-                if q != p:
-                    piece *= q ** (_val(g, q) + 1)
-            parts.append(piece)
-        b = math.gcd(*parts)
+        b = next((q for q in inst.support if member % q), 1) * g
     if not ideal_equals(ideal_from_generators(inst, [member, b]), a):
         raise InternalError("two-generator candidate failed the span check")
     return (member, b)
-
-
-def _val(n, p):
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def next_prime(p):

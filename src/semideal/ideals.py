@@ -66,8 +66,6 @@ def ideal_product(a, b):
 
 
 def ideal_power(a, k):
-    if k < 0:
-        raise ValueError("negative ideal power")
     return Ideal(a.instance, a.instance.arith.power(a.payload, k))
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from . import natideal as nat
 from .errors import InstanceMismatch, InternalError, InvalidInput, NotFractional, OutOfSupport, TooLarge, Unsupported
-from .primes import factorint, is_prime_int, primes_up_to
+from .primes import factorint, is_prime_int, primes_up_to, valuation
 from .quadratic import (
     QI_ONE,
     QI_ZERO,
@@ -62,10 +62,11 @@ from .quadratic import (
 from .reports import LawReport, Record
 
 
-# The budget of Kind.power, the one power loop (ideal_power, frac_power and
-# the prime-power divisors): a power of a payload whose size (the natural, the
-# norm, the gcd of an n0 ideal) would pass 2^20 bits, about 315,000 digits, is
-# refused with TooLarge before its first product.
+# The budget of Kind.power (ideal_power, frac_power and the prime-power
+# divisors): a power of a payload whose size (the natural, the norm, the gcd of
+# an n0 ideal) would pass 2^20 bits, about 315,000 digits, is refused with
+# TooLarge before its first product. Kind.power and Quad5.factor's certificate
+# share the one squaring loop, _power.
 MAX_POWER_BITS = 1 << 20
 
 
@@ -80,9 +81,23 @@ def _smooth(n, support):
     if n == 0:
         return True
     for p in support:
-        while n % p == 0:
-            n //= p
+        n = valuation(n, p)[1]
     return n == 1
+
+
+def _power(a, k, mul, one):
+    """a**k for k >= 0 by squaring, no further than the top bit of k."""
+    if not k:
+        return one
+    while not k & 1:
+        a = mul(a, a)
+        k >>= 1
+    out = a  # not one times a, which would canonicalise a again
+    while k := k >> 1:
+        a = mul(a, a)
+        if k & 1:
+            out = mul(out, a)
+    return out
 
 
 class Kind:
@@ -106,23 +121,15 @@ class Kind:
 
     def power(self, a, k, element=False):
         """a**k for k >= 0 of an ideal payload, or of an element payload when
-        element, squaring no further than the top bit of k. Before any product
-        it raises TooLarge if the result would pass MAX_POWER_BITS bits."""
+        element. Before any product it raises ValueError for a negative k, and
+        TooLarge if the result would pass MAX_POWER_BITS bits."""
+        if k < 0:
+            raise ValueError("negative ideal power")
         bits = k * self.log2(a)
         if bits > MAX_POWER_BITS:
             raise TooLarge(f"the power would have about {bits:.0f} bits, past the budget of {MAX_POWER_BITS}")
         mul, one = (self.emul, self.eone) if element else (self.mul, self.one)
-        if not k:
-            return one
-        while not k & 1:
-            a = mul(a, a)
-            k >>= 1
-        out = a  # not one times a, which would canonicalise a again
-        while k := k >> 1:
-            a = mul(a, a)
-            if k & 1:
-                out = mul(out, a)
-        return out
+        return _power(a, k, mul, one)
 
     def log2(self, a):
         """log2 of the size of a payload, which a product adds up: of the
@@ -412,16 +419,21 @@ class Quad5(Kind):
         return f"{x.g}*{prim}" if prim else str(x.g)
 
     def str(self, a):
-        if a.is_zero():
-            return "(0)"
-        prim = "O" if a.a == 1 else f"({a.a}, {a.b}+w)"
-        return prim if a.g == 1 else f"{a.g}*{prim}"
+        return self.frac_str(self.join(a, 1))
 
     def is_prime(self, q):  # zero, or a single prime to the first power
-        return q.is_zero() or (q != QI_ONE and list(qi_factor(q).values()) == [1])
+        return q.is_zero() or (q != QI_ONE and list(self.factor(q).values()) == [1])
 
     def factor(self, q):
-        return {("quad", p, b): e for (p, b), e in qi_factor(q).items()}
+        """The prime labels of q, certified by composing them back. The power
+        loop runs without Kind.power's budget: it rebuilds an ideal that exists."""
+        fac = qi_factor(q)
+        back = QI_ONE
+        for (p, b), e in fac.items():
+            back = qi_mul(back, _power(prime_for_root(p, b), e, qi_mul, QI_ONE))
+        if back != q:
+            raise InternalError("factorization did not compose back")
+        return {("quad", p, b): e for (p, b), e in fac.items()}
 
     def prime(self, label, p, b):
         return prime_for_root(p, b)

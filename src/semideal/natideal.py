@@ -25,7 +25,10 @@ closure: generators whose gcd is their least member give (gcd); (g)·J is J
 scaled by g; (g) + J is (g) when g | J.d and J when g is in J; (g) ∩ J is J
 when g | J.d and (g) when g is in J; [A:(g)] = {x : xg in A} is A's members
 divided by g; [(g):B] = (g / gcd(g, B.d)); and J ⊆ (g) iff g | J.d, while
-(g) ⊆ J iff g is in J. Other operands take the closure.
+(g) ⊆ J iff g is in J. Other operands take the closure, except in a meet:
+every common member below the larger conductor is an exception of the
+operand that has it, so the meet filters those exceptions through the other
+operand's ``contains``.
 """
 
 from __future__ import annotations
@@ -246,13 +249,10 @@ def nat_intersect(i, j):
                 return k
             if k.contains(g):
                 return NatIdeal(g, 0, ())
-    d = math.lcm(i.d, j.d)
-    t = max(i.c, j.c)
-    # a common member is a multiple of d: one of i's exceptions, or one from i's conductor on
-    start = -(-max(i.c, 1) // d) * d
-    extras = [x for x in i.ex if x % d == 0 and j.contains(x)]
-    extras += [x for x in range(start, t, d) if j.contains(x)]
-    return from_periodic(d, t, extras)
+    if i.c < j.c:
+        i, j = j, i
+    # a common member below the larger conductor i.c is one of i's exceptions
+    return from_periodic(math.lcm(i.d, j.d), i.c, [x for x in i.ex if j.contains(x)])
 
 
 def _scale_quotient(a, g):

@@ -21,11 +21,7 @@ def is_prime_int(n):
             return n == p
     if n >= _PSI12:
         raise TooLarge(f"primality of {n} is not decided: the test is exact below {_PSI12}")
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = valuation(n - 1, 2)
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -37,6 +33,26 @@ def is_prime_int(n):
         else:
             return False
     return True
+
+
+def valuation(n, p):
+    """(e, n // p**e) for n >= 1, p**e the largest power of the prime p dividing n.
+
+    It divides by p, p^2, p^4, ... while they divide, then steps back down
+    through the same powers: O(log e) divisions, not one per unit of e.
+    """
+    e, w, steps = 0, 1, []
+    m, r = divmod(n, p)
+    while not r:
+        n, e = m, e + w
+        steps.append((p, w))
+        p, w = p * p, w + w
+        m, r = divmod(n, p)
+    for p, w in reversed(steps):
+        m, r = divmod(n, p)
+        if not r:
+            n, e = m, e + w
+    return e, n
 
 
 TRIAL_LIMIT = 10**7  # trial divisors tried (about 0.5 s of work) before an unsplit cofactor is refused
@@ -54,9 +70,8 @@ def factorint(n):
     out = {}
     m = n
     for p in (2, 3, 5):
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
+        if m % p == 0:
+            out[p], m = valuation(m, p)
     f = 7
     inc = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
@@ -68,13 +83,12 @@ def factorint(n):
             tested = m
         if f > TRIAL_LIMIT:
             raise TooLarge(f"{n} is not factored within the budget: its cofactor {m} has no factor up to {TRIAL_LIMIT}")
-        while m % f == 0:
-            out[f] = out.get(f, 0) + 1
-            m //= f
+        if m % f == 0:
+            out[f], m = valuation(m, f)
         f += inc[i]
         i = (i + 1) % 8
     if m > 1:
-        out[m] = out.get(m, 0) + 1
+        out[m] = 1
     if math.prod(p**e for p, e in out.items()) != n:
         raise InternalError(f"the factorization of {n} does not multiply back")
     return out
@@ -90,10 +104,7 @@ def sqrt_mod_prime(a, p):
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    s, q = valuation(p - 1, 2)
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1

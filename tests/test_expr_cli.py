@@ -497,6 +497,23 @@ def test_cli_refuses_inputs_past_the_budgets(argv):
     assert seconds < 10
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["factor", "--instance", "gcd", "I(2)^400000"], "2^400000\n"),
+        (["localize", "--instance", "gcd", "2", "I(2)^400000"], "t^400000\n"),
+        (["factor", "--instance", "quad5", "I(11)^100000 * I(11)^100000"], "P11^200000\n"),
+    ],
+    ids=["gcd-factor", "gcd-localize", "quad5-factor"],
+)
+def test_cli_strips_a_prime_power_in_bounded_time(argv, expected):
+    # a prime comes off in O(log e) divisions, not one per unit of e; the quad5
+    # certificate composes (11)^200000 back past the power budget, which only
+    # bounds the powers that a query asks for
+    code, out, err, _ = run_bounded(argv, seconds=10)
+    assert code == 0 and out == expected, err
+
+
 @pytest.mark.parametrize("expr", ["I(1) & I(200000000,300000000)", "[I(200000000,300000000) : I(1)]"])
 def test_cli_n0_meet_lists_only_common_multiples(expr):
     # the meet visits multiples of lcm(1, 10^8) below 2*10^8, not every natural

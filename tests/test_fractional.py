@@ -59,7 +59,7 @@ from semideal import (
     unit_ideal,
     zero_ideal,
 )
-from semideal import instances, quadratic
+from semideal import instances
 from semideal.fractional import FracIdeal, frac_is_zero, frac_unit, frac_zero, k_mul, k_one
 from semideal.instances import element
 from semideal.natideal import NAT_ZERO, nat_unscale
@@ -300,7 +300,7 @@ def test_power():
 
 # (power, base, product of two of its values, owner and name of the product
 # its loop calls): frac_power and ideal_power run the kind object's one power
-# loop, which multiplies with the kind's ``mul``; qi_pow has its own loop
+# loop, which multiplies with the kind's ``mul``
 POWER_LOOPS = [
     pytest.param(
         frac_power, frac_from_generators(N0, [Fraction(2, 5), Fraction(3, 5)]), frac_product, N0.arith, "mul",
@@ -314,7 +314,6 @@ POWER_LOOPS = [
         id="frac-quad5",
     ),
     pytest.param(ideal_power, ideal_from_generators(N0, [2, 3]), ideal_product, N0.arith, "mul", id="nat-n0"),
-    pytest.param(quadratic.qi_pow, QuadIdeal(1, 2, 1), quadratic.qi_mul, quadratic, "qi_mul", id="qi-quad5"),
 ]
 
 

@@ -1,6 +1,9 @@
 """Instance lookup, element validation, and element arithmetic."""
 
 import math
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -205,3 +208,26 @@ def test_element_is_frozen():
     assert isinstance(e, Element)
     with pytest.raises(Exception):
         e.payload = 5
+
+
+def test_power_refuses_a_negative_exponent_for_every_kind():
+    # unchecked, a negative k would keep the squaring loop going forever
+    # (k >> 1 stays -1), so the check runs in a subprocess capped at 1 GiB and 10 s
+    code = (
+        "from semideal.instances import KINDS, instance\n"
+        "for kind in KINDS:\n"
+        "    ar = instance(kind).arith\n"
+        "    for payload, element in ((ar.grid()[-1], False), (ar.elements(5)[-1], True)):\n"
+        "        try:\n"
+        "            ar.power(payload, -1, element=element)\n"
+        "        except ValueError as exc:\n"
+        "            print(kind, element, exc)\n"
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    kinds = ("n0", "gcd", "gcd-supported", "dvs", "lagrassa", "quad5")
+    assert proc.stdout.splitlines() == [f"{k} {e} negative ideal power" for k in kinds for e in (False, True)]

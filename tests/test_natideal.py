@@ -319,6 +319,25 @@ def test_binary_ops_match_oracle():
         assert_matches(q, n0_quotient(ga, gb, lim), lim)
 
 
+def test_meet_tests_only_the_exceptions_below_the_larger_conductor(monkeypatch):
+    # every common member below the larger conductor is an exception of the
+    # operand that has it, so those are the only members the meet tests
+    a, b = from_generators([91, 97]), from_generators([157, 185])
+    bound = len(max(a, b, key=lambda i: i.c).ex)
+    contains = NatIdeal.contains
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(NatIdeal, "contains", counted)
+    for i, j in ((a, b), (b, a)):
+        calls.clear()
+        nat_intersect(i, j)
+        assert 0 < len(calls) <= bound, (i, j)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=3),

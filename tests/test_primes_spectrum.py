@@ -9,6 +9,7 @@ import pytest
 from semideal import TooLarge, UnknownPrime, instance, is_prime, krull_dimension, label_from_text, spectrum
 from semideal.ideals import ideal_equals, ideal_from_generators
 from semideal.natideal import NAT_MAX
+from semideal import primes
 from semideal.primes import factorint, is_prime_int, primes_up_to, sqrt_mod_prime
 from semideal.quadratic import QuadIdeal
 from semideal.spectrum import PrimeLabel
@@ -74,6 +75,21 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(2000) == primes_naive(2000)
+
+
+def test_valuation_matches_one_division_at_a_time():
+    # exponents on both sides of powers of two, where the descent changes length
+    exponents = [0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 1023, 1024, 1025]
+    rng = random.Random(16)
+    small = primes_naive(60)
+    for _ in range(400):
+        p = rng.choice(small)
+        n = p ** rng.choice(exponents) * rng.randint(1, 10**6)
+        e = valuation(n, p)
+        assert primes.valuation(n, p) == (e, n // p**e), (n, p)
+    for n, p in ((1, 2), (7, 2), (35, 3), (10**20 + 39, 7), (2**61 - 1, 2**31 - 1)):  # p does not divide n
+        assert primes.valuation(n, p) == (0, n)
+    assert primes.valuation(3 * 2**100000, 2) == (100000, 3)
 
 
 def test_factorint():

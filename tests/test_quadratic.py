@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from semideal.errors import EmptyIdeal, NotPrime
+from semideal import instance, instances
+from semideal.errors import EmptyIdeal, InternalError, NotPrime
 from semideal.quadratic import (
     QI_ONE,
     QI_ZERO,
@@ -13,19 +14,18 @@ from semideal.quadratic import (
     prime_for_root,
     qi_add,
     qi_conj,
-    qi_contains,
     qi_divide,
     qi_factor,
     qi_meet,
     qi_member,
     qi_mul,
     qi_normalize,
-    qi_pow,
     qi_prime_split,
     qi_principal_int,
 )
 from oracles import quad_member_brute
 
+Q5 = instance("quad5").arith
 P2 = QuadIdeal(1, 2, 1)
 P3 = QuadIdeal(1, 3, 1)
 P3C = QuadIdeal(1, 3, 2)
@@ -103,7 +103,7 @@ def test_add_known_and_brute():
         for j in POOL:
             s = qi_add(i, j)
             assert qi_normalize(hnf_generators(i) + hnf_generators(j)) == s, (i, j)
-            assert qi_contains(s, i) and qi_contains(s, j)
+            assert Q5.contains(s, i) and Q5.contains(s, j)
 
 
 def test_meet_matches_membership_box():
@@ -121,7 +121,7 @@ def test_meet_matches_membership_box():
             m = qi_meet(i, j)
             assert box(m) == box(i) & box(j), (i, j)
             # exact past the box: the meet lies in both, and (i & j)(i + j) = ij
-            assert qi_contains(i, m) and qi_contains(j, m)
+            assert Q5.contains(i, m) and Q5.contains(j, m)
             assert qi_mul(m, qi_add(i, j)) == qi_mul(i, j), (i, j)
 
 
@@ -142,12 +142,12 @@ def test_pow_matches_repeated_mul():
     for q in (P2, P3, QuadIdeal(2, 3, 2), QI_ONE):
         acc = QI_ONE
         for k in range(5):
-            assert qi_pow(q, k) == acc
+            assert Q5.power(q, k) == acc
             acc = qi_mul(acc, q)
-    assert qi_pow(QI_ZERO, 3) == QI_ZERO
-    assert qi_pow(QI_ZERO, 0) == QI_ONE
+    assert Q5.power(QI_ZERO, 3) == QI_ZERO
+    assert Q5.power(QI_ZERO, 0) == QI_ONE
     with pytest.raises(ValueError):
-        qi_pow(P2, -1)
+        Q5.power(P2, -1)
 
 
 def test_contains_via_member_sets():
@@ -157,7 +157,7 @@ def test_contains_via_member_sets():
     sets = {q: members_box(q, box=12) for q in pool}
     for i in pool:
         for j in pool:
-            assert qi_contains(i, j) == (sets[j] <= sets[i])
+            assert Q5.contains(i, j) == (sets[j] <= sets[i])
 
 
 def test_divide_exactness():
@@ -202,11 +202,20 @@ def test_factor_known():
 
 def test_factor_composes_back():
     for q in enumerate_ideals(60):
-        fac = qi_factor(q)  # self-certifying: raises if recomposition fails
+        fac = qi_factor(q)  # the labels alone: the kind's factor certifies them
         composed = QI_ONE
         for (p, b), e in fac.items():
-            composed = qi_mul(composed, qi_pow(prime_for_root(p, b), e))
+            composed = qi_mul(composed, Q5.power(prime_for_root(p, b), e))
         assert composed == q
+        assert Q5.factor(q) == {("quad", p, b): e for (p, b), e in fac.items()}
+
+
+def test_factor_certificate_rejects_wrong_labels(monkeypatch):
+    monkeypatch.setattr(instances, "qi_factor", lambda q: {(3, 1): 1})
+    with pytest.raises(InternalError, match="compose back"):
+        Q5.factor(P2)
+    with pytest.raises(InternalError, match="compose back"):
+        Q5.is_prime(P2)
 
 
 def test_enumerate_ideals_valid_and_counts():
