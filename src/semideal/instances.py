@@ -410,14 +410,6 @@ class Quad5(Kind):
     def log2(self, a):
         return GcdFamily.log2(self, a.norm())
 
-    def estr(self, x):
-        if x.is_zero():
-            return "0"
-        prim = "" if x.a == 1 else f"({x.a}, {x.b}+w)"
-        if x.g == 1:
-            return prim or "1"
-        return f"{x.g}*{prim}" if prim else str(x.g)
-
     def str(self, a):
         return self.frac_str(self.join(a, 1))
 
@@ -461,12 +453,18 @@ class Quad5(Kind):
             return (Fraction(0), QI_ONE)
         return (Fraction(A.g, d), QuadIdeal(1, A.a, A.b))
 
-    def frac_str(self, p):
+    def frac_str(self, p, zero="(0)", unit="O", integer="{}*O"):
+        """g*(a, b+w), with the zero, the unit and an integer multiple of O spelled as given."""
         scalar, prim = p
         if not scalar:
-            return "(0)"
-        body = "O" if prim.a == 1 else f"({prim.a}, {prim.b}+w)"
+            return zero
+        if prim.a == 1:
+            return unit if scalar == 1 else integer.format(scalar)
+        body = f"({prim.a}, {prim.b}+w)"
         return body if scalar == 1 else f"{scalar}*{body}"
+
+    def estr(self, x):  # an element is spelled 0, 1, 6 where its ideal is (0), O, 6*O
+        return self.frac_str((x.g, x), "0", "1", "{}")  # the scalar g of x = g*(a, b+w)
 
     def grid(self):
         return enumerate_ideals(12)
@@ -551,7 +549,7 @@ class N0(Kind):
         return nat.nat_between(m)
 
     def prime(self, label, p, b):
-        return nat.NatIdeal(p, 0, ()) if label == "numeric" else nat.NAT_MAX
+        return nat.NatIdeal(p, 0, 0) if label == "numeric" else nat.NAT_MAX
 
     def prime_labels(self, bound, low=2):
         return [("numeric", p, None) for p in primes_up_to(bound, low)] + [("max", None, None)]
@@ -580,7 +578,7 @@ class N0(Kind):
 
     def sandwich(self, p):  # the least c with c*d in A
         d, A = p
-        return (nat._scale_quotient(A, d).min_nonzero(), d)
+        return (nat._scale_quotient(A, A.ex, d).min_nonzero(), d)
 
     def grid(self):
         return [nat.from_generators(g) for g in _N0_GRID]

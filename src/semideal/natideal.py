@@ -1,23 +1,22 @@
 """Canonical finite presentations of ideals of (N0, +, *).
 
 Ideals of the usual naturals coincide with additive submonoids: they are
-{0} plus an eventually periodic set. We store the unique triple (d, c, ex)
-with members = {0} u ex u {n >= c : d | n}, where d is the gcd of all
-members (0 for the zero ideal), c is the least threshold from which the set
-is purely periodic (a multiple of d, 0 when there are no gaps) and ex lists
-the nonzero members below c in ascending order. Equality of ideals is tuple
-equality.
+{0} plus an eventually periodic set. We store the unique triple (d, c, mask)
+with members = {0} u {kd : bit k of mask} u {n >= c : d | n}, where d is the
+gcd of all members (0 for the zero ideal), c is the least threshold from
+which the set is purely periodic (a multiple of d, 0 when there are no gaps)
+and mask is the scaled membership bitmap below c, bit 0 clear. Equality of
+ideals is equality of the three ints.
 
 The closure bitmaps come from the pure kernel in ``_kernels``; an adaptive
 window is grown until min(gens/d) consecutive scaled members are seen, which
-certifies that everything beyond is a member. A bitmap is decoded into ex
-in chunks of 4096 bits, each turned into one byte per bit and its members
-picked out with ``itertools.compress``, so no Python step runs per member.
-A periodic set is canonicalized by sorting its extras and stepping down
-only over the run of members that ends at the threshold. Minimal generators
-are found in ascending order, each the least member not yet a sum, and only
-they are shifted into the sums: one pass over the window per generator, not
-per member. Membership below the threshold is a binary search in ex.
+certifies that everything beyond is a member, and the bitmap is trimmed below
+its last gap. A periodic set is canonicalized by setting one bit per extra.
+Membership and the least member are bit tests; minimal generators are found
+on the bitmap in ascending order, each the least member not yet a sum, and
+only they are shifted into the sums. Meet, quotient and containment list
+members through ``ex``, which decodes the bitmap 4096 bits at a time with
+``itertools.compress`` (no Python step per member), once per operand.
 
 A triple with c == 0 and d > 0 is the principal ideal (g) = gN0, g = d, and
 every operation with a principal operand is answered in closed form, with no
@@ -34,7 +33,6 @@ operand's ``contains``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import compress
 
 from ._kernels import additive_closure
@@ -42,35 +40,50 @@ from .errors import EmptyIdeal, TooLarge, ZeroDivisorIdeal
 from .reports import Record
 
 
-class NatIdeal(Record):
-    __slots__ = ("d", "c", "ex")
+class NatIdeal(Record, derived=("_bytes",)):
+    # _bytes: the mask as little-endian bytes, made by the first bit test below c
+    __slots__ = ("d", "c", "mask", "_bytes")
 
-    def __init__(self, d, c, ex):
+    def __init__(self, d, c, mask):
         _set_d(self, d)
         _set_c(self, c)
-        _set_ex(self, ex)
+        _set_mask(self, mask)
 
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and (self.d, self.c, self.ex) == (other.d, other.c, other.ex)
+        return other.__class__ is self.__class__ and (self.d, self.c, self.mask) == (other.d, other.c, other.mask)
 
     def __hash__(self):
-        return hash((self.d, self.c, self.ex))
+        return hash((self.d, self.c, self.mask))
+
+    def __repr__(self):
+        return f"NatIdeal(d={self.d!r}, c={self.c!r}, ex={self.ex!r})"
+
+    @property
+    def ex(self):
+        """The nonzero members below c, ascending."""
+        return _decode(self.d, self.mask)
 
     def contains(self, x):
         if x == 0:
             return True
-        if self.d == 0:
+        d = self.d
+        if d == 0 or x % d:
             return False
         if x >= self.c:
-            return x % self.d == 0
-        k = bisect_left(self.ex, x)
-        return k < len(self.ex) and self.ex[k] == x
+            return True
+        k = x // d
+        try:
+            view = self._bytes
+        except AttributeError:
+            view = self.mask.to_bytes(self.c // d // 8 + 1, "little")
+            _set_bytes(self, view)
+        return view[k >> 3] >> (k & 7) & 1 == 1
 
     def min_nonzero(self):
         if self.d == 0:
             raise EmptyIdeal("the zero ideal has no nonzero member")
-        if self.ex:
-            return self.ex[0]
+        if self.mask:
+            return ((self.mask & -self.mask).bit_length() - 1) * self.d
         return self.c if self.c > 0 else self.d
 
     def members_below(self, bound):
@@ -83,7 +96,7 @@ class NatIdeal(Record):
         return out
 
 
-_set_d, _set_c, _set_ex = NatIdeal.d.__set__, NatIdeal.c.__set__, NatIdeal.ex.__set__
+_set_d, _set_c, _set_mask, _set_bytes = (s.__set__ for s in (NatIdeal.d, NatIdeal.c, NatIdeal.mask, NatIdeal._bytes))
 
 
 def _generator(i):
@@ -92,14 +105,14 @@ def _generator(i):
 
 
 # Budgets of a canonical form, past which it raises TooLarge: the scaled closure
-# window (2 MiB of bitmap) and the members below the conductor (a tuple of about
-# 40 MB). The largest inputs of the tests and the benchmark need 331,780 and 130,811.
+# window (2 MiB of bitmap) and the members below the conductor (in a bitmap of at
+# most 2 MiB). The largest inputs of the tests and the benchmark need 331,780 and 130,811.
 MAX_WINDOW_BITS = 1 << 24
 MAX_EX = 1 << 20
 
-NAT_ZERO = NatIdeal(0, 0, ())
-NAT_FULL = NatIdeal(1, 0, ())
-NAT_MAX = NatIdeal(1, 2, ())  # every natural except 1
+NAT_ZERO = NatIdeal(0, 0, 0)
+NAT_FULL = NatIdeal(1, 0, 0)
+NAT_MAX = NatIdeal(1, 2, 0)  # every natural except 1
 
 
 def _run_start(mask, m):
@@ -115,28 +128,16 @@ def _run_start(mask, m):
     return (z & -z).bit_length() - 1
 
 
-# A closure window is decoded _CHUNK bytes (4096 bits) at a time: a
-# window-sized byte-per-bit buffer (up to about 10^6 bytes) passes through the
-# C allocator and lets the resident set creep over many large ideals.
+# A mask is decoded _CHUNK bytes (4096 bits) at a time: a mask-sized byte-per-bit
+# buffer (up to about 10^6 bytes) passes through the C allocator and lets the
+# resident set creep over many large ideals.
 _CHUNK = 512
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _scaled_bits_to_ideal(d, mask, run):
-    """Canonical triple from an exact scaled membership mask.
-
-    Bits of mask are exact up to at least ``run``; every scaled value >= run
-    is known to be a member. The members below the gap are decoded a chunk
-    at a time, each chunk as one byte per bit.
-    """
-    gaps = ~mask & ((1 << (run + 1)) - 1)
-    if gaps == 0:
-        return NatIdeal(d, 0, ())
-    z0 = gaps.bit_length() - 1
-    below = mask & ((1 << z0) - 1) & ~1
-    if below.bit_count() > MAX_EX:
-        raise TooLarge(f"the ideal has {below.bit_count()} members below its conductor, over {MAX_EX}")
-    raw = below.to_bytes((z0 + 7) // 8, "little")
+def _decode(d, mask):
+    """The members kd, ascending, of the set bits k of a scaled mask."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     ex = []
     step = 8 * _CHUNK * d
     for k in range(0, len(raw), _CHUNK):
@@ -144,7 +145,20 @@ def _scaled_bits_to_ideal(d, mask, run):
         bits = format(int.from_bytes(raw[k : k + _CHUNK], "little"), "b").encode()[::-1].translate(_BIT_BYTES)
         start = 8 * k * d
         ex.extend(compress(range(start, start + step, d), bits))
-    return NatIdeal(d, (z0 + 1) * d, tuple(ex))
+    return tuple(ex)
+
+
+def _scaled_bits_to_ideal(d, mask, t):
+    """Canonical triple of the members {kd : bit k of mask, 0 < k < t} and
+    every multiple of d from td on: the mask is cut below its last gap."""
+    gaps = ~mask & ((1 << t) - 2)
+    if gaps == 0:
+        return NatIdeal(d, 0, 0)
+    z0 = gaps.bit_length() - 1
+    mask &= (1 << z0) - 2
+    if mask.bit_count() > MAX_EX:
+        raise TooLarge(f"the ideal has {mask.bit_count()} members below its conductor, over {MAX_EX}")
+    return NatIdeal(d, (z0 + 1) * d, mask)
 
 
 def from_generators(gens):
@@ -155,7 +169,7 @@ def from_generators(gens):
         return NAT_ZERO
     d = math.gcd(*gens)
     if d == gens[0]:
-        return NatIdeal(d, 0, ())
+        return NatIdeal(d, 0, 0)
     scaled = [g // d for g in gens]
     m = scaled[0]
     limit = 4 * scaled[-1] + 1
@@ -165,7 +179,7 @@ def from_generators(gens):
         mask = additive_closure(scaled, limit)
         run = _run_start(mask, m)
         if run is not None:
-            return _scaled_bits_to_ideal(d, mask, run)
+            return _scaled_bits_to_ideal(d, mask, run + 1)
         limit *= 4
 
 
@@ -175,23 +189,21 @@ def from_periodic(d, threshold, extras):
     The caller guarantees the set is additively closed; extras are then
     necessarily multiples of d (checked) and the triple is canonicalized.
     """
+    extras = list(extras)
     if d == 0:
         if any(extras):
             raise ValueError("zero period with extra members")
         return NAT_ZERO
-    ex = sorted(set(map(int, extras)) - {0})
-    if any(e % d for e in ex):
+    if math.gcd(d, *extras) != d:
         raise ValueError("extras must be multiples of the period")
-    t = (max(0, threshold) + d - 1) // d  # scaled start of the periodic tail
-    k = bisect_left(ex, t * d)
-    # the last gap below the tail: step down over the run of members ending at t - 1
-    z0 = t - 1
-    while k and ex[k - 1] == z0 * d:
-        k -= 1
-        z0 -= 1
-    if z0 <= 0:
-        return NatIdeal(d, 0, ())
-    return NatIdeal(d, (z0 + 1) * d, tuple(ex[:k]))
+    t = max(1, -(-threshold // d))  # scaled start of the periodic tail
+    # base-2 digits, most significant first: scaled extra k is at t - k
+    digits = bytearray(b"0") * (t + 1)
+    for e in extras:
+        k = e // d
+        if 0 < k < t:
+            digits[t - k] = 49  # ord("1")
+    return _scaled_bits_to_ideal(d, int(digits, 2), t)
 
 
 def minimal_generators(i):
@@ -204,11 +216,7 @@ def minimal_generators(i):
     cs = i.c // d
     ms = i.min_nonzero() // d
     limit = cs + ms
-    # base-2 digits, most significant first: scaled member n is at limit - n
-    digits = bytearray(b"0") * (limit + 1)
-    for e in i.ex:
-        digits[limit - e // d] = 49  # ord("1")
-    nz = int(digits, 2) | ((1 << (limit + 1)) - (1 << cs))
+    nz = i.mask | ((1 << (limit + 1)) - (1 << cs))
     out = []
     cand = nz
     while cand:
@@ -223,7 +231,7 @@ def nat_sum(i, j):
     for g, k in ((_generator(i), j), (_generator(j), i)):
         if g:
             if k.d % g == 0:
-                return NatIdeal(g, 0, ())
+                return NatIdeal(g, 0, 0)
             if k.contains(g):
                 return k
     return from_generators(minimal_generators(i) + minimal_generators(j))
@@ -248,19 +256,18 @@ def nat_intersect(i, j):
             if k.d % g == 0:
                 return k
             if k.contains(g):
-                return NatIdeal(g, 0, ())
+                return NatIdeal(g, 0, 0)
     if i.c < j.c:
         i, j = j, i
     # a common member below the larger conductor i.c is one of i's exceptions
     return from_periodic(math.lcm(i.d, j.d), i.c, [x for x in i.ex if j.contains(x)])
 
 
-def _scale_quotient(a, g):
-    """{x : x*g in a} for a single positive g; always an ideal."""
+def _scale_quotient(a, ex, g):
+    """{x : x*g in a} for a single positive g, where ex is a.ex; always an ideal."""
     dq = a.d // math.gcd(a.d, g)
     t = -(-a.c // g)
-    extras = [e // g for e in a.ex if e % g == 0]
-    return from_periodic(dq, t, extras)
+    return from_periodic(dq, t, [e // g for e in ex if e % g == 0])
 
 
 def nat_quotient(a, b):
@@ -270,12 +277,13 @@ def nat_quotient(a, b):
     if a.d == 0:
         return NAT_ZERO
     if _generator(a):
-        return NatIdeal(a.d // math.gcd(a.d, b.d), 0, ())
+        return NatIdeal(a.d // math.gcd(a.d, b.d), 0, 0)
+    ex = a.ex
     if _generator(b):
-        return _scale_quotient(a, b.d)
+        return _scale_quotient(a, ex, b.d)
     q = NAT_FULL
     for g in minimal_generators(b):
-        q = nat_intersect(q, _scale_quotient(a, g))
+        q = nat_intersect(q, _scale_quotient(a, ex, g))
     return q
 
 
@@ -319,19 +327,13 @@ def nat_divides(a, b):
 
 
 def nat_is_subtractive(i):
-    return i.ex == () and i.c == 0
+    return i.c == 0
 
 
-def nat_is_prime(i):
+def nat_is_prime(i):  # (0), the maximal ideal, and (p) for a prime p
     from .primes import is_prime_int
 
-    if i.d == 0:
-        return True
-    if i == NAT_FULL:
-        return False
-    if i == NAT_MAX:
-        return True
-    return i.c == 0 and i.ex == () and is_prime_int(i.d)
+    return i.d == 0 or i == NAT_MAX or (i.c == 0 and is_prime_int(i.d))
 
 
 def nat_is_maximal(i):
@@ -360,7 +362,7 @@ def nat_scale(i, t):
         raise ValueError("positive scale required")
     if i.d == 0 or t == 1:
         return i
-    return NatIdeal(i.d * t, i.c * t, tuple(e * t for e in i.ex))
+    return NatIdeal(i.d * t, i.c * t, i.mask)
 
 
 def nat_unscale(i, t):
@@ -369,6 +371,6 @@ def nat_unscale(i, t):
         raise ValueError("positive scale required")
     if i.d == 0 or t == 1:
         return i
-    if i.d % t:  # c and every e in ex are multiples of d
+    if i.d % t:  # c and every member are multiples of d
         raise ValueError("members are not all divisible")
-    return NatIdeal(i.d // t, i.c // t, tuple(e // t for e in i.ex))
+    return NatIdeal(i.d // t, i.c // t, i.mask)

@@ -66,21 +66,34 @@ def window(i, pad=1):
     return (i.c if i.c else i.d) + pad * max(i.d, 1) + 1
 
 
+def assert_same(i, j):
+    assert i == j and hash(i) == hash(j)
+
+
 def assert_canonical(i):
     if i.d == 0:
         assert i == NAT_ZERO
         return
     assert i.c % i.d == 0
-    assert list(i.ex) == sorted(set(i.ex))
-    for e in i.ex:
+    # mask bits are the members below the last gap c - d, bit 0 (the member 0) clear
+    assert i.mask & 1 == 0 and i.mask >> max(i.c // i.d - 1, 0) == 0
+    ex = i.ex
+    assert list(ex) == sorted(set(ex))
+    for e in ex:
         assert 0 < e < i.c and e % i.d == 0
     if i.c:
         assert i.c >= 2 * i.d  # threshold d would collapse to c = 0
-        assert (i.c - i.d) not in i.ex  # threshold is minimal
+        assert (i.c - i.d) not in ex  # threshold is minimal
+    # every other construction path gives the same form, equally hashed
+    assert_same(from_periodic(i.d, i.c, reversed(ex)), i)
+    s = nat_scale(i, 3)
+    assert_same(s, from_periodic(3 * i.d, 3 * i.c, [3 * e for e in ex]))
+    assert_same(nat_unscale(s, 3), i)
 
 
 def assert_matches(i, member_set, limit):
     assert i.members_below(limit) == sorted(x for x in member_set if x < limit)
+    assert limit > i.c and i.ex == tuple(sorted(x for x in member_set if 0 < x < i.c))
 
 
 def test_known_canonical_forms():
@@ -88,11 +101,11 @@ def test_known_canonical_forms():
     assert from_generators([0, 0]) == NAT_ZERO
     assert from_generators([1]) == NAT_FULL
     assert from_generators([2, 3]) == NAT_MAX
-    assert from_generators([3, 4, 5]) == NatIdeal(1, 3, ())
-    assert from_generators([2]) == NatIdeal(2, 0, ())
-    assert from_generators([4, 6]) == NatIdeal(2, 4, ())
-    assert from_generators([4, 6, 9]) == NatIdeal(1, 12, (4, 6, 8, 9, 10))
-    assert from_generators([6, 10, 15]) == NatIdeal(1, 30, (6, 10, 12, 15, 16, 18, 20, 21, 22, 24, 25, 26, 27, 28))
+    assert from_generators([3, 4, 5]) == from_periodic(1, 3, ())
+    assert from_generators([2]) == from_periodic(2, 0, ())
+    assert from_generators([4, 6]) == from_periodic(2, 4, ())
+    assert from_generators([4, 6, 9]) == from_periodic(1, 12, (4, 6, 8, 9, 10))
+    assert from_generators([6, 10, 15]) == from_periodic(1, 30, (6, 10, 12, 15, 16, 18, 20, 21, 22, 24, 25, 26, 27, 28))
 
 
 def test_from_generators_matches_oracle():
@@ -137,7 +150,7 @@ def test_contains_and_min_nonzero():
     assert i.min_nonzero() == 4
     assert NAT_MAX.min_nonzero() == 2
     assert NAT_FULL.min_nonzero() == 1
-    assert NatIdeal(3, 0, ()).min_nonzero() == 3
+    assert from_periodic(3, 0, ()).min_nonzero() == 3
     with pytest.raises(EmptyIdeal):
         NAT_ZERO.min_nonzero()
     assert NAT_ZERO.members_below(10) == [0]
@@ -146,9 +159,9 @@ def test_contains_and_min_nonzero():
 
 def test_from_periodic_canonicalizes():
     assert from_periodic(1, 4, [2, 3]) == NAT_MAX
-    assert from_periodic(2, 4, [2]) == NatIdeal(2, 0, ())
-    assert from_periodic(2, 2, []) == NatIdeal(2, 0, ())
-    assert from_periodic(3, 0, []) == NatIdeal(3, 0, ())
+    assert from_periodic(2, 4, [2]) == from_periodic(2, 0, ())
+    assert from_periodic(2, 2, []) == from_periodic(2, 0, ())
+    assert from_periodic(3, 0, []) == from_periodic(3, 0, ())
     assert from_periodic(0, 0, []) == NAT_ZERO
     with pytest.raises(ValueError):
         from_periodic(0, 0, [3])
@@ -160,7 +173,8 @@ def test_from_periodic_canonicalizes():
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
 def test_from_periodic_roundtrip(gens):
     i = from_generators(gens)
-    assert from_periodic(i.d, i.c, i.ex) == i
+    assert_same(from_periodic(i.d, i.c, i.ex), i)
+    assert_same(nat_unscale(nat_scale(i, 5), 5), i)
 
 
 def test_minimal_generators_known():
@@ -214,7 +228,7 @@ def assert_matches_closure(gens):
     assert_canonical(i)
     lim = i.c + 2 * max(gens)
     mem = closure_members(gens, lim)
-    assert i.members_below(lim + 1) == sorted(mem)
+    assert_matches(i, mem, lim + 1)
     assert [x for x in range(lim + 1) if i.contains(x)] == sorted(mem)
     assert minimal_generators(i) == oracle_minimal_generators(gens)
     return i
@@ -244,7 +258,8 @@ def test_chunk_seams_match_oracle(gens):
 
 def brute_periodic(d, threshold, extras):
     """The triple of {0} u extras u {multiples of d >= threshold}, by scanning
-    for the least c past which every multiple of d is a member."""
+    for the least c past which every multiple of d is a member; bit k of its
+    mask is the member kd."""
     if any(e % d for e in extras):
         raise ValueError("extras must be multiples of the period")
     members = {e for e in extras if e > 0}
@@ -252,7 +267,7 @@ def brute_periodic(d, threshold, extras):
     for c in range(0, top + d, d):
         if all(x in members or x >= threshold for x in range(max(c, d), top + d, d)):
             break
-    return NatIdeal(d, c, tuple(sorted(x for x in members if x < c)))
+    return NatIdeal(d, c, sum(1 << (x // d) for x in members if x < c))
 
 
 PERIODIC_CASES = [
@@ -266,6 +281,9 @@ PERIODIC_CASES = [
     (6, 31, [24, 30, 12]),  # a threshold that is not a multiple of d
     (7, 7, []),
     (2, 9000, list(range(8998, 4000, -2))),
+    (1, 18, [8, 16, 17, 15, 9]),  # members and the last gap either side of the byte seams 8 and 16
+    (3, 51, [24, 45, 48, 21, 27]),  # the same scaled by 3
+    (1, 9, [8]),  # the last gap is bit 7, the top of the first byte
 ]
 
 
@@ -361,7 +379,7 @@ def test_binary_ops_match_oracle_hyp(ga, gb):
 # generator sets: each closed form for a principal operand meets each kind of
 # operand, on either side, and so does the closure path between the others.
 POOL = [(NAT_ZERO, ()), (NAT_FULL, (1,)), (NAT_MAX, (2, 3))]
-POOL += [(NatIdeal(g, 0, ()), (g,)) for g in range(1, 13)]
+POOL += [(from_periodic(g, 0, ()), (g,)) for g in range(1, 13)]
 POOL += [(from_generators(gens), gens) for gens in GEN_SETS]
 
 
@@ -422,10 +440,10 @@ def test_principal_operands_need_no_closure(monkeypatch):
     for name in ("additive_closure", "from_generators", "from_periodic", "minimal_generators"):
         counted(name)
     j, j2 = from_generators([4, 6, 9]), from_generators([4, 6])
-    p = {g: NatIdeal(g, 0, ()) for g in (2, 3, 4, 6)}
+    p = {g: from_periodic(g, 0, ()) for g in (2, 3, 4, 6)}
     cases = [
         (lambda: natideal.from_generators([6, 12, 18]), p[6], {"from_generators": 1}),
-        (lambda: natideal.from_generators([5]), NatIdeal(5, 0, ()), {"from_generators": 1}),
+        (lambda: natideal.from_generators([5]), from_periodic(5, 0, ()), {"from_generators": 1}),
         (lambda: nat_product(p[6], j), nat_scale(j, 6), {}),
         (lambda: nat_product(j, p[6]), nat_scale(j, 6), {}),
         (lambda: nat_sum(p[2], j2), p[2], {}),  # 2 divides every member of j2
@@ -439,6 +457,39 @@ def test_principal_operands_need_no_closure(monkeypatch):
         calls.clear()
         assert run() == expected, k
         assert calls == Counter(work), k
+
+
+def test_storage_operations_decode_no_members(monkeypatch):
+    # An operation that only needs the stored bitmap must not list members:
+    # a decode would still answer correctly, so only a count shows it.
+    decoded = []
+    decode = natideal._decode
+
+    def counted(d, mask):
+        decoded.append(mask)
+        return decode(d, mask)
+
+    monkeypatch.setattr(natideal, "_decode", counted)
+    a, b = from_generators([91, 97]), from_generators([5, 7, 9])
+    cases = [
+        lambda: from_generators([91, 97, 150]),
+        lambda: nat_sum(a, b),
+        lambda: nat_product(a, b),
+        lambda: ideal_power(Ideal(N0, b), 3),
+        lambda: nat_scale(a, 3),
+        lambda: nat_unscale(nat_scale(a, 3), 3),
+        lambda: minimal_generators(a),
+        lambda: (a.contains(182), a.contains(183), a.contains(8549), a.contains(10**6)),
+        lambda: a.min_nonzero(),
+    ]
+    for k, run in enumerate(cases):
+        decoded.clear()
+        run()
+        assert decoded == [], k
+    # a quotient by three generators lists the numerator's members once, not once per generator
+    decoded.clear()
+    nat_quotient(a, b)
+    assert decoded.count(a.mask) == 1
 
 
 def test_zero_ideal_op_edges():
@@ -464,7 +515,7 @@ def test_power():
     assert power(m, 0) == NAT_FULL
     assert power(m, 1) == m
     assert power(m, 2) == nat_product(m, m)
-    assert power(m, 2) == NatIdeal(1, 12, (4, 6, 8, 9, 10))
+    assert power(m, 2) == from_periodic(1, 12, (4, 6, 8, 9, 10))
     assert power(m, 3) == nat_product(nat_product(m, m), m)
     with pytest.raises(ValueError):
         power(m, -1)
@@ -556,7 +607,7 @@ def test_between_known():
 def test_scale_unscale():
     i = from_generators([4, 6, 9])
     s = nat_scale(i, 3)
-    assert s == NatIdeal(3, 36, (12, 18, 24, 27, 30))
+    assert s == from_periodic(3, 36, (12, 18, 24, 27, 30))
     assert nat_unscale(s, 3) == i
     assert nat_scale(NAT_ZERO, 5) == NAT_ZERO
     assert nat_scale(i, 1) == i
@@ -567,7 +618,8 @@ def test_scale_unscale():
     # scaling matches the oracle on members
     lim = 120
     scaled = {3 * m for m in n0_members((4, 6, 9), lim)}
-    assert s.members_below(lim) == sorted(x for x in scaled if x < lim)
+    assert_matches(s, scaled, lim)
+    assert_matches(nat_unscale(s, 3), n0_members((4, 6, 9), lim), lim)
 
 
 def test_closure_oracle_self_check():

@@ -30,7 +30,7 @@ CASES = [
     (Element, (GCD, 6), f"Element(instance={GCD!r}, payload=6)"),
     (Ideal, (GCD, 6), f"Ideal(instance={GCD!r}, payload=6)"),
     (FracIdeal, (GCD, Fraction(6, 5)), "FracIdeal(gcd, I(6/5))"),
-    (NatIdeal, (2, 4, (2,)), "NatIdeal(d=2, c=4, ex=(2,))"),
+    (NatIdeal, (2, 4, 0b10), "NatIdeal(d=2, c=4, ex=(2,))"),
     (QuadIdeal, (1, 3, 1), "QuadIdeal(g=1, a=3, b=1)"),
     (PrimeLabel, (GCD, "quad", 3, 1), f"PrimeLabel(instance={GCD!r}, kind='quad', p=3, b=1)"),
     (ExponentVector, (((LABEL, 2),),), f"ExponentVector(items=(({LABEL!r}, 2),))"),
