@@ -225,7 +225,8 @@ class Kind:
         A, d = self.split(p)
         if A == self.zero:
             return "(0)"
-        return "I(" + ",".join(str(Fraction(g, d)) for g in self.generators(A)) + ")"
+        gens = self.generators(A)
+        return "I(" + ",".join(map(str, gens) if d == 1 else (str(Fraction(g, d)) for g in gens)) + ")"
 
     def shrink(self, a):
         return ()
@@ -578,7 +579,7 @@ class N0(Kind):
 
     def sandwich(self, p):  # the least c with c*d in A
         d, A = p
-        return (nat._scale_quotient(A, A.ex, d).min_nonzero(), d)
+        return (nat._scale_quotient(A, (d,)).min_nonzero(), d)
 
     def grid(self):
         return [nat.from_generators(g) for g in _N0_GRID]

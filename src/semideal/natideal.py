@@ -14,20 +14,26 @@ certifies that everything beyond is a member, and the bitmap is trimmed below
 its last gap. A periodic set is canonicalized by setting one bit per extra.
 Membership and the least member are bit tests; minimal generators are found
 on the bitmap in ascending order, each the least member not yet a sum, and
-only they are shifted into the sums. Meet, quotient and containment list
-members through ``ex``, which decodes the bitmap 4096 bits at a time with
-``itertools.compress`` (no Python step per member), once per operand.
+only they are shifted into the sums.
+
+Meet, quotient and containment read the bitmaps too, through a view: the
+view of i at a period L that i.d divides has bit k set iff kL is in i. It is
+every (L/d)-th bit of the mask, taken by ``_stride`` in C loops, OR'd with
+the ones of i's tail. The meet is the AND of both operands' views at the lcm
+of their periods; the quotient by a generator g, {x : xg in a}, has period
+dq = a.d/gcd(a.d, g), and bit k of it is bit k of a's view at period dq*g;
+a quotient by several generators ANDs their views at a common period; and
+j is inside i iff j's view at j.d has no bit that i's lacks. Each result is
+trimmed as a closure is. ``ex``, the members listed one by one, is a view for
+printing, ``members_below`` and the tests.
 
 A triple with c == 0 and d > 0 is the principal ideal (g) = gN0, g = d, and
 every operation with a principal operand is answered in closed form, with no
 closure: generators whose gcd is their least member give (gcd); (g)·J is J
 scaled by g; (g) + J is (g) when g | J.d and J when g is in J; (g) ∩ J is J
-when g | J.d and (g) when g is in J; [A:(g)] = {x : xg in A} is A's members
-divided by g; [(g):B] = (g / gcd(g, B.d)); and J ⊆ (g) iff g | J.d, while
-(g) ⊆ J iff g is in J. Other operands take the closure, except in a meet:
-every common member below the larger conductor is an exception of the
-operand that has it, so the meet filters those exceptions through the other
-operand's ``contains``.
+when g | J.d and (g) when g is in J; [A:(g)] is the one-generator view of A
+above; [(g):B] = (g / gcd(g, B.d)); and J ⊆ (g) iff g | J.d, while
+(g) ⊆ J iff g is in J.
 """
 
 from __future__ import annotations
@@ -148,6 +154,35 @@ def _decode(d, mask):
     return tuple(ex)
 
 
+# _BIT_OF[b] maps a byte to its bit b, as a byte 0 or 1: runs of 2^b zeros and ones
+_BIT_OF = tuple((bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8))
+
+
+def _stride(mask, s, n):
+    """The int whose bit k is bit k*s of mask, for k < n."""
+    if n <= 0:
+        return 0
+    if s == 1:
+        return mask & ((1 << n) - 1)
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    out = 0
+    # bit 8m + r of the result is bit 8ms + rs of the mask: for a fixed r, bit rs % 8
+    # of every s-th byte from byte rs // 8, so one slice, one translate and one shift
+    # take them all, and no temporary besides the mask's bytes passes n/8 bytes
+    for r in range(min(8, n)):
+        start, bit = divmod(r * s, 8)
+        column = raw[start : start + (n - r + 7) // 8 * s : s].translate(_BIT_OF[bit])
+        out |= int.from_bytes(column, "little") << r
+    return out
+
+
+def _view(i, period, n):
+    """Bit k, for k < n, set iff k*period is a member of the nonzero i, where
+    i.d divides period; bit 0 is set only when i is principal."""
+    tail = -(-i.c // period)
+    return _stride(i.mask, period // i.d, n) | ((1 << n) - (1 << tail) if tail < n else 0)
+
+
 def _scaled_bits_to_ideal(d, mask, t):
     """Canonical triple of the members {kd : bit k of mask, 0 < k < t} and
     every multiple of d from td on: the mask is cut below its last gap."""
@@ -257,17 +292,20 @@ def nat_intersect(i, j):
                 return k
             if k.contains(g):
                 return NatIdeal(g, 0, 0)
-    if i.c < j.c:
-        i, j = j, i
-    # a common member below the larger conductor i.c is one of i's exceptions
-    return from_periodic(math.lcm(i.d, j.d), i.c, [x for x in i.ex if j.contains(x)])
+    period = math.lcm(i.d, j.d)
+    t = max(1, -(-max(i.c, j.c) // period))
+    return _scaled_bits_to_ideal(period, _view(i, period, t) & _view(j, period, t), t)
 
 
-def _scale_quotient(a, ex, g):
-    """{x : x*g in a} for a single positive g, where ex is a.ex; always an ideal."""
-    dq = a.d // math.gcd(a.d, g)
-    t = -(-a.c // g)
-    return from_periodic(dq, t, [e // g for e in ex if e % g == 0])
+def _scale_quotient(a, gens):
+    """{x : x*g in a for every g in gens}, for a nonzero a and positive gens;
+    always an ideal. Its period is the lcm of the a.d/gcd(a.d, g)."""
+    dq = math.lcm(*(a.d // math.gcd(a.d, g) for g in gens))
+    t = max(1, -(-a.c // (dq * min(gens))))
+    bits = -1
+    for g in gens:
+        bits &= _view(a, dq * g, t)
+    return _scaled_bits_to_ideal(dq, bits, t)
 
 
 def nat_quotient(a, b):
@@ -278,13 +316,7 @@ def nat_quotient(a, b):
         return NAT_ZERO
     if _generator(a):
         return NatIdeal(a.d // math.gcd(a.d, b.d), 0, 0)
-    ex = a.ex
-    if _generator(b):
-        return _scale_quotient(a, ex, b.d)
-    q = NAT_FULL
-    for g in minimal_generators(b):
-        q = nat_intersect(q, _scale_quotient(a, ex, g))
-    return q
+    return _scale_quotient(a, (b.d,) if _generator(b) else minimal_generators(b))
 
 
 def nat_contains(i, j):
@@ -299,14 +331,9 @@ def nat_contains(i, j):
         return True
     if _generator(j):
         return i.contains(j.d)
-    if any(not i.contains(e) for e in j.ex):
-        return False
-    x = j.c if j.c > 0 else j.d
-    while x < i.c:
-        if not i.contains(x):
-            return False
-        x += j.d
-    return True
+    # past both conductors every multiple of j.d is in both
+    t = max(-(-i.c // j.d), j.c // j.d)
+    return _view(j, j.d, t) & ~_view(i, j.d, t) == 0
 
 
 def nat_divides(a, b):

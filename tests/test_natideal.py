@@ -1,7 +1,12 @@
 """Canonical n0 ideal triples against the brute-force closure oracle."""
 
+import hashlib
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -337,23 +342,119 @@ def test_binary_ops_match_oracle():
         assert_matches(q, n0_quotient(ga, gb, lim), lim)
 
 
-def test_meet_tests_only_the_exceptions_below_the_larger_conductor(monkeypatch):
-    # every common member below the larger conductor is an exception of the
-    # operand that has it, so those are the only members the meet tests
-    a, b = from_generators([91, 97]), from_generators([157, 185])
-    bound = len(max(a, b, key=lambda i: i.c).ex)
-    contains = NatIdeal.contains
-    calls = []
+def test_meet_quotient_containment_and_sandwich_list_no_members(monkeypatch):
+    # They read the bitmaps through strided views. A decode, a canonical form
+    # built from a member list or a membership test per member would still
+    # answer correctly, so only a count of those calls shows it.
+    a, b, c = from_generators([91, 97]), from_generators([157, 185]), from_generators([6, 10, 15])
+    j, p = from_generators([2 * 91, 2 * 97]), NatIdeal(7, 0, 0)
+    calls = Counter()
 
-    def counted(self, x):
-        calls.append(x)
-        return contains(self, x)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
-    monkeypatch.setattr(NatIdeal, "contains", counted)
-    for i, j in ((a, b), (b, a)):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((natideal, "_decode"), (natideal, "from_periodic"), (NatIdeal, "contains")):
+        counted(owner, name)
+    cases = [
+        lambda: nat_intersect(a, b),
+        lambda: nat_intersect(b, a),
+        lambda: nat_intersect(j, c),
+        lambda: nat_quotient(a, b),
+        lambda: nat_quotient(b, c),
+        lambda: nat_quotient(a, p),
+        lambda: nat_contains(a, j),
+        lambda: nat_contains(j, a),
+        lambda: nat_contains(c, nat_intersect(a, b)),
+        lambda: N0.arith.sandwich((7, a)),
+        lambda: nat_divides(c, a),
+    ]
+    for k, run in enumerate(cases):
         calls.clear()
-        nat_intersect(i, j)
-        assert 0 < len(calls) <= bound, (i, j)
+        run()
+        assert calls == Counter(), k
+
+
+# Operands with periods 1, 2, 3, 5 and 7 and scaled conductors of 70 to 120
+# bits, so that a meet, a quotient or a containment reads a mask every 2nd,
+# 3rd, 5th or 7th bit, across many byte boundaries; (4, 6) has period 2 and
+# conductor 4, so a containment in it reads the other side past its conductor.
+STRIDE_GEN_SETS = [(11, 13), (2 * 9, 2 * 13), (3 * 7, 3 * 12, 3 * 17), (5 * 8, 5 * 11), (7 * 5, 7 * 9), (4, 6)]
+
+
+def assert_contains_matches(i, j, lim):
+    """nat_contains(i, j) against the members below lim, for ideals already
+    checked against an oracle up to lim, which covers both conductors."""
+    assert nat_contains(i, j) == (set(j.members_below(lim)) <= set(i.members_below(lim)))
+
+
+def test_strided_ops_match_oracle():
+    ideals = [(from_generators(g), g) for g in STRIDE_GEN_SETS]
+    strides = set()
+    for a, ga in ideals:
+        for b, gb in ideals:
+            period = math.lcm(a.d, b.d)
+            strides.update((period // a.d, period // b.d, b.d // math.gcd(a.d, b.d)))
+            x = nat_intersect(a, b)
+            lim = covering_window(a, b, x)
+            assert_matches(x, n0_intersect(ga, gb, lim), lim)
+            assert_matches(a, n0_members(ga, lim), lim)
+            assert_matches(b, n0_members(gb, lim), lim)
+            for i, j in ((a, b), (a, x), (x, a), (b, x)):
+                assert_contains_matches(i, j, lim)
+            q = nat_quotient(a, b)
+            lim = covering_window(a, b, q)
+            assert_matches(q, n0_quotient(ga, gb, lim), lim)
+        for g in (2, 3, 5, 7):  # {x : xg in a} reads a's mask every g/gcd(a.d, g)-th bit
+            q = nat_quotient(a, NatIdeal(g, 0, 0))
+            lim = covering_window(a, q, NatIdeal(g, 0, 0))
+            assert_matches(q, n0_quotient(ga, (g,), lim), lim)
+            assert N0.arith.sandwich((g, a))[0] == q.min_nonzero()
+    assert strides >= {2, 3, 5, 7}
+
+
+@pytest.mark.parametrize("ga, gb", [((91, 97), (2,)), ((101, 103), (2,)), ((91, 97), (182, 194)), ((75, 113), (225, 339))], ids=str)
+def test_strided_views_across_the_4096_bit_mark_match_oracle(ga, gb):
+    # each pair reads a mask of more than 8192 bits every 2nd or 3rd bit into a
+    # view longer than 4096 bits, the length of one chunk of the ex decode
+    a, b = from_generators(ga), from_generators(gb)
+    period = math.lcm(a.d, b.d)
+    assert period // a.d in (2, 3) and max(a.c, b.c) // period > 4096
+    x = nat_intersect(a, b)
+    lim = covering_window(a, b, x)
+    assert_matches(x, n0_intersect(ga, gb, lim), lim)
+    assert_matches(a, n0_members(ga, lim), lim)
+    assert_contains_matches(a, x, lim)
+    assert_contains_matches(x, a, lim)
+    if b.c == 0:  # the oracle quotient by a larger b would list members past 10^6
+        q = nat_quotient(a, b)
+        lim = covering_window(a, b, q)
+        assert_matches(q, n0_quotient(ga, gb, lim), lim)
+
+
+def naive_stride(mask, s, n):
+    return sum((mask >> k * s & 1) << k for k in range(n))
+
+
+def test_stride_matches_a_per_bit_loop():
+    rng = random.Random(17)
+    for s in (1, 2, 3, 5, 7, 8, 9, 16, 17, 64, 1000):
+        for n in range(0, 42):  # every residue of n and of the last byte
+            mask = rng.getrandbits(n * s + rng.randint(0, 2 * s))
+            assert natideal._stride(mask, s, n) == naive_stride(mask, s, n), (s, n)
+        assert natideal._stride(0, s, 50) == 0
+        assert natideal._stride((1 << 64 * s) - 1, s, 30) == (1 << 30) - 1
+        mask = rng.getrandbits(40 * s)  # a view that runs past the top of the mask
+        assert natideal._stride(mask, s, 100) == naive_stride(mask, s, 100)
+    # views longer than the 4,300 digits that CPython converts between int and str
+    mask = rng.getrandbits(3 * 5000 + 11)
+    assert natideal._stride(mask, 3, 5000) == naive_stride(mask, 3, 5000)
+    assert natideal._stride(mask, 1, 5000) == mask & ((1 << 5000) - 1)
 
 
 @settings(deadline=None, max_examples=60)
@@ -451,7 +552,7 @@ def test_principal_operands_need_no_closure(monkeypatch):
         (lambda: nat_intersect(j2, p[2]), j2, {}),
         (lambda: nat_intersect(p[4], j), p[4], {}),
         (lambda: nat_quotient(p[6], j2), p[3], {}),
-        (lambda: nat_quotient(j, p[3]), NAT_MAX, {"from_periodic": 1}),  # {x : 3x in j}, one canonical form
+        (lambda: nat_quotient(j, p[3]), NAT_MAX, {}),  # {x : 3x in j}, a strided view of j
     ]
     for k, (run, expected, work) in enumerate(cases):
         calls.clear()
@@ -481,15 +582,12 @@ def test_storage_operations_decode_no_members(monkeypatch):
         lambda: minimal_generators(a),
         lambda: (a.contains(182), a.contains(183), a.contains(8549), a.contains(10**6)),
         lambda: a.min_nonzero(),
+        lambda: nat_quotient(a, b),  # three generators, three strided views
     ]
     for k, run in enumerate(cases):
         decoded.clear()
         run()
         assert decoded == [], k
-    # a quotient by three generators lists the numerator's members once, not once per generator
-    decoded.clear()
-    nat_quotient(a, b)
-    assert decoded.count(a.mask) == 1
 
 
 def test_zero_ideal_op_edges():
@@ -626,3 +724,38 @@ def test_closure_oracle_self_check():
     # the oracle itself: numeric-semigroup classics
     assert sorted(closure_members((3, 5), 20)) == [0, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]
     assert 7 not in closure_members((3, 5), 20)
+
+
+# Linux carries a process's peak RSS over an exec, so a child of the test run
+# would start from the test run's own peak. A fresh interpreter, small when it
+# forks, spawns the measured CLI process and prints what os.wait4 reads of it.
+RSS_DRIVER = """
+import os, sys
+argv = [sys.executable, "-m", "semideal.cli", "eval", "--instance", "n0", sys.argv[1]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="spawns the measured process with os.posix_spawn")
+@pytest.mark.parametrize(
+    "expr, size, digest",
+    [
+        ("[I(2,3)^12 : I(5,7)]", 3946, "c8fa2f9de11ba0265c2c3185b5dbab2da0be7f95127d53a1b7fc4600f16854bb"),
+        ("[I(1000,1001):I(6,10,15)]", 67, "c41348f50c05f1994b674ad26e38ac8c0f8b30aaeaf5dffd285277f1041caeeb"),
+    ],
+)
+def test_large_quotients_answer_in_bounded_memory(expr, size, digest):
+    # The meet and quotient read the numerator's bitmap through strided views, so
+    # the peak stays near the interpreter's own. Listing the 788,969 members of
+    # I(2,3)^12 below its conductor, and the 499,499 of I(1000,1001), peaked at
+    # about 88 and 62 MB.
+    def cap():  # a regression fails the test instead of stalling it
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    proc = subprocess.run([sys.executable, "-c", RSS_DRIVER, expr], capture_output=True, timeout=120, preexec_fn=cap)
+    code, maxrss = map(int, proc.stderr.split()[-2:])
+    assert proc.returncode == 0 and code == 0, proc.stderr
+    assert len(proc.stdout) == size and hashlib.sha256(proc.stdout).hexdigest() == digest, proc.stdout[:200]
+    assert maxrss < 48 * 1024  # KiB on Linux
