@@ -270,8 +270,9 @@ def _check_coprime(inst, trials, seed):
 
 
 # Trials one check may run. Past n0's grid of 12^3 triples a random
-# dedekind-identity trial costs several ms: 10^4 trials there took 64 s on a
-# 2-core x86_64 VM, where a gcd row takes under half a second.
+# dedekind-identity trial costs about 1 ms: in-process on a 2-core x86_64 VM
+# (CPython 3.11), 10^4 trials there took 6-8 s at seed 3, and at seed 1 the
+# run stops with TooLarge after about 3 s, where a gcd row takes 0.03 s.
 MAX_TRIALS = 10_000
 
 

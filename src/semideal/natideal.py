@@ -8,13 +8,13 @@ which the set is purely periodic (a multiple of d, 0 when there are no gaps)
 and mask is the scaled membership bitmap below c, bit 0 clear. Equality of
 ideals is equality of the three ints.
 
-The closure bitmaps come from the pure kernel in ``_kernels``; an adaptive
-window is grown until min(gens/d) consecutive scaled members are seen, which
-certifies that everything beyond is a member, and the bitmap is trimmed below
-its last gap. A periodic set is canonicalized by setting one bit per extra.
-Membership and the least member are bit tests; minimal generators are found
-on the bitmap in ascending order, each the least member not yet a sum, and
-only they are shifted into the sums.
+Every ideal is built by ``from_generators``: the closure bitmap of the
+scaled generators comes from ``_kernels.additive_closure``, in a window grown
+until min(gens/d) consecutive scaled members are seen, which certifies that
+everything beyond is a member, and ``_scaled_bits_to_ideal`` trims it below
+its last gap. Membership and the least member are bit tests; minimal
+generators are found on the bitmap in ascending order, each the least member
+not yet a sum, and only they are shifted into the sums.
 
 Meet, quotient and containment read the bitmaps too, through a view: the
 view of i at a period L that i.d divides has bit k set iff kL is in i. It is
@@ -24,8 +24,9 @@ of their periods; the quotient by a generator g, {x : xg in a}, has period
 dq = a.d/gcd(a.d, g), and bit k of it is bit k of a's view at period dq*g;
 a quotient by several generators ANDs their views at a common period; and
 j is inside i iff j's view at j.d has no bit that i's lacks. Each result is
-trimmed as a closure is. ``ex``, the members listed one by one, is a view for
-printing, ``members_below`` and the tests.
+trimmed as a closure is. ``ex``, the members listed one by one, is read only
+by the repr, by ``members_below`` (which ``N0.separating`` and ``nat_between``
+scan) and by the tests.
 
 A triple with c == 0 and d > 0 is the principal ideal (g) = gN0, g = d, and
 every operation with a principal operand is answered in closed form, with no
@@ -39,6 +40,7 @@ above; [(g):B] = (g / gcd(g, B.d)); and J ⊆ (g) iff g | J.d, while
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import compress
 
 from ._kernels import additive_closure
@@ -48,6 +50,8 @@ from .reports import Record
 
 class NatIdeal(Record, derived=("_bytes",)):
     # _bytes: the mask as little-endian bytes, made by the first bit test below c
+    # and kept: N0.separating tests every member below both conductors, and a
+    # byte index per test replaces a shift of the whole mask per test
     __slots__ = ("d", "c", "mask", "_bytes")
 
     def __init__(self, d, c, mask):
@@ -94,8 +98,11 @@ class NatIdeal(Record, derived=("_bytes",)):
 
     def members_below(self, bound):
         """Sorted members < bound."""
-        out = [0] if bound > 0 else []
-        out.extend(e for e in self.ex if e < bound)
+        if bound <= 0:
+            return []
+        ex = self.ex
+        # one exact-size list: no copy of ex when bound passes c, no step per member
+        out = [0, *ex[: bisect_left(ex, bound)]]
         if self.d > 0:
             start = self.c if self.c > 0 else self.d
             out.extend(range(start, bound, self.d))
@@ -134,24 +141,16 @@ def _run_start(mask, m):
     return (z & -z).bit_length() - 1
 
 
-# A mask is decoded _CHUNK bytes (4096 bits) at a time: a mask-sized byte-per-bit
-# buffer (up to about 10^6 bytes) passes through the C allocator and lets the
-# resident set creep over many large ideals.
-_CHUNK = 512
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _decode(d, mask):
     """The members kd, ascending, of the set bits k of a scaled mask."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    ex = []
-    step = 8 * _CHUNK * d
-    for k in range(0, len(raw), _CHUNK):
-        # bit i of the chunk becomes byte i: the binary digits, least significant first
-        bits = format(int.from_bytes(raw[k : k + _CHUNK], "little"), "b").encode()[::-1].translate(_BIT_BYTES)
-        start = 8 * k * d
-        ex.extend(compress(range(start, start + step, d), bits))
-    return tuple(ex)
+    if not mask:
+        return ()
+    # bit k of the mask becomes byte k: the binary digits, least significant first
+    bits = format(mask, "b").encode()[::-1].translate(_BIT_BYTES)
+    return tuple(compress(range(0, len(bits) * d, d), bits))
 
 
 # _BIT_OF[b] maps a byte to its bit b, as a byte 0 or 1: runs of 2^b zeros and ones
@@ -216,29 +215,6 @@ def from_generators(gens):
         if run is not None:
             return _scaled_bits_to_ideal(d, mask, run + 1)
         limit *= 4
-
-
-def from_periodic(d, threshold, extras):
-    """Ideal with members {0} u extras u {multiples of d >= threshold}.
-
-    The caller guarantees the set is additively closed; extras are then
-    necessarily multiples of d (checked) and the triple is canonicalized.
-    """
-    extras = list(extras)
-    if d == 0:
-        if any(extras):
-            raise ValueError("zero period with extra members")
-        return NAT_ZERO
-    if math.gcd(d, *extras) != d:
-        raise ValueError("extras must be multiples of the period")
-    t = max(1, -(-threshold // d))  # scaled start of the periodic tail
-    # base-2 digits, most significant first: scaled extra k is at t - k
-    digits = bytearray(b"0") * (t + 1)
-    for e in extras:
-        k = e // d
-        if 0 < k < t:
-            digits[t - k] = 49  # ord("1")
-    return _scaled_bits_to_ideal(d, int(digits, 2), t)
 
 
 def minimal_generators(i):

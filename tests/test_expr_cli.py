@@ -401,8 +401,9 @@ def test_cli_usage_errors(capsys):
     assert run([], capsys)[0] == 2
     code, _, err = run(["eval", "I(2)"], capsys)
     assert code == 2 and "--instance is required" in err
-    code, _, err = run(["eval", "--instance", "bogus", "I(2)"], capsys)
-    assert code == 2 and "unknown instance" in err
+    for bogus in ("bogus", "gcd-supportedX"):
+        code, _, err = run(["eval", "--instance", bogus, "I(2)"], capsys)
+        assert code == 2 and "unknown instance" in err
     code, _, err = run(["eval", "--instance", "gcd", "I()"], capsys)
     assert code == 2 and "syntax error" in err and "expected RAT" in err
     # argparse rejects a non-integer member before the command runs

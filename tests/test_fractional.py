@@ -214,6 +214,8 @@ def test_mixed_instances_rejected():
             op(b, a)
     with pytest.raises(InstanceMismatch):
         ideal_membership(ideal_from_generators(GCD, [2]), element(GS, 4))
+    same = frac_from_generators(GS, [Fraction(3, 2)])
+    assert same.payload == a.payload and not frac_equals(a, same) and not frac_equals(same, a)
     assert ideal_membership(ideal_from_generators(GCD, [2]), element(GCD, 4))
 
 

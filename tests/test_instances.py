@@ -117,6 +117,8 @@ def test_mixed_instance_rejected():
     b = element(instance("n0"), 4)
     with pytest.raises(InstanceMismatch):
         element_op(instance("gcd"), "add", a, b)
+    with pytest.raises(ValueError, match="unknown op"):
+        element_op(instance("gcd"), "sub", a, a)
 
 
 def test_gcd_add_is_gcd():

@@ -2,7 +2,8 @@
 
 import random
 
-from semideal._kernels import backend_name, closure_py
+from semideal import natideal
+from semideal._kernels import additive_closure, backend_name
 from oracles import closure_members
 
 
@@ -28,7 +29,7 @@ STRUCTURED = [
 
 def test_pure_matches_oracle():
     for gens, limit in STRUCTURED:
-        assert closure_py.additive_closure(gens, limit) == mask_from_set(
+        assert additive_closure(gens, limit) == mask_from_set(
             closure_members(gens, limit), limit
         )
 
@@ -39,13 +40,13 @@ def test_pure_matches_oracle_random():
         k = rng.randint(1, 4)
         gens = tuple(rng.randint(1, 30) for _ in range(k))
         limit = rng.randint(0, 120)
-        assert closure_py.additive_closure(gens, limit) == mask_from_set(
+        assert additive_closure(gens, limit) == mask_from_set(
             closure_members(gens, limit), limit
         )
 
 
 def test_rejects_bad_input():
-    fn = closure_py.additive_closure
+    fn = additive_closure
     try:
         fn((0,), 5)
         raise AssertionError("zero generator accepted")
@@ -59,10 +60,12 @@ def test_rejects_bad_input():
 
 
 def test_duplicate_generators_collapse():
-    assert closure_py.additive_closure((3, 3, 3), 10) == closure_py.additive_closure(
+    assert additive_closure((3, 3, 3), 10) == additive_closure(
         (3,), 10
     )
 
 
 def test_backend_name_valid():
     assert backend_name() == "pure"
+    # the benchmark harness traces the kernel as the layer of this module
+    assert natideal.additive_closure.__module__ == "semideal._kernels"

@@ -23,7 +23,6 @@ from semideal.natideal import (
     NAT_ZERO,
     NatIdeal,
     from_generators,
-    from_periodic,
     minimal_generators,
     nat_between,
     nat_contains,
@@ -89,10 +88,10 @@ def assert_canonical(i):
     if i.c:
         assert i.c >= 2 * i.d  # threshold d would collapse to c = 0
         assert (i.c - i.d) not in ex  # threshold is minimal
-    # every other construction path gives the same form, equally hashed
-    assert_same(from_periodic(i.d, i.c, reversed(ex)), i)
+    # the brute-force oracle gives the same form from the members, equally hashed
+    assert_same(brute_periodic(i.d, i.c, ex), i)
     s = nat_scale(i, 3)
-    assert_same(s, from_periodic(3 * i.d, 3 * i.c, [3 * e for e in ex]))
+    assert_same(s, brute_periodic(3 * i.d, 3 * i.c, [3 * e for e in ex]))
     assert_same(nat_unscale(s, 3), i)
 
 
@@ -106,11 +105,11 @@ def test_known_canonical_forms():
     assert from_generators([0, 0]) == NAT_ZERO
     assert from_generators([1]) == NAT_FULL
     assert from_generators([2, 3]) == NAT_MAX
-    assert from_generators([3, 4, 5]) == from_periodic(1, 3, ())
-    assert from_generators([2]) == from_periodic(2, 0, ())
-    assert from_generators([4, 6]) == from_periodic(2, 4, ())
-    assert from_generators([4, 6, 9]) == from_periodic(1, 12, (4, 6, 8, 9, 10))
-    assert from_generators([6, 10, 15]) == from_periodic(1, 30, (6, 10, 12, 15, 16, 18, 20, 21, 22, 24, 25, 26, 27, 28))
+    assert from_generators([3, 4, 5]) == brute_periodic(1, 3, ())
+    assert from_generators([2]) == brute_periodic(2, 0, ())
+    assert from_generators([4, 6]) == brute_periodic(2, 4, ())
+    assert from_generators([4, 6, 9]) == brute_periodic(1, 12, (4, 6, 8, 9, 10))
+    assert from_generators([6, 10, 15]) == brute_periodic(1, 30, (6, 10, 12, 15, 16, 18, 20, 21, 22, 24, 25, 26, 27, 28))
 
 
 def test_from_generators_matches_oracle():
@@ -155,30 +154,36 @@ def test_contains_and_min_nonzero():
     assert i.min_nonzero() == 4
     assert NAT_MAX.min_nonzero() == 2
     assert NAT_FULL.min_nonzero() == 1
-    assert from_periodic(3, 0, ()).min_nonzero() == 3
+    assert from_generators([3]).min_nonzero() == 3
     with pytest.raises(EmptyIdeal):
         NAT_ZERO.min_nonzero()
     assert NAT_ZERO.members_below(10) == [0]
     assert NAT_ZERO.members_below(0) == []
 
 
+def periodic(d, threshold, extras):
+    """The canonical form, by natideal's own trim, of the set {0} u extras u
+    {multiples of d >= threshold}, given additively closed: one mask bit per
+    scaled extra, the tail from the scaled threshold on."""
+    t = max(1, -(-threshold // d))
+    return natideal._scaled_bits_to_ideal(d, sum({1 << (e // d) for e in extras}), t)
+
+
+# The test names below say "from periodic": they build an ideal from a
+# periodic-set description, through the trim that canonicalises meets and
+# quotients.
 def test_from_periodic_canonicalizes():
-    assert from_periodic(1, 4, [2, 3]) == NAT_MAX
-    assert from_periodic(2, 4, [2]) == from_periodic(2, 0, ())
-    assert from_periodic(2, 2, []) == from_periodic(2, 0, ())
-    assert from_periodic(3, 0, []) == from_periodic(3, 0, ())
-    assert from_periodic(0, 0, []) == NAT_ZERO
-    with pytest.raises(ValueError):
-        from_periodic(0, 0, [3])
-    with pytest.raises(ValueError):
-        from_periodic(2, 6, [3])
+    assert periodic(1, 4, [2, 3]) == NAT_MAX
+    assert periodic(2, 4, [2]) == from_generators([2])
+    assert periodic(2, 2, []) == from_generators([2])
+    assert periodic(3, 0, []) == from_generators([3])
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
 def test_from_periodic_roundtrip(gens):
     i = from_generators(gens)
-    assert_same(from_periodic(i.d, i.c, i.ex), i)
+    assert_same(periodic(i.d, i.c, i.ex), i)
     assert_same(nat_unscale(nat_scale(i, 5), 5), i)
 
 
@@ -244,10 +249,10 @@ def test_large_ideals_match_oracle(gens):
     assert_matches_closure(gens)
 
 
-# Closure windows are decoded 4096 bits at a time. Each set's scaled members
-# fall on both sides of bits 4095/4096 and 8191/8192: (75, 113) has all four
-# bits, (91, 97) has 4095 but not 4096, (101, 103) 4096 but not 4095, and the
-# last two repeat the first two with d = 3 and d = 2.
+# Masks of more than 8192 bits whose scaled members fall on both sides of
+# bits 4095/4096 and 8191/8192: (75, 113) has all four bits, (91, 97) has 4095
+# but not 4096, (101, 103) 4096 but not 4095, and the last two repeat the
+# first two with d = 3 and d = 2.
 SEAM_GEN_SETS = [(75, 113), (91, 97), (101, 103), (225, 339), (182, 194)]
 
 
@@ -258,7 +263,7 @@ def test_chunk_seams_match_oracle(gens):
     assert i.c // i.d > 8192 + 8
     for seam in (4096, 8192):
         assert scaled.intersection(range(seam - 8, seam)) and scaled.intersection(range(seam, seam + 8))
-    assert from_periodic(i.d, i.c, reversed(i.ex)) == i
+    assert periodic(i.d, i.c, reversed(i.ex)) == i
 
 
 def brute_periodic(d, threshold, extras):
@@ -295,7 +300,7 @@ PERIODIC_CASES = [
 @pytest.mark.parametrize("case", PERIODIC_CASES, ids=str)
 def test_from_periodic_matches_brute_force(case):
     d, threshold, extras = case
-    got = from_periodic(d, threshold, iter(extras))
+    got = periodic(d, threshold, iter(extras))
     assert got == brute_periodic(d, threshold, extras)
     assert_canonical(got)
 
@@ -306,15 +311,7 @@ def test_from_periodic_matches_brute_force_on_random_sets():
         d = rng.randint(1, 6)
         threshold = rng.randint(-2 * d, 30 * d)
         extras = [d * rng.randint(0, 35) for _ in range(rng.randint(0, 20))]
-        assert from_periodic(d, threshold, extras) == brute_periodic(d, threshold, extras), (d, threshold, extras)
-
-
-@pytest.mark.parametrize("d, threshold, extras", [(3, 12, [6, 7]), (2, 0, [3]), (5, 5, [10, 0, 12])])
-def test_from_periodic_rejects_non_multiples(d, threshold, extras):
-    with pytest.raises(ValueError, match="multiples of the period"):
-        from_periodic(d, threshold, extras)
-    with pytest.raises(ValueError):
-        brute_periodic(d, threshold, extras)
+        assert periodic(d, threshold, extras) == brute_periodic(d, threshold, extras), (d, threshold, extras)
 
 
 def pair_window(i, j):
@@ -359,7 +356,7 @@ def test_meet_quotient_containment_and_sandwich_list_no_members(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((natideal, "_decode"), (natideal, "from_periodic"), (NatIdeal, "contains")):
+    for owner, name in ((natideal, "_decode"), (NatIdeal, "contains")):
         counted(owner, name)
     cases = [
         lambda: nat_intersect(a, b),
@@ -421,7 +418,7 @@ def test_strided_ops_match_oracle():
 @pytest.mark.parametrize("ga, gb", [((91, 97), (2,)), ((101, 103), (2,)), ((91, 97), (182, 194)), ((75, 113), (225, 339))], ids=str)
 def test_strided_views_across_the_4096_bit_mark_match_oracle(ga, gb):
     # each pair reads a mask of more than 8192 bits every 2nd or 3rd bit into a
-    # view longer than 4096 bits, the length of one chunk of the ex decode
+    # view longer than 4096 bits
     a, b = from_generators(ga), from_generators(gb)
     period = math.lcm(a.d, b.d)
     assert period // a.d in (2, 3) and max(a.c, b.c) // period > 4096
@@ -480,7 +477,7 @@ def test_binary_ops_match_oracle_hyp(ga, gb):
 # generator sets: each closed form for a principal operand meets each kind of
 # operand, on either side, and so does the closure path between the others.
 POOL = [(NAT_ZERO, ()), (NAT_FULL, (1,)), (NAT_MAX, (2, 3))]
-POOL += [(from_periodic(g, 0, ()), (g,)) for g in range(1, 13)]
+POOL += [(from_generators([g]), (g,)) for g in range(1, 13)]
 POOL += [(from_generators(gens), gens) for gens in GEN_SETS]
 
 
@@ -538,13 +535,13 @@ def test_principal_operands_need_no_closure(monkeypatch):
 
         monkeypatch.setattr(natideal, name, wrapper)
 
-    for name in ("additive_closure", "from_generators", "from_periodic", "minimal_generators"):
+    for name in ("additive_closure", "from_generators", "minimal_generators"):
         counted(name)
     j, j2 = from_generators([4, 6, 9]), from_generators([4, 6])
-    p = {g: from_periodic(g, 0, ()) for g in (2, 3, 4, 6)}
+    p = {g: from_generators([g]) for g in (2, 3, 4, 6)}
     cases = [
         (lambda: natideal.from_generators([6, 12, 18]), p[6], {"from_generators": 1}),
-        (lambda: natideal.from_generators([5]), from_periodic(5, 0, ()), {"from_generators": 1}),
+        (lambda: natideal.from_generators([5]), brute_periodic(5, 0, ()), {"from_generators": 1}),
         (lambda: nat_product(p[6], j), nat_scale(j, 6), {}),
         (lambda: nat_product(j, p[6]), nat_scale(j, 6), {}),
         (lambda: nat_sum(p[2], j2), p[2], {}),  # 2 divides every member of j2
@@ -613,7 +610,7 @@ def test_power():
     assert power(m, 0) == NAT_FULL
     assert power(m, 1) == m
     assert power(m, 2) == nat_product(m, m)
-    assert power(m, 2) == from_periodic(1, 12, (4, 6, 8, 9, 10))
+    assert power(m, 2) == brute_periodic(1, 12, (4, 6, 8, 9, 10))
     assert power(m, 3) == nat_product(nat_product(m, m), m)
     with pytest.raises(ValueError):
         power(m, -1)
@@ -705,7 +702,7 @@ def test_between_known():
 def test_scale_unscale():
     i = from_generators([4, 6, 9])
     s = nat_scale(i, 3)
-    assert s == from_periodic(3, 36, (12, 18, 24, 27, 30))
+    assert s == brute_periodic(3, 36, (12, 18, 24, 27, 30))
     assert nat_unscale(s, 3) == i
     assert nat_scale(NAT_ZERO, 5) == NAT_ZERO
     assert nat_scale(i, 1) == i
@@ -713,6 +710,8 @@ def test_scale_unscale():
         nat_scale(i, 0)
     with pytest.raises(ValueError):
         nat_unscale(i, 2)
+    with pytest.raises(ValueError):
+        nat_unscale(i, 0)
     # scaling matches the oracle on members
     lim = 120
     scaled = {3 * m for m in n0_members((4, 6, 9), lim)}
