@@ -2,6 +2,8 @@
 set iff i <= limit is a sum of ``gens`` (bit 0 always). It shift-ors a big
 int: one pass per generator suffices because addition commutes, and the
 doubled shifts g, 2g, 4g, ... cover every multiple of g within the window.
+Generators are taken in ascending order, and one whose bit is already set is
+skipped: it is a sum of smaller ones, so shifting by it adds nothing.
 """
 
 
@@ -13,6 +15,8 @@ def additive_closure(gens, limit):
     for g in sorted({int(g) for g in gens}):
         if g <= 0:
             raise ValueError("generators must be positive")
+        if r >> g & 1:
+            continue
         shift = g
         while shift <= limit:
             r |= (r << shift) & full

@@ -85,6 +85,17 @@ def _smooth(n, support):
     return n == 1
 
 
+def _below(rng, n):
+    """A draw in [0, n), n >= 1, read straight off rng's bit stream; it is
+    Random._randbelow on CPython 3.10-3.13, so it draws what randrange(n),
+    randint and choice draw, without their three Python frames."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _power(a, k, mul, one):
     """a**k for k >= 0 by squaring, no further than the top bit of k."""
     if not k:
@@ -107,6 +118,7 @@ class Kind:
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
     gcd_family = False  # gcd and gcd-supported: localization, two generators, coprime identities
     finite = False  # the law grid is every ideal, swept whatever the budget; content sweeps its modules
+    memoized = ()  # binary operations one law check answers once per operand pair (laws._memoized)
 
     def __init__(self, inst):
         self.instance = inst
@@ -294,10 +306,10 @@ class GcdFamily(Kind):
 
     def random(self, rng):
         if self.support is None:
-            return rng.randint(1, 10**6)
+            return 1 + _below(rng, 10**6)
         g = 1
         for p in self.support:
-            g *= p ** rng.randint(0, 9)
+            g *= p ** _below(rng, 10)
         return g
 
     def shrink(self, a):
@@ -374,7 +386,7 @@ class Dvs(Kind):
         return [0, 1, 2, 5, 3]
 
     def random(self, rng):
-        return rng.randint(0, 20)
+        return _below(rng, 21)
 
     shrink = GcdFamily.shrink
 
@@ -473,7 +485,7 @@ class Quad5(Kind):
     def random(self, rng):
         if self._pool is None:
             self._pool = enumerate_ideals(200)
-        return rng.choice(self._pool)
+        return self._pool[_below(rng, len(self._pool))]
 
 
 _N0_GRID = ((1,), (2,), (3,), (4,), (5,), (2, 3), (3, 4, 5), (4, 6, 9), (2, 5), (6, 10, 15), (4, 5), (3, 5, 7))
@@ -488,6 +500,10 @@ class N0(Kind):
     ezero, eone = 0, 1
     zero, one = nat.NAT_ZERO, nat.NAT_FULL
     eadd, emul = operator.add, operator.mul
+    # the law grid's 12 ideals make b+c, bc and the rest recur for every a, and
+    # an n0 operation costs far more than the dict lookup; on the other kinds
+    # the lookup costs as much as the operation, so they memoize nothing
+    memoized = ("add", "mul", "meet", "quotient", "contains", "cofactor")
 
     element, elements = GcdFamily.element, GcdFamily.elements  # the naturals, support None
 
@@ -537,14 +553,7 @@ class N0(Kind):
         return a.min_nonzero()
 
     def separating(self, small, big):
-        """A full period past both conductors decides the question exactly."""
-        if big == nat.NAT_ZERO:
-            return None
-        bound = max(small.c, big.c) + math.lcm(max(small.d, 1), max(big.d, 1)) + 1
-        for x in big.members_below(bound):
-            if x and not small.contains(x):
-                return x
-        return None
+        return nat.nat_separating(small, big)
 
     def between(self, m):
         return nat.nat_between(m)
@@ -585,7 +594,7 @@ class N0(Kind):
         return [nat.from_generators(g) for g in _N0_GRID]
 
     def random(self, rng):
-        return nat.from_generators([rng.randint(1, 40) for _ in range(rng.randint(1, 4))])
+        return nat.from_generators([1 + _below(rng, 40) for _ in range(1 + _below(rng, 4))])
 
     def shrink(self, a):
         gens = list(nat.minimal_generators(a))

@@ -6,6 +6,15 @@ random tuples fill the remaining budget. A failing tuple is shrunk by
 dropping the largest generator, then decrementing generator values, as long
 as the law still fails.
 
+The random tuples come from one ``random.Random(seed)`` per check, read by
+``instances._below``, which takes from the stream exactly what ``randrange``
+would. On n0 a check runs on its own kind object, whose sum, product, meet,
+quotient, containment and cofactor are each computed once per operand pair
+(the kind's ``memoized``): the grid sweeps 12 ideals, so b+c, bc and the
+rest recur for every a, and in the default suite only 28% of the n0
+operations have operands not already seen in their own check. The memo is
+made per check and dropped with it, and a raise is not remembered.
+
 Law ids:
 
   dedekind-identity            (A+B+C)(BC+CA+AB) = (B+C)(C+A)(A+B)
@@ -31,7 +40,7 @@ import random
 
 from .errors import TooLarge, Unsupported, UnknownLaw
 from .fractional import _invert, _quotient
-from .instances import check_semidomain
+from .instances import _below, check_semidomain
 from .reports import LawReport
 
 LAW_IDS = (
@@ -64,6 +73,49 @@ def _tuples(ar, arity, trials, seed):
     rng = random.Random(seed)
     fill = (tuple(ar.random(rng) for _ in range(arity)) for _ in range(trials - len(grid) ** arity))
     return itertools.chain(itertools.islice(tuples, trials), fill)
+
+
+# ---------------------------------------------------------------------------
+# per-check memo: the kind object names the operations worth remembering
+
+
+_MISSING = object()
+
+# Results one operation's memo keeps before it starts over. A full sweep of
+# n0's 12^3 grid meets at most 2,002 operand pairs per operation; the random
+# fill's pairs seldom recur, and 10^4 dedekind-identity trials on n0 peaked at
+# about 93 MB without a bound and 25 MB with this one, 19 MB with no memo.
+MEMO_SIZE = 4096
+
+
+def _once(op):
+    """The binary op, computed once per operand pair; a raise is not kept, so
+    it is raised again when the pair recurs."""
+    done = {}
+    get = done.get
+
+    def once(x, y):
+        key = (x, y)
+        r = get(key, _MISSING)
+        if r is _MISSING:
+            if len(done) >= MEMO_SIZE:
+                done.clear()
+            r = done[key] = op(x, y)
+        return r
+
+    return once
+
+
+def _memoized(ar):
+    """ar, or a new kind object for its instance whose ``ar.memoized``
+    operations are each computed once per operand pair; it, and the results
+    it keeps, live for one check."""
+    if not ar.memoized:
+        return ar
+    memo = type(ar)(ar.instance)
+    for name in ar.memoized:
+        setattr(memo, name, _once(getattr(ar, name)))
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +272,7 @@ def _shrink(ar, checker, tup):
 
 
 def _exponents(rng, primes):
-    return tuple(rng.randint(0, 8) for _ in primes)
+    return tuple(_below(rng, 9) for _ in primes)
 
 
 def _check_coprime(inst, trials, seed):
@@ -270,9 +322,10 @@ def _check_coprime(inst, trials, seed):
 
 
 # Trials one check may run. Past n0's grid of 12^3 triples a random
-# dedekind-identity trial costs about 1 ms: in-process on a 2-core x86_64 VM
-# (CPython 3.11), 10^4 trials there took 6-8 s at seed 3, and at seed 1 the
-# run stops with TooLarge after about 3 s, where a gcd row takes 0.03 s.
+# dedekind-identity trial costs about 1.2 ms: in-process on a 2-core x86_64 VM
+# (CPython 3.11), 10^4 trials there took 10-11 s at seed 3 at a peak RSS of
+# 25 MB, 3,000 took 1.5-1.7 s, and at seeds 1 and 2 the run stops with
+# TooLarge after about 5 and 2 s, where a gcd row takes 0.03 s.
 MAX_TRIALS = 10_000
 
 
@@ -291,7 +344,7 @@ def check_law(inst, law, trials=200, seed=0) -> LawReport:
     arity, fractions, checker = _CHECKERS[law]
     if fractions and not inst.is_semidomain:
         raise Unsupported(f"law {law} is not defined on {inst.kind}")
-    ar = inst.arith
+    ar = _memoized(inst.arith)
     count = 0
     for tup in _tuples(ar, arity, trials, seed):
         count += 1

@@ -22,11 +22,12 @@ every (L/d)-th bit of the mask, taken by ``_stride`` in C loops, OR'd with
 the ones of i's tail. The meet is the AND of both operands' views at the lcm
 of their periods; the quotient by a generator g, {x : xg in a}, has period
 dq = a.d/gcd(a.d, g), and bit k of it is bit k of a's view at period dq*g;
-a quotient by several generators ANDs their views at a common period; and
-j is inside i iff j's view at j.d has no bit that i's lacks. Each result is
-trimmed as a closure is. ``ex``, the members listed one by one, is read only
-by the repr, by ``members_below`` (which ``N0.separating`` and ``nat_between``
-scan) and by the tests.
+a quotient by several generators ANDs their views at a common period; j is
+inside i iff j's view at j.d has no bit that i's lacks; and the least member
+of j outside i is the lowest bit of such an AND-NOT (``nat_separating``).
+Each result is trimmed as a closure is. ``ex``, the members listed one by
+one, is read only by the repr, by ``members_below`` (which ``nat_between``
+scans) and by the tests.
 
 A triple with c == 0 and d > 0 is the principal ideal (g) = gN0, g = d, and
 every operation with a principal operand is answered in closed form, with no
@@ -48,11 +49,14 @@ from .errors import EmptyIdeal, TooLarge, ZeroDivisorIdeal
 from .reports import Record
 
 
-class NatIdeal(Record, derived=("_bytes",)):
-    # _bytes: the mask as little-endian bytes, made by the first bit test below c
-    # and kept: N0.separating tests every member below both conductors, and a
-    # byte index per test replaces a shift of the whole mask per test
-    __slots__ = ("d", "c", "mask", "_bytes")
+class NatIdeal(Record, derived=("_bytes", "_gens", "_hash")):
+    # Each derived slot is made by its first use and kept. _bytes: the mask as
+    # little-endian bytes, from the first bit test below c: nat_between and the
+    # law checks test many members of one ideal, and a byte index per test
+    # replaces a shift of the whole mask per test. _gens: minimal_generators,
+    # which a sum, a product and the printer each ask for. _hash: the law
+    # checks' memo hashes one ideal many times, and a hash reads the whole mask.
+    __slots__ = ("d", "c", "mask", "_bytes", "_gens", "_hash")
 
     def __init__(self, d, c, mask):
         _set_d(self, d)
@@ -63,7 +67,12 @@ class NatIdeal(Record, derived=("_bytes",)):
         return other.__class__ is self.__class__ and (self.d, self.c, self.mask) == (other.d, other.c, other.mask)
 
     def __hash__(self):
-        return hash((self.d, self.c, self.mask))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.d, self.c, self.mask))
+            _set_hash(self, h)
+            return h
 
     def __repr__(self):
         return f"NatIdeal(d={self.d!r}, c={self.c!r}, ex={self.ex!r})"
@@ -109,7 +118,9 @@ class NatIdeal(Record, derived=("_bytes",)):
         return out
 
 
-_set_d, _set_c, _set_mask, _set_bytes = (s.__set__ for s in (NatIdeal.d, NatIdeal.c, NatIdeal.mask, NatIdeal._bytes))
+_set_d, _set_c, _set_mask, _set_bytes, _set_gens, _set_hash = (
+    s.__set__ for s in (NatIdeal.d, NatIdeal.c, NatIdeal.mask, NatIdeal._bytes, NatIdeal._gens, NatIdeal._hash)
+)
 
 
 def _generator(i):
@@ -223,6 +234,10 @@ def minimal_generators(i):
         return ()
     if i.c == 0:
         return (i.d,)
+    try:
+        return i._gens
+    except AttributeError:
+        pass
     d = i.d
     cs = i.c // d
     ms = i.min_nonzero() // d
@@ -235,7 +250,9 @@ def minimal_generators(i):
         u = low.bit_length() - 1
         out.append(u * d)
         cand &= ~((nz << u) | low)
-    return tuple(out)
+    out = tuple(out)
+    _set_gens(i, out)
+    return out
 
 
 def nat_sum(i, j):
@@ -310,6 +327,39 @@ def nat_contains(i, j):
     # past both conductors every multiple of j.d is in both
     t = max(-(-i.c // j.d), j.c // j.d)
     return _view(j, j.d, t) & ~_view(i, j.d, t) == 0
+
+
+def nat_separating(small, big):
+    """The least member of big outside small, or None when big is inside small.
+
+    Past both conductors every multiple of D = big.d is in big, and it is in
+    small iff it is a multiple of L = lcm(small.d, D), so the members up to
+    the larger conductor plus L decide the question. Bit k of big's view at D
+    stands for kD, which can be in small only when s = L/D divides k, as
+    (k/s)L: bit k/s of small's view at L.
+    """
+    if big.d == 0:
+        return None
+    if small.d == 0:
+        return big.min_nonzero()
+    D = big.d
+    L = math.lcm(small.d, D)
+    s = L // D
+    t = (max(small.c, big.c) + L) // D + 1
+    bits = _view(big, D, t) & ~1  # 0 is in every ideal
+    if s == 1:
+        out = bits & ~_view(small, D, t)
+        return ((out & -out).bit_length() - 1) * D if out else None
+    # a kD with s not dividing k is outside small (the multiples of s are the
+    # closure of s), and the first L past both conductors hold one
+    off = bits & ~additive_closure((s,), t - 1)
+    k = (off & -off).bit_length() - 1
+    # then the least jL below kD that is in big and not in small, if any
+    u = -(-k // s)
+    on = _stride(bits, s, u) & ~_view(small, L, u)
+    if on:
+        k = ((on & -on).bit_length() - 1) * s
+    return k * D
 
 
 def nat_divides(a, b):

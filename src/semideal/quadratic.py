@@ -119,7 +119,7 @@ def qi_normalize(elements):
 
 
 def qi_mul(i, j):
-    if i.is_zero() or j.is_zero():
+    if not i.g or not j.g:
         return QI_ZERO
     g = i.g * j.g
     if j.a == 1:  # j = (j.g), a rational integer
@@ -135,9 +135,9 @@ def qi_mul(i, j):
 
 
 def qi_add(i, j):
-    if i.is_zero():
+    if not i.g:
         return j
-    if j.is_zero():
+    if not j.g:
         return i
     # the two-row HNF of the basis rows (g*a, 0), (g*b, g) of both ideals
     g1, g2 = i.g, j.g
@@ -151,7 +151,7 @@ def qi_meet(i, j):
     """The intersection: x + y*w lies in g*(a, b+w) iff g | y and x = b*y (mod g*a),
     so a common member has lcm(g1, g2) | y and G | (b1 - b2)*y, G = gcd(g1*a1, g2*a2),
     and its x is found by CRT modulo lcm(g1*a1, g2*a2)."""
-    if i.is_zero() or j.is_zero():
+    if not i.g or not j.g:
         return QI_ZERO
     m1, m2 = i.g * i.a, j.g * j.a
     L = math.lcm(i.g, j.g)
@@ -184,9 +184,9 @@ def qi_divide(num, den):
     Uses den * conj(den) = (norm(den)): the candidate is num * conj(den)
     divided by the norm, then verified by multiplying back.
     """
-    if den.is_zero():
+    if not den.g:
         raise EmptyIdeal("division by the zero ideal")
-    if num.is_zero():
+    if not num.g:
         return QI_ZERO
     p = qi_mul(num, qi_conj(den))
     n = den.norm()

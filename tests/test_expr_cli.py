@@ -1,6 +1,7 @@
 """Expression language and command-line front end."""
 
 import argparse
+import hashlib
 import json
 import pathlib
 import resource
@@ -622,6 +623,8 @@ def test_cli_default_config_passes(capsys):
     # the documented counterexamples stay on the books as expected failures
     assert any(line.startswith("XFAIL dedekind2-law-3") for line in out.splitlines())
     assert any(line.startswith("XFAIL multiplicative-cancellation") for line in out.splitlines())
+    # every row's trial count and witness, not only its status
+    assert hashlib.sha256(out.encode()).hexdigest() == "f05447fb99d91ce067d2c9abff22c7bcaa4ef1943b332a2bea053d79e6f24751"
 
 
 def test_cli_builds_the_parser_once(monkeypatch, capsys):

@@ -59,6 +59,13 @@ def test_rejects_bad_input():
         pass
 
 
+def test_redundant_generators_add_nothing():
+    # 10 = 4 + 6 is skipped, as is every generator that is a sum of smaller ones
+    for gens, without, limit in (((4, 6, 10), (4, 6), 60), ((3, 5, 8, 9, 11), (3, 5), 40), ((2, 7, 4), (2, 7), 5)):
+        assert additive_closure(gens, limit) == additive_closure(without, limit)
+        assert additive_closure(gens, limit) == mask_from_set(closure_members(gens, limit), limit)
+
+
 def test_duplicate_generators_collapse():
     assert additive_closure((3, 3, 3), 10) == additive_closure(
         (3,), 10

@@ -1,6 +1,7 @@
 """Law harness: status matrix, exact shrunk witnesses, reproducibility."""
 
 import json
+import random
 
 import pytest
 
@@ -19,7 +20,9 @@ from semideal import (
     instance,
     unit_ideal,
 )
+from semideal import laws, natideal
 from semideal.fractional import frac_from_ideal, frac_invert
+from semideal.instances import _below
 from semideal.laws import LAW_IDS, MAX_TRIALS
 
 N0 = instance("n0")
@@ -287,3 +290,68 @@ def test_quotient_absorb_and_reyes_pass_on_fractional_instances():
         assert check_law(inst, "quotient-absorb", trials=150, seed=2).status == "pass"
         assert check_law(inst, "reyes", trials=150, seed=2).status == "pass"
     assert check_law(LAG, "quotient-absorb", trials=50).status == "pass"
+
+
+def test_below_draws_what_randrange_draws():
+    # the sampler reads the seeded stream itself; a Python whose randrange
+    # reads it differently would change every random trial, so this fails first
+    for seed in (0, 1, 11, 37, 2**40 + 3):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            for _ in range(3):
+                assert _below(mine, n) == ref.randrange(n), (seed, n)
+        pool = list(range(500))
+        for _ in range(200):
+            assert 1 + _below(mine, 40) == ref.randint(1, 40)
+            assert pool[_below(mine, len(pool))] == ref.choice(pool)
+
+
+def test_n0_memo_lives_for_one_check(monkeypatch):
+    calls = []
+    closure = natideal.additive_closure
+    monkeypatch.setattr(natideal, "additive_closure", lambda gens, limit: calls.append(limit) or closure(gens, limit))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        first = check_law(N0, "dedekind-identity", 500, 1)
+        counts.append(len(calls))
+    # a memo kept past the call would make the second check cheaper
+    assert counts[0] == counts[1] > 0
+    monkeypatch.setattr(laws, "_memoized", lambda ar: ar)
+    calls.clear()
+    assert check_law(N0, "dedekind-identity", 500, 1) == first
+    assert len(calls) > counts[0]
+
+
+def test_memo_is_n0_only_and_keeps_no_raise(monkeypatch):
+    for inst in (GCD, GS, DVS, LAG, Q5):
+        assert laws._memoized(inst.arith) is inst.arith
+    ar = laws._memoized(N0.arith)
+    assert ar is not N0.arith and laws._memoized(N0.arith) is not ar
+    assert N0.arith.add.__func__ is type(N0.arith).add  # the shared kind object is untouched
+    a, b = natideal.from_generators([3, 5]), natideal.from_generators([4, 7])
+    product = natideal.nat_product
+    raised = []
+
+    def too_large(i, j):
+        raised.append((i, j))
+        raise TooLarge("past the budget")
+
+    monkeypatch.setattr(natideal, "nat_product", too_large)
+    for _ in range(2):
+        with pytest.raises(TooLarge):
+            ar.mul(a, b)
+    assert len(raised) == 2
+    monkeypatch.setattr(natideal, "nat_product", product)
+    assert ar.mul(a, b) == product(a, b)
+
+
+def test_memo_starts_over_past_its_size(monkeypatch):
+    # the random fill's operand pairs seldom recur, so a check of many trials
+    # must not keep every result
+    monkeypatch.setattr(laws, "MEMO_SIZE", 2)
+    seen = []
+    once = laws._once(lambda x, y: seen.append((x, y)) or x + y)
+    for pair in ((1, 2), (1, 2), (3, 4), (1, 2), (5, 6), (1, 2)):
+        assert once(*pair) == sum(pair)
+    assert seen == [(1, 2), (3, 4), (5, 6), (1, 2)]

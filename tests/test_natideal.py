@@ -34,6 +34,7 @@ from semideal.natideal import (
     nat_product,
     nat_quotient,
     nat_scale,
+    nat_separating,
     nat_sum,
     nat_unscale,
 )
@@ -375,6 +376,26 @@ def test_meet_quotient_containment_and_sandwich_list_no_members(monkeypatch):
         calls.clear()
         run()
         assert calls == Counter(), k
+
+
+def test_separating_is_the_least_member_outside_and_lists_none(monkeypatch):
+    # periods that divide each other and periods that do not, the zero ideal,
+    # principal ideals, and ideals inside one another
+    decoded = []
+    decode = natideal._decode
+    monkeypatch.setattr(natideal, "_decode", lambda d, mask: decoded.append(mask) or decode(d, mask))
+    rng = random.Random(29)
+    sets = GEN_SETS + [(), (6,), (10, 15), (4, 6), (9, 12, 15), (14, 21)]
+    sets += [tuple(rng.randint(1, 30) * rng.choice((1, 2, 3, 6)) for _ in range(rng.randint(1, 3))) for _ in range(20)]
+    for ga in sets:
+        for gb in sets:
+            a, b = from_generators(ga), from_generators(gb)
+            lim = max(a.c, b.c) + math.lcm(max(a.d, 1), max(b.d, 1)) + 1
+            outside = sorted(n0_members(gb, lim) - n0_members(ga, lim))
+            assert nat_separating(a, b) == (outside[0] if outside else None), (ga, gb)
+    # 998999 is the largest gap of I(1000,1001), with about 500,000 members below it
+    assert nat_separating(from_generators([1000, 1001]), from_generators([1000, 1001, 998999])) == 998999
+    assert decoded == []
 
 
 # Operands with periods 1, 2, 3, 5 and 7 and scaled conductors of 70 to 120
