@@ -9,10 +9,11 @@ The six instances (see instances.instance):
   lagrassa            a three-element semiring that is not a semidomain
   quad5               the ideals of Z[w], w*w = -5, as a semiring
 
-On top of them: finitely generated integral ideals with exact lattice and
-semiring operations, fractional ideals over the semifield of fractions with
-inversion and unique factorization into primes, localization, polynomial
-content formulas, and a law-checking harness with shrunk counterexamples.
+On top of them: one ideal type, ``Ideal``, for the finitely generated
+ideals, integral and fractional (over the semifield of fractions), with
+exact lattice and semiring operations, quotients and inverses; unique
+factorization into primes, localization, polynomial content formulas, and a
+law-checking harness with shrunk counterexamples.
 """
 
 from .content import content, dm_exponent, gaussian_check, m_cancellation_check
@@ -37,24 +38,11 @@ from .errors import (
 from .exprparse import eval_expr, parse_expr, unparse
 from .fractional import (
     ExponentVector,
-    FracIdeal,
     divisors_containing,
     finite_spec_principal_generator,
-    frac_equals,
-    frac_from_generators,
-    frac_from_ideal,
-    frac_intersect,
-    frac_invert,
-    frac_power,
-    frac_product,
-    frac_quotient,
-    frac_str,
-    frac_sum,
     inversion_witness,
-    is_integral,
     localize,
     sandwich,
-    to_ideal,
     two_generators,
     uft_compose,
     uft_factor,
@@ -67,12 +55,14 @@ from .ideals import (
     ideal_equals,
     ideal_from_generators,
     ideal_intersect,
+    ideal_invert,
     ideal_membership,
     ideal_power,
     ideal_product,
     ideal_quotient,
     ideal_str,
     ideal_sum,
+    is_integral,
     is_maximal,
     is_prime,
     is_subtractive,

@@ -24,19 +24,12 @@ from collections import namedtuple
 from .content import contents, dm_exponent, gaussian_check
 from .errors import InternalError, InvalidInput, ParseError, SemidealError, TooLarge, Unsupported
 from .exprparse import eval_expr, parse_expr
-from .fractional import (
-    frac_invert,
-    frac_str,
-    is_integral,
-    localize,
-    sandwich,
-    to_ideal,
-    two_generators,
-    uft_factor,
-)
+from .fractional import localize, sandwich, two_generators, uft_factor
 from .ideals import (
     generators,
+    ideal_invert,
     ideal_str,
+    is_integral,
     is_maximal,
     is_prime,
     is_subtractive,
@@ -79,11 +72,11 @@ def _witness_line(witness):
 
 
 def _eval(inst, args):
-    frac = _eval_ideal(inst, args.expr)
-    integral = is_integral(frac)
-    result = {"text": frac_str(frac), "integral": integral}
+    ideal = _eval_ideal(inst, args.expr)
+    integral = is_integral(ideal)
+    result = {"text": ideal_str(ideal), "integral": integral}
     if integral:
-        result["generators"] = [inst.arith.estr(g) for g in generators(to_ideal(frac))]
+        result["generators"] = [inst.arith.estr(g) for g in generators(ideal)]
     return Outcome(result["text"], result)
 
 
@@ -94,13 +87,12 @@ def _factor(inst, args):
 
 
 def _classify(inst, args):
-    frac = _eval_ideal(inst, args.expr)
-    ideal = to_ideal(frac)
+    ideal = _eval_ideal(inst, args.expr)
     result = {
         "prime": is_prime(ideal),
         "maximal": is_maximal(ideal),
         "subtractive": is_subtractive(ideal),
-        "invertible": frac_invert(frac) is not None,
+        "invertible": ideal_invert(ideal) is not None,
     }
     return Outcome(" ".join(f"{k}={str(v).lower()}" for k, v in result.items()), result)
 
@@ -182,22 +174,22 @@ def _laws(inst, args):
 
 def _twogen(inst, args):
     member = _int(args.member, f"argument member: invalid int value: {args.member!r}")
-    ideal = to_ideal(_eval_ideal(inst, args.expr))
+    ideal = _eval_ideal(inst, args.expr)
     a, b = two_generators(ideal, member)
     return Outcome(f"a={a} b={b}", {"ideal": ideal_str(ideal), "a": a, "b": b})
 
 
 def _localize(inst, args):
     prime = _int(args.prime, f"argument prime: invalid int value: {args.prime!r}")
-    local = localize(inst, prime, to_ideal(_eval_ideal(inst, args.expr)))
+    local = localize(inst, prime, _eval_ideal(inst, args.expr))
     text = ideal_str(local)
     return Outcome(text, {"text": text, "exponent": local.payload})
 
 
 def _sandwich(inst, args):
-    frac = _eval_ideal(inst, args.expr)
-    c, d = sandwich(frac)
-    result = {"ideal": frac_str(frac), "c": inst.arith.estr(c), "d": inst.arith.estr(d)}
+    ideal = _eval_ideal(inst, args.expr)
+    c, d = sandwich(ideal)
+    result = {"ideal": ideal_str(ideal), "c": inst.arith.estr(c), "d": inst.arith.estr(d)}
     return Outcome(f"c={result['c']} d={result['d']}", result)
 
 
@@ -236,7 +228,7 @@ def _between(inst, args):
     try:
         target = label_from_text(inst, args.target).ideal()
     except SemidealError:
-        target = to_ideal(_eval_ideal(inst, args.target))
+        target = _eval_ideal(inst, args.target)
     found = search_between(target)
     if found is None:
         return Outcome("none", {"found": False})

@@ -19,15 +19,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotFractional, ParseError
-from .fractional import (
-    frac_from_generators,
-    frac_intersect,
-    frac_invert,
-    frac_power,
-    frac_product,
-    frac_quotient,
-    frac_str,
-    frac_sum,
+from .ideals import (
+    ideal_from_generators,
+    ideal_intersect,
+    ideal_invert,
+    ideal_power,
+    ideal_product,
+    ideal_quotient,
+    ideal_str,
+    ideal_sum,
 )
 from .reports import Record
 
@@ -221,26 +221,26 @@ def unparse(node):
 
 
 def eval_expr(inst, node):
-    """Evaluate to a FracIdeal; literals clear denominators instance-wide."""
+    """Evaluate to an Ideal; literals clear denominators instance-wide."""
 
     def go(n):
         if isinstance(n, IdealLit):
-            return frac_from_generators(inst, n.values)
+            return ideal_from_generators(inst, n.values)
         if isinstance(n, Sum):
-            return frac_sum(go(n.left), go(n.right))
+            return ideal_sum(go(n.left), go(n.right))
         if isinstance(n, Intersect):
-            return frac_intersect(go(n.left), go(n.right))
+            return ideal_intersect(go(n.left), go(n.right))
         if isinstance(n, Product):
-            return frac_product(go(n.left), go(n.right))
+            return ideal_product(go(n.left), go(n.right))
         if isinstance(n, Power):
-            return frac_power(go(n.base), n.exponent)
+            return ideal_power(go(n.base), n.exponent)
         if isinstance(n, Quotient):
-            return frac_quotient(go(n.numerator), go(n.denominator))
+            return ideal_quotient(go(n.numerator), go(n.denominator))
         if isinstance(n, Invert):
             inner = go(n.arg)
-            inv = frac_invert(inner)
+            inv = ideal_invert(inner)
             if inv is None:
-                raise NotFractional(f"{frac_str(inner)} is not invertible")
+                raise NotFractional(f"{ideal_str(inner)} is not invertible")
             return inv
         raise TypeError(f"not an expression node: {n!r}")
 

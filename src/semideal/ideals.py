@@ -1,18 +1,33 @@
-"""Finitely generated ideals over the six instances, with canonical payloads.
+"""Ideals over the six instances, integral and fractional alike, with canonical payloads.
 
-An Ideal is an ideal payload tagged with its instance. Its arithmetic is that
-of the instance's kind object, ``inst.arith`` (``instances``): these
-functions check that the operands share an instance and that a divisor is
-nonzero, validate element arguments, and tag the payloads they get back.
-On the gcd family, dvs and quad5 an ideal is stored as its generator, on n0
-as a NatIdeal (``natideal``), on lagrassa as "zero" / "u" / "full". All
-operations are exact; equality of canonical payloads is equality of ideals.
+An Ideal is a fractional ideal A/d tagged with its instance: an integral
+ideal payload A over a nonzero element payload d. Its payload is the
+fractional payload of the instance's kind object, ``inst.arith``
+(``instances``), which owns the conventions:
+
+  gcd / gcd-supported   nonnegative Fraction (0 means the zero ideal)
+  dvs                   None (zero) or an integer exponent, possibly negative
+  n0                    (den, NatIdeal) with gcd(den, content) == 1
+  quad5                 (Fraction scalar, primitive QuadIdeal)
+  lagrassa              "zero" / "u" / "full"; it has no fractions, so d is 1
+
+``split`` reads a payload as (A, d) and ``join`` writes A/d back in
+canonical form, so equality of payloads is equality of ideals. An ideal is
+integral when d is 1. Sum, product, meet, power, quotient, inverse,
+containment and equality act on every ideal: the kind's integral arithmetic
+on a common denominator (A/d + B/d = (A+B)/d, and likewise for the product
+and the meet), so no operation is written once per kind. The other
+functions ask for an integral ideal and raise NotFractional for any other.
+These functions check that the operands share an instance and that a
+divisor is nonzero, validate element arguments, and tag what they get back.
 """
 
 from __future__ import annotations
 
-from .errors import InstanceMismatch, NotMaximal, ZeroDivisorIdeal
-from .instances import Element, Tagged, element
+from fractions import Fraction
+
+from .errors import InstanceMismatch, NotFractional, NotMaximal, Unsupported, ZeroDivisorIdeal
+from .instances import Element, Tagged
 from .quadratic import qi_mul
 
 _TRACED = (qi_mul,)  # perfbench's tracer test checks that this module binds qi_mul
@@ -28,78 +43,154 @@ def _check(inst, *ideals):
             raise InstanceMismatch(f"ideal from {i.instance.id}, expected {inst.id}")
 
 
+def _tag(inst, A):
+    """The ideal A/1 of an integral ideal payload A."""
+    return Ideal(inst, inst.arith.join(A, inst.arith.eone))
+
+
+def _integral(a):
+    """The integral payload A of a = A/1; NotFractional for any other ideal."""
+    ar = a.instance.arith
+    A, d = ar.split(a.payload)
+    if d != ar.eone:
+        raise NotFractional(f"{ideal_str(a)} is not an integral ideal")
+    return A
+
+
+def _element(inst, x):
+    """The payload of x, an Element of inst or a raw payload that inst validates."""
+    if not isinstance(x, Element):
+        return inst.arith.element(x)
+    if x.instance is not inst:
+        raise InstanceMismatch(f"element from {x.instance.id}, expected {inst.id}")
+    return x.payload
+
+
+def _common(ar, x, y):
+    """(A, B, d) with x = A/d and y = B/d, A and B ideal payloads."""
+    A, dx = ar.split(x)
+    B, dy = ar.split(y)
+    if dx == dy:
+        return A, B, dx
+    return ar.scale(A, dy), ar.scale(B, dx), ar.emul(dx, dy)
+
+
+def _quotient(ar, x, y):
+    """[x : y] of two payloads in the semifield of fractions; y must be nonzero.
+    lagrassa has none, so there it is the quotient in the semiring."""
+    A, B, _ = _common(ar, x, y)  # [A/d : B/d] = [A : B]
+    if B == ar.zero:
+        raise ZeroDivisorIdeal("residual quotient by the zero ideal")
+    if not ar.instance.is_semidomain:
+        return ar.quotient(A, B)  # split and join are the identity
+    if ar.instance.is_dedekind:
+        # B is invertible and generated by the element B: [A : B] = A/B
+        return ar.join(A, B)
+    # x*B <= A  iff  t*x in [t*A : B], for a nonzero t in B
+    t = ar.min_nonzero(B)
+    return ar.join(ar.quotient(ar.scale(A, t), B), t)
+
+
+def _invert(ar, x):
+    """The inverse [S : x] of a payload when x * [S : x] = S; None otherwise."""
+    if ar.split(x)[0] == ar.zero:
+        return None
+    unit = ar.join(ar.one, ar.eone)
+    y = _quotient(ar, unit, x)
+    return y if ar.frac_mul(x, y) == unit else None
+
+
 def zero_ideal(inst):
-    return Ideal(inst, inst.arith.zero)
+    return _tag(inst, inst.arith.zero)
 
 
 def unit_ideal(inst):
-    return Ideal(inst, inst.arith.one)
+    return _tag(inst, inst.arith.one)
 
 
-def is_zero(i):
-    return i.payload == i.instance.arith.zero
+def is_zero(a):
+    ar = a.instance.arith
+    return ar.split(a.payload)[0] == ar.zero
+
+
+def is_integral(a):
+    ar = a.instance.arith
+    return ar.split(a.payload)[1] == ar.eone
 
 
 def ideal_from_generators(inst, gens):
-    """Ideal generated by element payloads (or tagged Elements)."""
-    payloads = []
+    """The ideal spanned by element payloads, tagged Elements and nonnegative
+    rationals. The kind clears the denominators of the Fractions; lagrassa,
+    which has no fractions, refuses any Fraction with Unsupported."""
+    ar = inst.arith
+    payloads, rats = [], []
     for g in gens:
-        if isinstance(g, Element):
-            if g.instance is not inst:
-                raise InstanceMismatch("generator from another instance")
-            payloads.append(g.payload)
+        if isinstance(g, Fraction):
+            rats.append(g)
         else:
-            payloads.append(element(inst, g).payload)
-    return Ideal(inst, inst.arith.ideal(payloads))
+            payloads.append(_element(inst, g))
+    if not rats:
+        return _tag(inst, ar.ideal(payloads))
+    nums, den = ar.clear(rats)
+    scale = ar.element(den)
+    payloads = [ar.emul(p, scale) for p in payloads] + [ar.element(n) for n in nums]
+    return Ideal(inst, ar.join(ar.ideal(payloads), den))
 
 
 def ideal_sum(a, b):
     inst = a.instance
     _check(inst, b)
-    return Ideal(inst, inst.arith.add(a.payload, b.payload))
+    ar = inst.arith
+    A, B, d = _common(ar, a.payload, b.payload)
+    return Ideal(inst, ar.join(ar.add(A, B), d))
 
 
 def ideal_product(a, b):
     inst = a.instance
     _check(inst, b)
-    return Ideal(inst, inst.arith.mul(a.payload, b.payload))
-
-
-def ideal_power(a, k):
-    return Ideal(a.instance, a.instance.arith.power(a.payload, k))
+    return Ideal(inst, inst.arith.frac_mul(a.payload, b.payload))
 
 
 def ideal_intersect(a, b):
     inst = a.instance
     _check(inst, b)
-    return Ideal(inst, inst.arith.meet(a.payload, b.payload))
+    ar = inst.arith
+    A, B, d = _common(ar, a.payload, b.payload)
+    return Ideal(inst, ar.join(ar.meet(A, B), d))
 
 
 def ideal_quotient(a, b):
-    """[a : b] = {x : x*b inside a}; b must be nonzero."""
+    """[a : b] = {x in K : x*b inside a}; b must be nonzero. On lagrassa,
+    which has no semifield of fractions K, x runs over the semiring."""
     inst = a.instance
     _check(inst, b)
-    if is_zero(b):
-        raise ZeroDivisorIdeal("quotient by the zero ideal")
-    return Ideal(inst, inst.arith.quotient(a.payload, b.payload))
+    return Ideal(inst, _quotient(inst.arith, a.payload, b.payload))
+
+
+def ideal_invert(a):
+    """The inverse [S : a] when a * [S : a] = S; None otherwise."""
+    inv = _invert(a.instance.arith, a.payload)
+    return None if inv is None else Ideal(a.instance, inv)
+
+
+def ideal_power(a, k):
+    """(A/d)^k = A^k / d^k; a negative k powers the inverse."""
+    if k < 0:
+        inv = ideal_invert(a)
+        if inv is None:
+            raise Unsupported("negative power of a non-invertible ideal")
+        return ideal_power(inv, -k)
+    ar = a.instance.arith
+    A, d = ar.split(a.payload)
+    return Ideal(a.instance, ar.join(ar.power(A, k), ar.power(d, k, element=True)))
 
 
 def ideal_contains(a, b):
     """True iff b is a subset of a."""
     _check(a.instance, b)
-    return a.instance.arith.contains(a.payload, b.payload)
-
-
-def ideal_membership(a, x):
-    """True iff the element x (payload or Element) lies in the ideal."""
-    inst = a.instance
-    if isinstance(x, Element):
-        if x.instance is not inst:
-            raise InstanceMismatch(f"element from {x.instance.id}, expected {inst.id}")
-        p = x.payload
-    else:
-        p = element(inst, x).payload
-    return inst.arith.member(a.payload, p)
+    ar = a.instance.arith
+    A, B, _ = _common(ar, a.payload, b.payload)
+    return ar.contains(A, B)
 
 
 def ideal_equals(a, b):
@@ -107,52 +198,59 @@ def ideal_equals(a, b):
     return a.payload == b.payload
 
 
+def ideal_membership(a, x):
+    """True iff the element x (payload or Element) lies in the integral ideal a."""
+    A = _integral(a)
+    return a.instance.arith.member(A, _element(a.instance, x))
+
+
 def is_subtractive(a):
-    return a.instance.arith.is_subtractive(a.payload)
+    return a.instance.arith.is_subtractive(_integral(a))
 
 
 def is_prime(a):
-    return a.instance.arith.is_prime(a.payload)
+    return a.instance.arith.is_prime(_integral(a))
 
 
 def is_maximal(a):
-    return a.instance.arith.is_maximal(a.payload)
+    return a.instance.arith.is_maximal(_integral(a))
 
 
 def min_nonzero(a):
-    return a.instance.arith.min_nonzero(a.payload)
+    return a.instance.arith.min_nonzero(_integral(a))
 
 
 def divides(a, b):
-    """Cofactor c with a*c == b, or None; exact for every instance."""
+    """Integral cofactor c with a*c == b of integral a and b, or None."""
     inst = a.instance
     _check(inst, b)
-    if is_zero(a):
+    A, B = _integral(a), _integral(b)
+    if A == inst.arith.zero:
         raise ZeroDivisorIdeal("division by the zero ideal")
-    if is_zero(b):
+    if B == inst.arith.zero:
         return b
-    c = inst.arith.cofactor(b.payload, a.payload)
-    return None if c is None else Ideal(inst, c)
+    c = inst.arith.cofactor(B, A)
+    return None if c is None else _tag(inst, c)
 
 
 def separating_member(small, big):
-    """An element payload in big but not in small; None when there is none."""
+    """An element payload in big but not in small (both integral); None when there is none."""
     _check(small.instance, big)
-    return small.instance.arith.separating(small.payload, big.payload)
+    return small.instance.arith.separating(_integral(small), _integral(big))
 
 
 def search_between(m):
     """An ideal strictly between m*m and m for a maximal m, or None."""
     if not is_maximal(m):
         raise NotMaximal(f"{ideal_str(m)} is not maximal")
-    found = m.instance.arith.between(m.payload)
-    return None if found is None else Ideal(m.instance, found)
+    found = m.instance.arith.between(_integral(m))
+    return None if found is None else _tag(m.instance, found)
 
 
 def generators(a):
-    """Canonical generator payloads (minimal for n0, principal elsewhere)."""
-    return a.instance.arith.generators(a.payload)
+    """Canonical generator payloads of an integral ideal (minimal for n0, principal elsewhere)."""
+    return a.instance.arith.generators(_integral(a))
 
 
 def ideal_str(a):
-    return a.instance.arith.str(a.payload)
+    return a.instance.arith.frac_str(a.payload)

@@ -15,7 +15,7 @@ operations fail loudly. ``Instance.arith`` is the arithmetic of the
 instance's kind on raw payloads: element payloads (int for n0 and the gcd
 family, int-or-None for dvs where None is the zero, "0" / "u" / "1" for
 lagrassa, a QuadIdeal for quad5), ideal payloads, the fractional payloads of
-``fractional`` (``split`` reads one as A/d, ``join`` writes A/d back in
+``ideals`` (``split`` reads one as A/d, ``join`` writes A/d back in
 canonical form), prime labels, and the law sampler's grid, random draw and
 shrink steps. This module is the only one that compares ``.kind`` with a
 kind name or tests the class of a kind object; other modules read its flags.
@@ -62,11 +62,11 @@ from .quadratic import (
 from .reports import LawReport, Record
 
 
-# The budget of Kind.power (ideal_power, frac_power and the prime-power
-# divisors): a power of a payload whose size (the natural, the norm, the gcd of
-# an n0 ideal) would pass 2^20 bits, about 315,000 digits, is refused with
-# TooLarge before its first product. Kind.power and Quad5.factor's certificate
-# share the one squaring loop, _power.
+# The budget of Kind.power (ideal_power's numerator and denominator, and the
+# prime-power divisors): a power of a payload whose size (the natural, the
+# norm, the gcd of an n0 ideal) would pass 2^20 bits, about 315,000 digits,
+# is refused with TooLarge before its first product. Kind.power and
+# Quad5.factor's certificate share the one squaring loop, _power.
 MAX_POWER_BITS = 1 << 20
 
 
@@ -209,11 +209,11 @@ class Kind:
         """The ideal A*(t) for a nonzero element payload t."""
         return self.mul(A, t)
 
-    def clear(self, rats, max_denominator):
+    def clear(self, rats):
         """(numerators, denominator) of nonnegative rational generators."""
+        if any(r < 0 for r in rats):
+            raise NotFractional("generators must be nonnegative")
         den = math.lcm(*(r.denominator for r in rats))
-        if max_denominator is not None and den > max_denominator:
-            raise NotFractional(f"common denominator {den} exceeds bound {max_denominator}")
         self.element(den)  # OutOfSupport for a denominator outside a gcd-supported support
         return [int(r * den) for r in rats], den
 
@@ -231,7 +231,11 @@ class Kind:
         return self.join(self.one, self.eone)
 
     def sandwich(self, p):
-        return self.split(p)  # A = (c) is principal
+        A, d = self.split(p)
+        return self.generators(A)[0], d  # A = (c) is principal
+
+    def str(self, a):
+        return self.frac_str(self.join(a, self.eone))
 
     def frac_str(self, p):
         A, d = self.split(p)
@@ -275,9 +279,6 @@ class GcdFamily(Kind):
 
     def log2(self, a):
         return math.log2(a) if a > 1 else 0
-
-    def str(self, a):
-        return f"I({a})"
 
     def is_prime(self, a):
         return a == 0 or (a != 1 and is_prime_int(a))
@@ -352,7 +353,7 @@ class Dvs(Kind):
             return "0"
         return "1" if x == 0 else f"t^{x}"
 
-    def str(self, a):
+    def frac_str(self, a):  # t^n reads right for a negative n too
         if a is None:
             return "(0)"
         return "S" if a == 0 else f"t^{a}"
@@ -375,12 +376,11 @@ class Dvs(Kind):
     def join(self, A, d):
         return None if A is None else A - d
 
-    def clear(self, rats, max_denominator):
-        if any(r.denominator != 1 for r in rats):
+    def clear(self, rats):
+        nums, den = Kind.clear(self, rats)
+        if den != 1:
             raise Unsupported("dvs generators are written t^n with integer n")
-        return [r.numerator for r in rats], 0
-
-    frac_str = str  # the method above, not the builtin: t^n reads right for a negative n too
+        return nums, 0
 
     def grid(self):
         return [0, 1, 2, 5, 3]
@@ -422,9 +422,6 @@ class Quad5(Kind):
 
     def log2(self, a):
         return GcdFamily.log2(self, a.norm())
-
-    def str(self, a):
-        return self.frac_str(self.join(a, 1))
 
     def is_prime(self, q):  # zero, or a single prime to the first power
         return q.is_zero() or (q != QI_ONE and list(self.factor(q).values()) == [1])
@@ -536,9 +533,6 @@ class N0(Kind):
 
     def generators(self, a):
         return nat.minimal_generators(a) or (0,)
-
-    def str(self, a):
-        return "I(%s)" % ",".join(map(str, self.generators(a)))
 
     def is_subtractive(self, a):
         return nat.nat_is_subtractive(a)
@@ -661,7 +655,7 @@ class Lagrassa(Kind):
     def generators(self, a):
         return (_LAG_MEMBERS[a][-1],)
 
-    def str(self, a):
+    def frac_str(self, a):
         return {"zero": "(0)", "u": "(u)", "full": "L"}[a]
 
     def is_subtractive(self, a):
@@ -683,6 +677,16 @@ class Lagrassa(Kind):
 
     def prime_labels(self, bound, low=2):
         return [("u", None, None)]
+
+    # no fractions: an ideal is its own payload, over the denominator "1"
+    def split(self, p):
+        return p, "1"
+
+    def join(self, A, d):
+        return A
+
+    def clear(self, rats):
+        raise Unsupported("lagrassa is not multiplicatively cancellative; no fraction semifield")
 
     def grid(self):
         return list(_LAG_RANK)

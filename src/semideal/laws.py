@@ -39,7 +39,7 @@ import math
 import random
 
 from .errors import TooLarge, Unsupported, UnknownLaw
-from .fractional import _invert, _quotient
+from .ideals import _invert, _quotient
 from .instances import _below, check_semidomain
 from .reports import LawReport
 

@@ -10,7 +10,7 @@ is the HNF coefficient of the degree-one prime over p (None for inert p).
 from __future__ import annotations
 
 from .errors import UnknownPrime
-from .ideals import Ideal, ideal_contains, ideal_equals, zero_ideal
+from .ideals import _tag, ideal_contains, ideal_equals, zero_ideal
 from .reports import Record
 
 
@@ -39,7 +39,7 @@ class PrimeLabel(Record):
         return f"P{self.p}[{self.b}]"
 
     def ideal(self):
-        return Ideal(self.instance, self.instance.arith.prime(self.kind, self.p, self.b))
+        return _tag(self.instance, self.instance.arith.prime(self.kind, self.p, self.b))
 
 
 def spectrum(inst, bound=10):

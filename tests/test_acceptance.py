@@ -13,23 +13,17 @@ from semideal import instance
 from semideal.content import DMCapExceeded, content, dm_exponent, gaussian_check
 from semideal.fractional import (
     finite_spec_principal_generator,
-    frac_equals,
-    frac_from_generators,
-    frac_from_ideal,
-    frac_invert,
-    frac_product,
-    frac_unit,
     localize,
     two_generators,
     uft_compose,
     uft_factor,
 )
 from semideal.ideals import (
-    Ideal,
     ideal_contains,
     ideal_equals,
     ideal_from_generators,
     ideal_intersect,
+    ideal_invert,
     ideal_membership,
     ideal_power,
     ideal_product,
@@ -72,10 +66,10 @@ def _random_frac(inst, rng):
             Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
             for _ in range(rng.randint(1, 3))
         ]
-        return frac_from_generators(inst, gens)
-    a = frac_from_generators(inst, [rng.randint(0, 12)])  # dvs exponent
+        return ideal_from_generators(inst, gens)
+    a = ideal_from_generators(inst, [rng.randint(0, 12)])  # dvs exponent
     if rng.random() < 0.5:
-        a = frac_invert(a)  # negative exponents enter through inversion
+        a = ideal_invert(a)  # negative exponents enter through inversion
     return a
 
 
@@ -84,14 +78,16 @@ def _random_ideal(inst, rng):
     if kind == "n0":
         return ideal_from_generators(inst, [rng.randint(1, 25) for _ in range(rng.randint(1, 3))])
     if kind == "gcd":
-        return Ideal(inst, rng.randint(1, 10**6))
-    if kind == "gcd-supported":
-        return Ideal(inst, 2 ** rng.randint(0, 9) * 3 ** rng.randint(0, 9))
-    if kind == "dvs":
-        return Ideal(inst, rng.randint(0, 15))
-    if kind == "lagrassa":
-        return Ideal(inst, rng.choice(("zero", "u", "full")))
-    return Ideal(inst, rng.choice(_QUAD_POOL))
+        gen = rng.randint(1, 10**6)
+    elif kind == "gcd-supported":
+        gen = 2 ** rng.randint(0, 9) * 3 ** rng.randint(0, 9)
+    elif kind == "dvs":
+        gen = rng.randint(0, 15)
+    elif kind == "lagrassa":
+        gen = rng.choice(("0", "u", "1"))
+    else:
+        gen = rng.choice(_QUAD_POOL)
+    return ideal_from_generators(inst, [gen])
 
 
 _QUAD_POOL = enumerate_ideals(60)
@@ -102,7 +98,7 @@ def test_c01_unique_factorization_round_trip():
     for _ in range(1000):
         a = _random_frac(GCD, rng)
         vec = uft_factor(a)
-        assert frac_equals(uft_compose(GCD, vec), a)
+        assert ideal_equals(uft_compose(GCD, vec), a)
     # uniqueness: composing one exponent vector two ways and refactoring both
     primes = (2, 3, 5, 7, 11, 13)
     from semideal.fractional import ExponentVector
@@ -114,7 +110,7 @@ def test_c01_unique_factorization_round_trip():
         v1 = ExponentVector.of({PrimeLabel(GCD, "numeric", p): exps[p] for p in primes})
         v2 = ExponentVector.of({PrimeLabel(GCD, "numeric", p): exps[p] for p in order})
         a1, a2 = uft_compose(GCD, v1), uft_compose(GCD, v2)
-        assert frac_equals(a1, a2)
+        assert ideal_equals(a1, a2)
         assert uft_factor(a1).items == v1.items == v2.items == uft_factor(a2).items
     _done(1, "unique factorization round-trip on 1000 fractional ideals")
 
@@ -125,17 +121,17 @@ def test_c02_fractional_ideals_form_a_group():
         stream = []
         for _ in range(1000):
             a = _random_frac(inst, rng)
-            inv = frac_invert(a)
+            inv = ideal_invert(a)
             assert inv is not None, "every nonzero fractional ideal must invert"
-            assert frac_equals(frac_product(a, inv), frac_unit(inst))
-            assert frac_equals(frac_product(a, frac_unit(inst)), a)
+            assert ideal_equals(ideal_product(a, inv), unit_ideal(inst))
+            assert ideal_equals(ideal_product(a, unit_ideal(inst)), a)
             stream.append(a)
         for i in range(0, 999, 3):
             a, b, c = stream[i], stream[i + 1], stream[i + 2]
-            assert frac_equals(
-                frac_product(frac_product(a, b), c), frac_product(a, frac_product(b, c))
+            assert ideal_equals(
+                ideal_product(ideal_product(a, b), c), ideal_product(a, ideal_product(b, c))
             )
-    assert frac_invert(frac_from_ideal(ideal_from_generators(N0, [3, 4, 5]))) is None
+    assert ideal_invert(ideal_from_generators(N0, [3, 4, 5])) is None
     _done(2, "group structure on 1000 gcd + 1000 dvs fractional ideals")
 
 
@@ -184,7 +180,7 @@ def test_c05_coprime_exponent_identities():
         f = [rng.randint(0, 7) for _ in primes]
         m = math.prod(p**x for p, x in zip(primes, e))
         n = math.prod(p**x for p, x in zip(primes, f))
-        a, b = Ideal(GCD, m), Ideal(GCD, n)
+        a, b = ideal_from_generators(GCD, [m]), ideal_from_generators(GCD, [n])
         assert ideal_sum(a, b).payload == math.gcd(m, n)
         assert ideal_intersect(a, b).payload == math.lcm(m, n)
         assert ideal_product(a, b).payload == m * n
@@ -255,11 +251,11 @@ def test_c08_localization_matches_valuation_oracle():
         m = rng.randint(1, 10**6)
         n = rng.randint(1, 10**6)
         p = rng.choice((2, 3, 5))
-        lm = localize(GCD, p, Ideal(GCD, m))
-        ln = localize(GCD, p, Ideal(GCD, n))
+        lm = localize(GCD, p, ideal_from_generators(GCD, [m]))
+        ln = localize(GCD, p, ideal_from_generators(GCD, [n]))
         assert lm.instance.kind == "dvs"
         assert lm.payload == val(m, p)
-        prod = localize(GCD, p, ideal_product(Ideal(GCD, m), Ideal(GCD, n)))
+        prod = localize(GCD, p, ideal_product(ideal_from_generators(GCD, [m]), ideal_from_generators(GCD, [n])))
         assert prod.payload == lm.payload + ln.payload
     _done(8, "localization equals the valuation oracle and is multiplicative, 500 trials")
 
@@ -268,14 +264,14 @@ def test_c09_two_generators_and_principalization():
     rng = random.Random(909)
     for _ in range(200):
         g = rng.randint(1, 10**6)
-        ideal = Ideal(GCD, g)
+        ideal = ideal_from_generators(GCD, [g])
         member = g * rng.randint(1, 50)
         a, b = two_generators(ideal, member)
         assert a == member
         assert ideal_equals(ideal_from_generators(GCD, [a, b]), ideal)
     for _ in range(200):
         g = 2 ** rng.randint(0, 9) * 3 ** rng.randint(0, 9)
-        ideal = Ideal(GS, g)
+        ideal = ideal_from_generators(GS, [g])
         member = g * rng.choice((1, 2, 3, 4, 6, 8, 9, 12))
         a, b = two_generators(ideal, member)
         assert ideal_equals(ideal_from_generators(GS, [a, b]), ideal)
@@ -377,7 +373,7 @@ def qi_factor_checked(q):
     fac = qi_factor(q)
     for (p, b), e in fac.items():
         assert e >= 1
-        assert is_prime(Ideal(Q5, QuadIdeal(1, p, b)))
+        assert is_prime(ideal_from_generators(Q5, [QuadIdeal(1, p, b)]))
     return fac
 
 

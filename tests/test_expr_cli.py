@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from semideal import ParseError, instance, natideal
+from semideal import ParseError, ideal_str, instance, natideal
 from semideal.cli import main
 from semideal.exprparse import (
     IdealLit,
@@ -27,7 +27,6 @@ from semideal.exprparse import (
     parse_expr,
     unparse,
 )
-from semideal.fractional import frac_str
 
 N0 = instance("n0")
 GCD = instance("gcd")
@@ -139,11 +138,11 @@ def test_parse_error_columns_and_expected_sets():
 
 
 def test_eval_expr_known_values():
-    assert frac_str(eval_expr(GCD, parse_expr("[I(12):I(6)]^2"))) == "I(4)"
-    assert frac_str(eval_expr(GCD, parse_expr("inv I(2) * I(2)"))) == "I(1)"
-    assert frac_str(eval_expr(GCD, parse_expr("I(4)+I(6)"))) == "I(2)"
-    assert frac_str(eval_expr(GCD, parse_expr("I(4)&I(6)"))) == "I(12)"
-    assert frac_str(eval_expr(N0, parse_expr("I(2)*I(3)"))) == "I(6)"
+    assert ideal_str(eval_expr(GCD, parse_expr("[I(12):I(6)]^2"))) == "I(4)"
+    assert ideal_str(eval_expr(GCD, parse_expr("inv I(2) * I(2)"))) == "I(1)"
+    assert ideal_str(eval_expr(GCD, parse_expr("I(4)+I(6)"))) == "I(2)"
+    assert ideal_str(eval_expr(GCD, parse_expr("I(4)&I(6)"))) == "I(12)"
+    assert ideal_str(eval_expr(N0, parse_expr("I(2)*I(3)"))) == "I(6)"
     from semideal import NotFractional, Unsupported
 
     with pytest.raises(NotFractional):
@@ -586,12 +585,32 @@ def test_cli_rejects_a_denominator_outside_the_support(capsys):
 
 
 def test_cli_unsupported_json_shape(capsys):
-    code, doc, _ = run_json(["eval", "--instance", "lagrassa", "I(1)"], capsys)
+    # lagrassa has no fractions, and a literal's generators are rationals
+    for literal in ("I(1)", "I(0)"):
+        code, doc, _ = run_json(["eval", "--instance", "lagrassa", literal], capsys)
+        assert code == 3
+        assert doc["status"] == "unsupported"
+        assert doc["result"]["error"] == "Unsupported"
+        assert doc["instance"] == "lagrassa"
+        assert doc["witness"] is None
+
+
+@pytest.mark.parametrize("inst", ["gcd", "n0"])
+def test_cli_spells_the_zero_ideal_one_way(inst, capsys):
+    # dm prints the content of f = 0 + 0X, eval the literal I(0): one ideal, one text
+    code, out, _ = run(["dm", "--instance", inst, "0,0", "1,2"], capsys)
+    assert code == 0
+    content_f = dict(field.split("=", 1) for field in out.split())["c(f)"]
+    code, out, _ = run(["eval", "--instance", inst, "I(0)"], capsys)
+    assert code == 0
+    assert content_f == out.strip() == "(0)"
+
+
+@pytest.mark.parametrize("command", [["classify", "I(1/2)"], ["twogen", "I(1/2)", "1"], ["between", "I(1/2)"]])
+def test_cli_integral_only_commands_refuse_a_fraction_by_name(command, capsys):
+    code, doc, _ = run_json([command[0], "--instance", "gcd", *command[1:]], capsys)
     assert code == 3
-    assert doc["status"] == "unsupported"
-    assert doc["result"]["error"] == "Unsupported"
-    assert doc["instance"] == "lagrassa"
-    assert doc["witness"] is None
+    assert doc["result"] == {"error": "NotFractional", "message": "I(1/2) is not an integral ideal"}
 
 
 def test_cli_determinism_byte_identical(tmp_path, capsys):

@@ -9,12 +9,14 @@ windowed element.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from semideal import (
     InstanceMismatch,
     NotMaximal,
+    SemidealError,
     Unsupported,
     ZeroDivisorIdeal,
     divides,
@@ -24,6 +26,7 @@ from semideal import (
     ideal_equals,
     ideal_from_generators,
     ideal_intersect,
+    ideal_invert,
     ideal_membership,
     ideal_power,
     ideal_product,
@@ -136,8 +139,9 @@ def test_ops_match_closure_oracle():
             assert member_window(ideal_intersect(a, b)) == ma & mb
 
             if not is_zero(b):
-                q = ideal_quotient(a, b)
-                # x is in [a : b] iff x*g lies in a for every generator g of b
+                # the integral residual [a : b] n S: x is in it iff x*g lies
+                # in a for every generator g of b
+                q = ideal_intersect(ideal_quotient(a, b), unit_ideal(inst))
                 expect = {
                     x
                     for x in universe(inst)
@@ -160,8 +164,9 @@ def test_contains_equals_and_membership():
 def test_mixed_instance_rejected():
     a = ideal_from_generators(GCD, [4])
     b = ideal_from_generators(N0, [4])
-    with pytest.raises(InstanceMismatch):
-        ideal_sum(a, b)
+    for op in (ideal_sum, ideal_product, ideal_intersect, ideal_quotient, ideal_contains, ideal_equals, divides):
+        with pytest.raises(InstanceMismatch):
+            op(a, b)
     with pytest.raises(InstanceMismatch):
         ideal_from_generators(GCD, [element(N0, 3)])
 
@@ -180,8 +185,28 @@ def test_power_matches_repeated_product():
             for k in range(4):
                 assert ideal_equals(ideal_power(a, k), acc)
                 acc = ideal_product(acc, a)
-        with pytest.raises(ValueError):
-            ideal_power(unit_ideal(inst), -1)
+        # a negative power is a power of the inverse
+        assert ideal_equals(ideal_power(unit_ideal(inst), -2), unit_ideal(inst))
+
+
+@pytest.mark.parametrize("inst", ALL, ids=[inst.id for inst in ALL])
+def test_a_negative_power_is_a_power_of_the_inverse_or_a_named_refusal(inst):
+    # a bare ValueError from a public function would reach the CLI as InternalError
+    rng = random.Random(11)
+    pool = [zero_ideal(inst), unit_ideal(inst)]
+    pool += [ideal_from_generators(inst, gen_pool(inst, rng, small=True)) for _ in range(8)]
+    if inst.is_semidomain and inst.kind != "dvs":  # dvs literals are integer exponents
+        pool.append(ideal_from_generators(inst, [Fraction(3, 2), Fraction(2)]))
+    for a in pool:
+        inv = ideal_invert(a)
+        for k in (-1, -2, -3):
+            try:
+                got = ideal_power(a, k)
+            except SemidealError as exc:
+                assert inv is None and isinstance(exc, Unsupported), (inst.id, ideal_str(a), k)
+                continue
+            assert inv is not None and ideal_equals(got, ideal_power(inv, -k)), (inst.id, ideal_str(a), k)
+            assert ideal_equals(ideal_product(got, ideal_power(a, -k)), unit_ideal(inst))
 
 
 def test_quotient_by_zero_raises():

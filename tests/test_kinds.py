@@ -1,12 +1,14 @@
-"""Pins the behaviour of the ideal and fractional layers, and where kinds are told apart.
+"""Pins the behaviour of the ideal layer and of what fractional ideals make possible, and where kinds are told apart.
 
 ``render()`` calls every public function of ``semideal.ideals`` and
-``semideal.fractional`` on the law grids, zero, unit and a seeded random
-sample of ideals of all six instances, and writes one line per call: the
-result, or the exception with its message. The digest of that text was
-computed on the code before the instance kinds got their arithmetic
-objects; change it only with a note in CHANGES.md saying why the output
-changed.
+``semideal.fractional`` on the law grids, zero, unit, a seeded random sample
+of ideals of all six instances and ideals spanned by rationals, and writes
+one line per call: the result, or the exception with its message. The digest
+of that text was last computed when the integral and fractional ideal types
+became the one ``Ideal``; every call of the render before it was checked
+against its counterpart in the one type, and CHANGES.md counts the calls
+whose text changed, by reason. Change it only with a note in CHANGES.md
+saying why the output changed.
 """
 
 import ast
@@ -20,7 +22,7 @@ import semideal
 from semideal import fractional, ideals, instances
 from semideal.instances import KINDS, instance
 
-DIGEST = "55a6100a0f782ea8603c02cd000a4140a3873c6c727034bae0efaf6300d69319"
+DIGEST = "dc1738a1bf265e82a94be277cac58fa166859d5abd06f72a24bcfecf661390fe"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "gcd-supported(2,3,5,7)", "dvs", "quad5", "lagrassa")
 
@@ -37,7 +39,7 @@ GRIDS = {
 
 
 def _show(x):
-    if isinstance(x, (ideals.Ideal, fractional.FracIdeal)):
+    if isinstance(x, ideals.Ideal):
         return f"{type(x).__name__}({x.instance.id}, {x.payload!r})"
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(_show(y) for y in x) + "]"
@@ -95,14 +97,14 @@ def render():
         inst = instance(inst_id)
         sample = _sample(inst_id, rng)
         elems = semideal.enumerate_payloads(inst, 6)
-        for fn in (ideals.zero_ideal, ideals.unit_ideal, fractional.frac_zero, fractional.frac_unit):
+        for fn in (ideals.zero_ideal, ideals.unit_ideal):
             _call(out, fn.__name__, fn, inst)
         _call(out, "ideal_from_generators", ideals.ideal_from_generators, inst, [semideal.one(inst), elems[-1]])
         _call(out, "ideal_from_generators", ideals.ideal_from_generators, inst, [other])
         for a in sample:
             for fn in (
-                ideals.is_zero, ideals.generators, ideals.ideal_str, ideals.is_subtractive, ideals.is_prime,
-                ideals.is_maximal, ideals.min_nonzero, ideals.search_between, fractional.frac_from_ideal,
+                ideals.is_zero, ideals.is_integral, ideals.generators, ideals.ideal_str, ideals.is_subtractive,
+                ideals.is_prime, ideals.is_maximal, ideals.min_nonzero, ideals.search_between, ideals.ideal_invert,
             ):
                 _call(out, fn.__name__, fn, a)
             for k in range(-1, 4):
@@ -111,6 +113,7 @@ def render():
                 _call(out, "ideal_membership", ideals.ideal_membership, a, x)
             _call(out, "ideal_membership", ideals.ideal_membership, a, semideal.zero(instance("dvs")))
             _call(out, "ideal_sum", ideals.ideal_sum, a, other)
+            _call(out, "ideal_equals", ideals.ideal_equals, a, other)
             for b in sample:
                 for fn in (
                     ideals.ideal_sum, ideals.ideal_product, ideals.ideal_intersect, ideals.ideal_quotient,
@@ -134,39 +137,29 @@ def render():
         fracs.append([Fraction(1, 7)])
         values = []
         for rats in fracs:
-            _call(out, "frac_from_generators", fractional.frac_from_generators, inst, rats)
-            _call(out, "frac_from_generators", fractional.frac_from_generators, inst, rats, 4)
+            _call(out, "ideal_from_generators", ideals.ideal_from_generators, inst, rats)
             try:
-                values.append(fractional.frac_from_generators(inst, rats))
+                values.append(ideals.ideal_from_generators(inst, rats))
             except Exception:
                 pass
         values = values[::3]
         for a in values:
             for fn in (
-                fractional.is_integral, fractional.to_ideal, fractional.frac_is_zero, fractional.frac_invert,
-                fractional.frac_principal_generator, fractional.inversion_witness, fractional.sandwich,
-                fractional.frac_str, fractional.uft_factor,
+                ideals.is_integral, ideals.generators, ideals.is_zero, ideals.ideal_invert,
+                fractional.inversion_witness, fractional.sandwich, ideals.ideal_str, fractional.uft_factor,
             ):
                 _call(out, fn.__name__, fn, a)
             for k in range(-2, 3):
-                _call(out, "frac_power", fractional.frac_power, a, k)
+                _call(out, "ideal_power", ideals.ideal_power, a, k)
             try:
                 vec = fractional.uft_factor(a)
                 _call(out, "uft_compose", fractional.uft_compose, inst, vec)
             except Exception:
                 pass
-            gen = None
-            try:
-                gen = fractional.frac_principal_generator(a)
-            except Exception:
-                pass
-            if gen is not None:
-                _call(out, "k_mul", fractional.k_mul, inst, gen, gen)
-                _call(out, "k_one", fractional.k_one, inst)
             for b in values:
                 for fn in (
-                    fractional.frac_sum, fractional.frac_product, fractional.frac_intersect,
-                    fractional.frac_quotient, fractional.frac_equals,
+                    ideals.ideal_sum, ideals.ideal_product, ideals.ideal_intersect, ideals.ideal_quotient,
+                    ideals.ideal_equals,
                 ):
                     _call(out, fn.__name__, fn, a, b)
     _call(out, "next_prime", fractional.next_prime, 89)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semideal import natideal
-from semideal.errors import EmptyIdeal, ZeroDivisorIdeal
+from semideal.errors import EmptyIdeal, Unsupported, ZeroDivisorIdeal
 from semideal.ideals import Ideal, ideal_power
 from semideal.instances import instance
 from semideal.natideal import (
@@ -594,7 +594,7 @@ def test_storage_operations_decode_no_members(monkeypatch):
         lambda: from_generators([91, 97, 150]),
         lambda: nat_sum(a, b),
         lambda: nat_product(a, b),
-        lambda: ideal_power(Ideal(N0, b), 3),
+        lambda: ideal_power(Ideal(N0, (1, b)), 3),  # the n0 payload is (denominator, NatIdeal)
         lambda: nat_scale(a, 3),
         lambda: nat_unscale(nat_scale(a, 3), 3),
         lambda: minimal_generators(a),
@@ -626,14 +626,16 @@ def test_power():
     m = NAT_MAX
 
     def power(i, k):
-        return ideal_power(Ideal(N0, i), k).payload
+        den, out = ideal_power(Ideal(N0, (1, i)), k).payload
+        assert den == 1
+        return out
 
     assert power(m, 0) == NAT_FULL
     assert power(m, 1) == m
     assert power(m, 2) == nat_product(m, m)
     assert power(m, 2) == brute_periodic(1, 12, (4, 6, 8, 9, 10))
     assert power(m, 3) == nat_product(nat_product(m, m), m)
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):  # a negative power needs an inverse, and m has none
         power(m, -1)
 
 

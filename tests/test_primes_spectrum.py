@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from semideal import TooLarge, UnknownPrime, instance, is_prime, krull_dimension, label_from_text, spectrum
-from semideal.ideals import ideal_equals, ideal_from_generators
+from semideal.ideals import generators, ideal_equals, ideal_from_generators
 from semideal.natideal import NAT_MAX
 from semideal import primes
 from semideal.primes import factorint, is_prime_int, primes_up_to, sqrt_mod_prime
@@ -128,7 +128,7 @@ def test_spectrum_shapes():
     n0_labels = spectrum(N0, 10)
     assert [lab.text() for lab in n0_labels] == ["2", "3", "5", "7", "MAX"]
     assert ideal_equals(n0_labels[-1].ideal(), ideal_from_generators(N0, [2, 3]))
-    assert n0_labels[-1].ideal().payload == NAT_MAX
+    assert n0_labels[-1].ideal().payload == (1, NAT_MAX)  # (denominator, NatIdeal)
 
     assert [lab.text() for lab in spectrum(GCD, 12)] == ["2", "3", "5", "7", "11"]
     assert [lab.text() for lab in spectrum(GS, 1000)] == ["2", "3"]
@@ -137,8 +137,8 @@ def test_spectrum_shapes():
 
     q_labels = spectrum(Q5, 11)
     assert [lab.text() for lab in q_labels] == ["P2", "P3[1]", "P3[2]", "P5", "P7[3]", "P7[4]", "P11"]
-    assert q_labels[0].ideal().payload == QuadIdeal(1, 2, 1)
-    assert q_labels[-1].ideal().payload == QuadIdeal(11, 1, 0)
+    assert generators(q_labels[0].ideal()) == (QuadIdeal(1, 2, 1),)
+    assert generators(q_labels[-1].ideal()) == (QuadIdeal(11, 1, 0),)
 
 
 def test_spectrum_ideals_are_prime():

@@ -9,7 +9,7 @@ import pytest
 import semideal.cli  # noqa: F401  imports every module that defines a record
 from semideal import instance
 from semideal.exprparse import IdealLit, Intersect, Invert, Power, Product, Quotient, Sum
-from semideal.fractional import ExponentVector, FracIdeal
+from semideal.fractional import ExponentVector
 from semideal.ideals import Ideal
 from semideal.instances import Element, Instance, Tagged
 from semideal.natideal import NatIdeal
@@ -28,8 +28,7 @@ CASES = [
      "Instance(id='gcd', kind='gcd', support=None, is_semidomain=True, is_subtractive=True, "
      "is_dedekind=True, is_noetherian=True)"),
     (Element, (GCD, 6), f"Element(instance={GCD!r}, payload=6)"),
-    (Ideal, (GCD, 6), f"Ideal(instance={GCD!r}, payload=6)"),
-    (FracIdeal, (GCD, Fraction(6, 5)), "FracIdeal(gcd, I(6/5))"),
+    (Ideal, (GCD, Fraction(6, 5)), f"Ideal(instance={GCD!r}, payload=Fraction(6, 5))"),
     (NatIdeal, (2, 4, 0b10), "NatIdeal(d=2, c=4, ex=(2,))"),
     (QuadIdeal, (1, 3, 1), "QuadIdeal(g=1, a=3, b=1)"),
     (PrimeLabel, (GCD, "quad", 3, 1), f"PrimeLabel(instance={GCD!r}, kind='quad', p=3, b=1)"),
