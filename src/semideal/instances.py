@@ -44,21 +44,8 @@ from fractions import Fraction
 from . import natideal as nat
 from .errors import InstanceMismatch, InternalError, InvalidInput, NotFractional, OutOfSupport, TooLarge, Unsupported
 from .primes import factorint, is_prime_int, primes_up_to, valuation
-from .quadratic import (
-    QI_ONE,
-    QI_ZERO,
-    QuadIdeal,
-    enumerate_ideals,
-    prime_for_root,
-    qi_add,
-    qi_conj,
-    qi_divide,
-    qi_factor,
-    qi_meet,
-    qi_mul,
-    qi_prime_split,
-    qi_principal_int,
-)
+from .quadratic import QI_ONE, QI_ZERO, QuadIdeal, _compose, enumerate_ideals, prime_for_root, qi_add, qi_divide
+from .quadratic import qi_factor, qi_meet, qi_mul, qi_prime_split, qi_principal_int
 from .reports import LawReport, Record
 
 
@@ -150,10 +137,16 @@ class Kind:
         return 0
 
     def quotient(self, a, b):
-        """[a : b] = {x : x*b inside a}; b is nonzero."""
+        """[a : b] = {x : x*b inside a}, b nonzero: the c with (a + b)*c = a. It is S when
+        a + b = a and a when a + b = S, each certified by S*a = a; only other cases divide."""
         if a == self.zero:
             return a
-        c = self.cofactor(a, self.add(a, b))
+        s = self.add(a, b)
+        if s == a:
+            return self.one
+        if s == self.one:
+            return a
+        c = self.cofactor(a, s)
         if c is None:
             raise InternalError("a principal ideal is not divisible by its sum with another")
         return c
@@ -450,18 +443,20 @@ class Quad5(Kind):
     # a fractional ideal is (Fraction scalar, primitive QuadIdeal)
     def split(self, p):
         scalar, prim = p
-        return QuadIdeal(scalar.numerator, prim.a, prim.b), QuadIdeal(scalar.denominator, 1, 0)
+        n, d = scalar.numerator, scalar.denominator
+        return prim if n == 1 else QuadIdeal(n, prim.a, prim.b), QI_ONE if d == 1 else QuadIdeal(d, 1, 0)
 
     def join(self, A, d):
         """A/d for d a nonzero element payload, a positive int or any nonzero ideal."""
-        if isinstance(d, QuadIdeal):
-            if d.a == 1:  # d = (g), a rational integer
-                d = d.g
-            else:  # d * conj(d) = (N(d)), so A/d = A*conj(d)/N(d)
-                A, d = qi_mul(A, qi_conj(d)), d.norm()
-        if A.is_zero():
+        if not A.g:
             return (Fraction(0), QI_ONE)
-        return (Fraction(A.g, d), QuadIdeal(1, A.a, A.b))
+        if isinstance(d, QuadIdeal):
+            if d.a != 1:  # d * conj(d) = (N(d)), so A/d = A*conj(d)/N(d)
+                g, a, b = _compose(A.g, A.a, A.b, d.g, d.a, -d.b % d.a)
+                return Fraction(g, d.g * d.g * d.a), QI_ONE if a == 1 else QuadIdeal(1, a, b)
+            d = d.g  # d = (g), a rational integer
+        prim = A if A.g == 1 else QI_ONE if A.a == 1 else QuadIdeal(1, A.a, A.b)
+        return Fraction(A.g) if d == 1 else Fraction(A.g, d), prim
 
     def frac_str(self, p, zero="(0)", unit="O", integer="{}*O"):
         """g*(a, b+w), with the zero, the unit and an integer multiple of O spelled as given."""

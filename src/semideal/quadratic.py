@@ -4,15 +4,18 @@ Nonzero ideals are kept in Hermite normal form g*(a*Z + (b+w)*Z) with g >= 1,
 a >= 1, 0 <= b < a and a | b*b + 5; the zero ideal is the g = 0 marker. The
 norm is g*g*a. All operations are integer-exact.
 
-Products, sums and meets are closed forms, each checked by ``_from_hnf``: a
-product is Dirichlet composition (Cohen, GTM 138, Alg. 5.4.7), with
-e = gcd(a1, a2, b1+b2) = y*(u*a1 + v*a2) + x*(b1+b2) it is g1*g2*e*(A, B+w),
-A = a1*a2/e^2, B = (y*(u*a1*b2 + v*a2*b1) + x*(b1*b2-5))/e; a sum is the
-two-row HNF of both bases, and a meet the lattice intersection (``qi_meet``).
-Only ``qi_normalize`` runs the general reduction ``_hnf2``. Powers and
-containment are the kind's (``instances.Kind``), and ``qi_factor`` reads
-prime labels off g and a, which ``instances.Quad5.factor`` certifies by
-composing them back.
+Products, sums and meets are closed forms on the raw integers (g, a, b), each
+checked to be an ideal (InternalError if not): a product is Dirichlet
+composition (Cohen, GTM 138, Alg. 5.4.7), with e = gcd(a1, a2, b1+b2) =
+y*(u*a1 + v*a2) + x*(b1+b2) it is g1*g2*e*(A, B+w), A = a1*a2/e^2,
+B = (y*(u*a1*b2 + v*a2*b1) + x*(b1*b2-5))/e; a sum is the two-row HNF of both
+bases, and a meet the lattice intersection (``qi_meet``). Only the answer is
+a new record: ``_compose`` is the product on triples, ``qi_divide`` takes
+conj(den) = (g, a, -b mod a), its candidate and the multiply-back certificate
+as triples, and a product by O, or a sum or meet equal to an operand, is that
+operand. Only ``qi_normalize`` runs the general reduction ``_hnf2``. Powers
+and containment are the kind's (``instances.Kind``); ``qi_factor`` reads prime
+labels off g and a, which ``instances.Quad5.factor`` composes back.
 """
 
 from __future__ import annotations
@@ -24,15 +27,13 @@ from .primes import factorint, is_prime_int, sqrt_mod_prime
 from .reports import Record
 
 def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 class QuadIdeal(Record):
@@ -44,7 +45,9 @@ class QuadIdeal(Record):
         _set_b(self, b)
 
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and (self.g, self.a, self.b) == (other.g, other.a, other.b)
+        if other is self:
+            return True
+        return other.__class__ is self.__class__ and self.g == other.g and self.a == other.a and self.b == other.b
 
     def __hash__(self):
         return hash((self.g, self.a, self.b))
@@ -64,9 +67,7 @@ QI_ONE = QuadIdeal(1, 1, 0)
 
 def qi_principal_int(n):
     """The ideal (n) for a rational integer n >= 0."""
-    if n == 0:
-        return QI_ZERO
-    return QuadIdeal(n, 1, 0)
+    return QuadIdeal(n, 1, 0) if n else QI_ZERO
 
 
 def _hnf2(rows):
@@ -96,13 +97,18 @@ def _hnf2(rows):
     return ax, bx % ax, by
 
 
-def _from_hnf(alpha, beta, delta):
+def _from_hnf(alpha, beta, delta, i=QI_ZERO, j=QI_ZERO):
+    """The ideal with HNF basis ((alpha, 0), (beta, delta)), i or j if equal; InternalError if not an ideal."""
     if alpha % delta or beta % delta:
         raise InternalError("module is not an ideal")
     a = alpha // delta
     b = (beta // delta) % a
     if (b * b + 5) % a:
         raise InternalError("module is not an ideal")
+    if a == i.a and delta == i.g and b == i.b:
+        return i
+    if a == j.a and delta == j.g and b == j.b:
+        return j
     return QuadIdeal(delta, a, b)
 
 
@@ -118,33 +124,49 @@ def qi_normalize(elements):
     return _from_hnf(*_hnf2(rows))
 
 
+def _compose(g1, a1, b1, g2, a2, b2):
+    """The product of nonzero g1*(a1, b1+w) and g2*(a2, b2+w) as (g, a, b), with ``_from_hnf``'s checks.
+    Dirichlet composition: e = u*a1*y + v*a2*y + (b1+b2)*x is the least w-coefficient."""
+    if a2 == 1:  # the second factor is (g2), a rational integer
+        return g1 * g2, a1, b1
+    if a1 == 1:
+        return g1 * g2, a2, b2
+    d, u, v = _xgcd(a1, a2)
+    e, y, x = _xgcd(d, b1 + b2)
+    a = a1 * a2 // e
+    beta = y * (u * a1 * b2 + v * a2 * b1) + x * (b1 * b2 - 5)
+    if a % e or beta % e:
+        raise InternalError("module is not an ideal")
+    a //= e
+    b = (beta // e) % a
+    if (b * b + 5) % a:
+        raise InternalError("module is not an ideal")
+    return g1 * g2 * e, a, b
+
+
 def qi_mul(i, j):
     if not i.g or not j.g:
         return QI_ZERO
-    g = i.g * j.g
-    if j.a == 1:  # j = (j.g), a rational integer
-        return QuadIdeal(g, i.a, i.b)
-    if i.a == 1:
-        return QuadIdeal(g, j.a, j.b)
-    # Dirichlet composition: e = u*a1*y + v*a2*y + (b1+b2)*x is the least w-coefficient
-    a1, b1, a2, b2 = i.a, i.b, j.a, j.b
-    d, u, v = _xgcd(a1, a2)
-    e, y, x = _xgcd(d, b1 + b2)
-    beta = y * (u * a1 * b2 + v * a2 * b1) + x * (b1 * b2 - 5)
-    return _from_hnf(g * (a1 * a2 // e), g * beta, g * e)
+    if j.a == 1 and j.g == 1:  # j = O
+        return i
+    if i.a == 1 and i.g == 1:
+        return j
+    g, a, b = _compose(i.g, i.a, i.b, j.g, j.a, j.b)
+    return QuadIdeal(g, a, b)
 
 
 def qi_add(i, j):
-    if not i.g:
+    g1, g2 = i.g, j.g
+    if not g1:
         return j
-    if not j.g:
+    if not g2:
         return i
     # the two-row HNF of the basis rows (g*a, 0), (g*b, g) of both ideals
-    g1, g2 = i.g, j.g
-    delta, u, v = _xgcd(g1, g2)
-    beta = u * g1 * i.b + v * g2 * j.b
-    alpha = math.gcd(g1 * i.a, g2 * j.a, g1 * i.b - g1 // delta * beta, g2 * j.b - g2 // delta * beta)
-    return _from_hnf(alpha, beta, delta)
+    b1, b2 = i.b, j.b
+    delta, u, v = (g1, 1, 0) if g1 == g2 else _xgcd(g1, g2)
+    beta = u * g1 * b1 + v * g2 * b2
+    alpha = math.gcd(g1 * i.a, g2 * j.a, g1 * b1 - g1 // delta * beta, g2 * b2 - g2 // delta * beta)
+    return _from_hnf(alpha, beta, delta, i, j)
 
 
 def qi_meet(i, j):
@@ -159,13 +181,11 @@ def qi_meet(i, j):
     delta = L * (G // math.gcd(G, L * (i.b - j.b)))
     r1, r2 = i.b * delta, j.b * delta
     alpha = m1 // G * m2
-    return _from_hnf(alpha, (r1 + m1 * s * ((r2 - r1) // G)) % alpha, delta)
+    return _from_hnf(alpha, (r1 + m1 * s * ((r2 - r1) // G)) % alpha, delta, i, j)
 
 
 def qi_conj(i):
-    if i.is_zero():
-        return i
-    return QuadIdeal(i.g, i.a, (-i.b) % i.a)
+    return QuadIdeal(i.g, i.a, (-i.b) % i.a) if i.g else i
 
 
 def qi_member(i, x, y):
@@ -173,29 +193,28 @@ def qi_member(i, x, y):
     if i.is_zero():
         return x == 0 and y == 0
     g, a, b = i.g, i.a, i.b
-    if y % g or (x - (y // g) * (g * b)) % (g * a):
-        return False
-    return True
+    return not (y % g or (x - (y // g) * (g * b)) % (g * a))
 
 
 def qi_divide(num, den):
     """Exact quotient q with den*q == num, or None.
 
     Uses den * conj(den) = (norm(den)): the candidate is num * conj(den)
-    divided by the norm, then verified by multiplying back.
+    divided by the norm, then verified by multiplying back, all on triples.
     """
-    if not den.g:
+    dg, da, db = den.g, den.a, den.b
+    if not dg:
         raise EmptyIdeal("division by the zero ideal")
     if not num.g:
         return QI_ZERO
-    p = qi_mul(num, qi_conj(den))
-    n = den.norm()
-    if p.g % n:
+    g, a, b = _compose(num.g, num.a, num.b, dg, da, -db % da)
+    n = dg * dg * da
+    if g % n:
         return None
-    q = QuadIdeal(p.g // n, p.a, p.b)
-    if qi_mul(den, q) != num:
+    g //= n
+    if _compose(dg, da, db, g, a, b) != (num.g, num.a, num.b):
         return None
-    return q
+    return QuadIdeal(g, a, b)
 
 
 def qi_prime_split(p):
@@ -221,21 +240,13 @@ def qi_prime_split(p):
 
 
 def _certify_split(p, primes):
-    principal = qi_principal_int(p)
+    principal, q = qi_principal_int(p), primes[0]
     if len(primes) == 2:
-        q1, q2 = primes
-        ok = (
-            q1 != q2
-            and q1.norm() == p
-            and q2.norm() == p
-            and qi_mul(q1, q2) == principal
-            and qi_conj(q1) == q2
-        )
-    elif primes[0].norm() == p:
-        (q,) = primes
+        q2 = primes[1]
+        ok = q != q2 and q.norm() == q2.norm() == p and qi_mul(q, q2) == principal and qi_conj(q) == q2
+    elif q.norm() == p:
         ok = qi_mul(q, q) == principal
     else:
-        (q,) = primes
         ok = q == principal and q.norm() == p * p
     if not ok:
         raise InternalError("prime splitting certificate failed")
@@ -243,9 +254,7 @@ def _certify_split(p, primes):
 
 def prime_for_root(p, b):
     """The prime ideal labelled (p, b); b None means the inert prime (p)."""
-    if b is None:
-        return qi_principal_int(p)
-    return QuadIdeal(1, p, b)
+    return qi_principal_int(p) if b is None else QuadIdeal(1, p, b)
 
 
 def qi_factor(i):
@@ -280,13 +289,6 @@ def qi_factor(i):
 
 def enumerate_ideals(max_norm):
     """All nonzero ideals of norm <= max_norm, in a deterministic order."""
-    out = []
-    for a in range(1, max_norm + 1):
-        roots = [b for b in range(a) if (b * b + 5) % a == 0]
-        g = 1
-        while g * g * a <= max_norm:
-            for b in roots:
-                out.append(QuadIdeal(g, a, b))
-            g += 1
-    out.sort(key=lambda q: (q.norm(), q.a, q.b))
-    return out
+    roots = [(a, b) for a in range(1, max_norm + 1) for b in range(a) if (b * b + 5) % a == 0]
+    out = [QuadIdeal(g, a, b) for a, b in roots for g in range(1, math.isqrt(max_norm // a) + 1)]
+    return sorted(out, key=lambda q: (q.norm(), q.a, q.b))
