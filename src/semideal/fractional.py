@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 
 from .errors import EmptyIdeal, InternalError, NotAMember, Unsupported, UnknownPrime, ZeroDivisorIdeal
-from .ideals import Ideal, _integral, _tag, ideal_equals, ideal_from_generators, ideal_invert, is_zero, zero_ideal
+from .ideals import Ideal, _check, _integral, _tag, ideal_equals, ideal_from_generators, ideal_invert, is_zero
+from .ideals import zero_ideal
 from .instances import instance
 from .primes import is_prime_int, valuation
 from .quadratic import qi_mul
@@ -124,7 +125,8 @@ def divisors_containing(a: Ideal):
 
 
 def localize(inst, p, a: Ideal) -> Ideal:
-    """Image of the integral ideal a under localization at (p), as an ideal of the dvs instance."""
+    """Image of the integral ideal a of inst under localization at (p), as an ideal of the dvs instance."""
+    _check(inst, a)
     A = _integral(a)
     if not inst.arith.gcd_family:
         raise Unsupported(f"localization is defined for the gcd family, not {inst.kind}")

@@ -58,7 +58,10 @@ MAX_POWER_BITS = 1 << 20
 
 
 def _natural(value, message):
-    v = int(value)
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number: refused below
+        v = -1
     if v != value or v < 0:
         raise InvalidInput(message)
     return v
@@ -613,7 +616,7 @@ class Lagrassa(Kind):
 
     def element(self, value):
         if value not in _LAG_ELEMENTS:
-            raise ValueError("lagrassa elements are '0', 'u', '1'")
+            raise InvalidInput("lagrassa elements are '0', 'u', '1'")
         return value
 
     def elements(self, bound):

@@ -535,6 +535,16 @@ def test_localize():
         assert prod == localize(GCD, p, A).payload + localize(GCD, p, B).payload
 
 
+def test_localize_refuses_an_ideal_of_another_instance():
+    # a gcd-supported payload reads as a gcd one, so only the instance check
+    # tells them apart; n0 and quad5 payloads would reach primes.valuation
+    for other in (ideal_from_generators(GS, [12]), ideal_from_generators(N0, [2, 3]), ideal_from_generators(Q5, [6])):
+        with pytest.raises(InstanceMismatch):
+            localize(GCD, 2, other)
+    with pytest.raises(InstanceMismatch):
+        localize(GS, 2, ideal_from_generators(GCD, [12]))
+
+
 def test_two_generators():
     a = ideal_from_generators(GCD, [12])
     m, b = two_generators(a, 24)

@@ -44,6 +44,7 @@ from semideal import (
     unit_ideal,
     zero_ideal,
 )
+from semideal.errors import InvalidInput
 from semideal.instances import enumerate_payloads, payload_add, payload_mul
 from semideal.instances import zero as element_zero
 from semideal.quadratic import QuadIdeal
@@ -174,6 +175,20 @@ def test_mixed_instance_rejected():
 def test_element_generators_accepted():
     i = ideal_from_generators(GCD, [element(GCD, 4), 6])
     assert i.payload == 2
+
+
+@pytest.mark.parametrize("inst", ALL, ids=[inst.id for inst in ALL])
+def test_a_generator_of_the_wrong_type_is_invalid_input(inst):
+    # an ideal, a string, an object or an infinite float in place of an
+    # element is refused by name, never with a bare TypeError or ValueError
+    bad = [unit_ideal(inst), unit_ideal(GCD), "x", object(), float("inf"), -1]
+    if inst is LAG:
+        bad.append(1)  # its elements are the strings "0", "u", "1"
+    for x in bad:
+        with pytest.raises(InvalidInput):
+            ideal_from_generators(inst, [x])
+        with pytest.raises(InvalidInput):
+            ideal_membership(unit_ideal(inst), x)
 
 
 def test_power_matches_repeated_product():

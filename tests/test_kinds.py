@@ -4,11 +4,13 @@
 ``semideal.fractional`` on the law grids, zero, unit, a seeded random sample
 of ideals of all six instances and ideals spanned by rationals, and writes
 one line per call: the result, or the exception with its message. The digest
-of that text was last computed when the integral and fractional ideal types
-became the one ``Ideal``; every call of the render before it was checked
-against its counterpart in the one type, and CHANGES.md counts the calls
-whose text changed, by reason. Change it only with a note in CHANGES.md
-saying why the output changed.
+of that text was last computed when a generator of the wrong type became an
+``InvalidInput`` (seven ``ideal_from_generators(…, [Ideal(gcd, …)])`` lines,
+one per instance, had raised ``TypeError`` or ``ValueError``); before that,
+when the integral and fractional ideal types became the one ``Ideal``, every
+call of the render was checked against its counterpart in the one type, and
+CHANGES.md counts the calls whose text changed, by reason. Change it only
+with a note in CHANGES.md saying why the output changed.
 """
 
 import ast
@@ -22,7 +24,7 @@ import semideal
 from semideal import fractional, ideals, instances
 from semideal.instances import KINDS, instance
 
-DIGEST = "dc1738a1bf265e82a94be277cac58fa166859d5abd06f72a24bcfecf661390fe"
+DIGEST = "8aa2fc93d2ace02fe9f09981fb21e5b0b8fe16a6a6935dc0590be8cd2686fb81"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "gcd-supported(2,3,5,7)", "dvs", "quad5", "lagrassa")
 

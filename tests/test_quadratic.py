@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from semideal import instance, instances
+from semideal import instance, instances, quadratic
 from semideal.errors import EmptyIdeal, InternalError, NotPrime
 from semideal.quadratic import (
     QI_ONE,
     QI_ZERO,
     QuadIdeal,
+    _compose,
     enumerate_ideals,
     prime_for_root,
     qi_add,
@@ -170,6 +171,81 @@ def test_divide_exactness():
     assert qi_divide(QI_ZERO, P2) == QI_ZERO
     with pytest.raises(EmptyIdeal):
         qi_divide(P2, QI_ZERO)
+
+
+def _inside(i, j):
+    """j inside i, read off the basis g*a and g*(b + w) of j by qi_member alone."""
+    return qi_member(i, j.g * j.a, 0) and qi_member(i, j.g * j.b, j.g)
+
+
+def test_quotient_is_the_residual():
+    # [a : b] is the largest c with c*b inside a. Its norm is at most N(a), so
+    # the pool holds it, and maximality over the pool decides it.
+    pool = enumerate_ideals(30)
+    prod = {(d, b): qi_mul(d, b) for d in pool for b in pool}
+    cases = {"b inside a": 0, "a + b = O": 0, "divides": 0}
+    for a in pool:
+        for b in pool:
+            c = Q5.quotient(a, b)
+            assert c in pool and c.norm() <= a.norm()
+            case = "b inside a" if _inside(a, b) else "a + b = O" if qi_add(a, b) == QI_ONE else "divides"
+            cases[case] += 1
+            assert _inside(a, qi_mul(c, b)), (a, b, c)
+            for d in pool:
+                if _inside(a, prod[d, b]):
+                    assert _inside(c, d), (a, b, c, d)
+        assert Q5.quotient(QI_ZERO, a) == QI_ZERO
+    assert min(cases.values()) > 0, cases
+
+
+def test_divide_is_none_exactly_without_a_cofactor():
+    # an exact cofactor c of i by j has N(c) = N(i)/N(j) <= 30, so it is in the pool
+    pool = enumerate_ideals(30)
+    products = {(qi_mul(j, c), j) for j in pool for c in pool}
+    for i in pool:
+        for j in pool:
+            q = qi_divide(i, j)
+            assert (q is not None) == ((i, j) in products), (i, j)
+            assert q is None or qi_mul(j, q) == i
+
+
+def test_a_result_equal_to_an_operand_is_that_operand():
+    pool = enumerate_ideals(30)
+    for i in pool:
+        assert qi_mul(i, QI_ONE) is i
+        assert qi_mul(QI_ONE, i) is (QI_ONE if i == QI_ONE else i)  # O times O is the first factor
+        for j in pool:
+            for op in (qi_add, qi_meet):
+                r = op(i, j)
+                assert r is i or r is j or r not in (i, j), (op, i, j)
+
+
+def test_divide_certifies_its_candidate_by_multiplying_back(monkeypatch):
+    # a composition fault that drops the candidate's primitive part leaves the
+    # norm test passing; the multiply-back, composed correctly, refuses it
+    num = qi_mul(P2, P3)
+    real, calls = quadratic._compose, []
+
+    def faulty(*args):
+        calls.append(args)
+        g, a, b = real(*args)
+        return (g, 1, 0) if len(calls) == 1 else (g, a, b)
+
+    monkeypatch.setattr(quadratic, "_compose", faulty)
+    assert qi_divide(num, P3) is None and len(calls) == 2
+
+
+def test_composition_refuses_a_module_that_is_not_an_ideal():
+    # (2, 0+w) is no ideal: 2 does not divide 0*0 + 5. Its product with p2
+    # fails the check a | b*b + 5, and with (4, 2+w) the check that e divides B.
+    with pytest.raises(InternalError, match="not an ideal"):
+        _compose(1, 2, 0, 1, 2, 1)
+    with pytest.raises(InternalError, match="not an ideal"):
+        _compose(1, 2, 0, 1, 4, 2)
+    fake = QuadIdeal(1, 2, 0)
+    for op in (lambda: qi_mul(fake, P2), lambda: qi_divide(P2, fake), lambda: Q5.join(P2, fake)):
+        with pytest.raises(InternalError, match="not an ideal"):
+            op()
 
 
 def test_prime_split_shapes():
