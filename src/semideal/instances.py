@@ -106,8 +106,8 @@ class Kind:
 
     factorial = True  # nonzero ideals factor into prime labels
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
-    gcd_family = False  # gcd and gcd-supported: localization, two generators, coprime identities
-    finite = False  # the law grid is every ideal, swept whatever the budget; content sweeps its modules
+    gcd_family = False  # gcd and gcd-supported: localization and two generators
+    finite = False  # the law grid is every ideal, with no random fill after it; content sweeps its modules
     memoized = ()  # binary operations one law check answers once per operand pair (laws._memoized)
 
     def __init__(self, inst):
@@ -802,7 +802,7 @@ def element_op(inst, op, x, y):
         return Element(inst, inst.arith.eadd(x.payload, y.payload))
     if op == "mul":
         return Element(inst, inst.arith.emul(x.payload, y.payload))
-    raise ValueError(f"unknown op {op!r}")
+    raise InvalidInput(f"unknown op {op!r}; element ops are 'add' and 'mul'")
 
 
 def payload_str(kind, x):

@@ -17,7 +17,7 @@ import io
 
 from semideal.cli import main
 
-DIGEST = "23f3b996f9c9bec36abeafd9e8b0cfdf2c223211832aa219088ebe0ebf159e2b"
+DIGEST = "eece524e5166c514a1738d327c906658c543998a1d0ccfa9ee4dd0c157262d57"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5")
 

@@ -20,6 +20,7 @@ from semideal import (
     payload_str,
     zero,
 )
+from semideal.errors import InvalidInput
 from semideal.quadratic import QI_ONE, QI_ZERO, QuadIdeal
 
 ALL_IDS = ["n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5"]
@@ -119,6 +120,16 @@ def test_mixed_instance_rejected():
         element_op(instance("gcd"), "add", a, b)
     with pytest.raises(ValueError, match="unknown op"):
         element_op(instance("gcd"), "sub", a, a)
+
+
+def test_unknown_element_op_is_refused_by_name():
+    # a SemidealError, so the CLI reports it by name instead of as InternalError
+    for inst_id in ALL_IDS:
+        inst = instance(inst_id)
+        x = one(inst)
+        for op in ("sub", "", "ADD"):
+            with pytest.raises(InvalidInput, match=f"unknown op {op!r}"):
+                element_op(inst, op, x, x)
 
 
 def test_gcd_add_is_gcd():

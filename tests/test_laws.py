@@ -23,7 +23,9 @@ from semideal import (
 )
 from semideal import laws, natideal
 from semideal.instances import _below
-from semideal.laws import LAW_IDS, MAX_TRIALS
+from semideal.laws import _CHECKERS, LAW_IDS, MAX_TRIALS
+
+from oracles import n0_intersect, n0_product
 
 N0 = instance("n0")
 GCD = instance("gcd")
@@ -35,9 +37,11 @@ ALL = (N0, GCD, GS, DVS, LAG, Q5)
 
 # Expected outcome of check_law at the default budget (trials=200, seed=0);
 # the deterministic grid prefix pins where each counterexample surfaces.
-# "pass" means no violation found within the budget, not a proof: law-2 on n0
-# and e.g. quotient-absorb on n0 survive the sweep, while laws 1/3/4/5/6, the
-# distributive law, and contains-iff-divides all fail on n0.
+# "pass" means no violation found within the budget, not a proof: law-2 fails
+# on n0, but its grid reaches the first counterexample only at trial 735
+# (test_law2_n0_fails_at_trial_735), and quotient-absorb on n0 survives the
+# sweep, while laws 1/3/4/5/6, the distributive law, and contains-iff-divides
+# all fail on n0 within it.
 EXPECTED = {}
 for _law in LAW_IDS:
     for _inst in ALL:
@@ -58,9 +62,7 @@ for _law, _iid in [
     ("reyes", "lagrassa"),
     ("contains-iff-divides", "lagrassa"),
     ("coprime-identities", "n0"),
-    ("coprime-identities", "dvs"),
     ("coprime-identities", "lagrassa"),
-    ("coprime-identities", "quad5"),
 ]:
     EXPECTED[(_law, _iid)] = "unsupported"
 
@@ -211,8 +213,6 @@ def test_failing_witnesses_are_shrink_minimal():
         ("dedekind2-law-3", ("I(2)", "I(3)")),
         ("dedekind2-law-5", ("I(2)", "I(3)")),
     ]
-    from semideal.laws import _CHECKERS
-
     ar = N0.arith
     for law, names in cases:
         _, _, checker = _CHECKERS[law]
@@ -243,13 +243,65 @@ def test_dedekind_identity_passes_everywhere():
 
 
 def test_coprime_identities_support():
-    assert check_law(GCD, "coprime-identities").status == "pass"
-    assert check_law(GS, "coprime-identities").status == "pass"
-    for inst in (N0, DVS, LAG, Q5):
-        with pytest.raises(Unsupported):
+    # every kind whose ideals factor into primes, sampled like any other law
+    for inst in (GCD, GS, DVS, Q5):
+        for trials in (200, 5000):
+            rep = check_law(inst, "coprime-identities", trials=trials)
+            assert (rep.status, rep.trials) == ("pass", trials), (inst.id, rep.witness)
+    for inst in (N0, LAG):
+        with pytest.raises(Unsupported, match="do not factor into primes"):
             check_law(inst, "coprime-identities")
     # the sum of coprime prime powers drops exponents to the componentwise min
     assert ideal_str(ideal_sum(ideal_from_generators(GCD, [24]), ideal_from_generators(GCD, [18]))) == "I(6)"
+
+
+def test_coprime_identities_catches_a_wrong_meet(monkeypatch):
+    # the product in place of the meet agrees with it only on coprime pairs
+    for inst in (GCD, GS, DVS, Q5):
+        ar = inst.arith
+        monkeypatch.setattr(ar, "meet", ar.mul)
+        rep = check_law(inst, "coprime-identities")
+        monkeypatch.undo()
+        assert rep.status == "fail", inst.id
+        w = rep.witness
+        assert set(w) == {"a", "b", "operation", "got", "expected"}
+        assert w["operation"] == "intersect", (inst.id, w)
+        assert w["got"] != w["expected"]
+
+
+def test_sampled_trials_count_the_tuples_checked():
+    for law, (arity, _, _) in _CHECKERS.items():
+        for inst in (GCD, GS, DVS, LAG, Q5):
+            try:
+                rep = check_law(inst, law, trials=5, seed=1)
+            except Unsupported:
+                continue
+            assert rep.trials == 5, (law, inst.id)
+    # a finite kind's grid is every ideal: a larger budget checks each tuple once
+    assert check_law(LAG, "dedekind-identity", trials=200).trials == 27
+    assert check_law(LAG, "dedekind2-law-3", trials=5).trials == 5
+
+
+def test_law2_n0_fails_at_trial_735():
+    # the grid's 735th triple is the first counterexample, whatever the seed
+    for seed in (0, 3):
+        assert check_law(N0, "dedekind2-law-2", trials=734, seed=seed).status == "pass"
+        rep = check_law(N0, "dedekind2-law-2", trials=735, seed=seed)
+        assert (rep.status, rep.trials) == ("fail", 735)
+        assert rep.witness == {
+            "a": "I(2,3)",
+            "b": "I(2)",
+            "c": "I(3)",
+            "left": "I(12,18)",
+            "missing_from_left": "6",
+            "right": "I(6)",
+        }
+    # a(b & c) = (2,3)(6) misses 6, which lies in ab & ac = (4,6) & (6,9) = (6)
+    limit = 60
+    left = n0_product([2, 3], sorted(n0_intersect([2], [3], limit) - {0}), limit)
+    right = n0_intersect(n0_product([2, 3], [2], limit), n0_product([2, 3], [3], limit), limit)
+    assert left == {0, *range(12, limit + 1, 6)}
+    assert right == set(range(0, limit + 1, 6))
 
 
 def test_unknown_law_and_unsupported_combinations():
