@@ -250,9 +250,9 @@ COMMANDS = {
     "laws": (
         _laws,
         [
-            ("--seed", {"help": "seed for sampled suites"}),
+            ("--seed", {"help": "echoed in the report; the checked tuples do not depend on it"}),
             ("law", {"nargs": "?", "help": f"one of: {', '.join(LAW_IDS)}"}),
-            ("--trials", {"help": f"trials for sampled suites (default 200, at most {MAX_TRIALS})"}),
+            ("--trials", {"help": f"tuples checked per law (default 200, at most {MAX_TRIALS})"}),
             ("--config", {"help": "law suite config file"}),
         ],
     ),

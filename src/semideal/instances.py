@@ -16,9 +16,11 @@ instance's kind on raw payloads: element payloads (int for n0 and the gcd
 family, int-or-None for dvs where None is the zero, "0" / "u" / "1" for
 lagrassa, a QuadIdeal for quad5), ideal payloads, the fractional payloads of
 ``ideals`` (``split`` reads one as A/d, ``join`` writes A/d back in
-canonical form), prime labels, and the law sampler's grid, random draw and
-shrink steps. This module is the only one that compares ``.kind`` with a
-kind name or tests the class of a kind object; other modules read its flags.
+canonical form), prime labels, and ``ideals()``, which yields every nonzero
+ideal once (lagrassa's three, zero among them) in nondecreasing size: the law
+checker's one enumeration, whose prefix ``enumerated`` keeps on the kind
+object. This module is the only one that compares ``.kind`` with a kind name
+or tests the class of a kind object; other modules read its flags.
 
 ``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
 quad5), where an ideal is stored as its generator, an element payload:
@@ -37,6 +39,8 @@ module bindings, so a tracer that rebinds those functions sees the calls.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -75,17 +79,6 @@ def _smooth(n, support):
     return n == 1
 
 
-def _below(rng, n):
-    """A draw in [0, n), n >= 1, read straight off rng's bit stream; it is
-    Random._randbelow on CPython 3.10-3.13, so it draws what randrange(n),
-    randint and choice draw, without their three Python frames."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def _power(a, k, mul, one):
     """a**k for k >= 0 by squaring, no further than the top bit of k."""
     if not k:
@@ -107,12 +100,21 @@ class Kind:
     factorial = True  # nonzero ideals factor into prime labels
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
     gcd_family = False  # gcd and gcd-supported: localization and two generators
-    finite = False  # the law grid is every ideal, with no random fill after it; content sweeps its modules
+    finite = False  # ideals() ends; content sweeps its modules
     memoized = ()  # binary operations one law check answers once per operand pair (laws._memoized)
 
     def __init__(self, inst):
         self.instance = inst
         self.support = inst.support
+        self._ideals, self._enumerated = self.ideals(), []
+
+    def enumerated(self, n):
+        """The ideals of ideals() enumerated so far on this kind object, read on
+        until there are at least n of them or a finite kind has no more."""
+        have = self._enumerated
+        if len(have) < n:
+            have.extend(itertools.islice(self._ideals, n - len(have)))
+        return have
 
     def ideal(self, gens):
         """The ideal payload generated by validated element payloads."""
@@ -240,12 +242,22 @@ class Kind:
         gens = self.generators(A)
         return "I(" + ",".join(map(str, gens) if d == 1 else (str(Fraction(g, d)) for g in gens)) + ")"
 
-    def shrink(self, a):
-        return ()
-
     def cover(self, a, b):
-        """An invertible ideal containing a, built from the sampled b."""
+        """An invertible ideal containing a, built from the checked b."""
         return self.add(a, b)
+
+
+def _smooth_numbers(support):
+    """The support-smooth naturals in order, from a heap: n*p is pushed for
+    each p up to the least prime of n, so each number is pushed once."""
+    heap = [1]
+    while True:
+        n = heapq.heappop(heap)
+        yield n
+        for p in support:
+            heapq.heappush(heap, n * p)
+            if n % p == 0:
+                break
 
 
 class GcdFamily(Kind):
@@ -295,23 +307,8 @@ class GcdFamily(Kind):
     def join(self, A, d):
         return Fraction(A) if d == 1 else Fraction(A, d)
 
-    def grid(self):
-        if self.support is None:
-            return [1, 2, 3, 4, 5, 6, 12, 30, 7, 96]
-        p, q = self.support[0], self.support[1] if len(self.support) > 1 else self.support[0]
-        return sorted({1, p, q, p * q, p * p, p * p * q, p**3 * q * q})
-
-    def random(self, rng):
-        if self.support is None:
-            return 1 + _below(rng, 10**6)
-        g = 1
-        for p in self.support:
-            g *= p ** _below(rng, 10)
-        return g
-
-    def shrink(self, a):
-        if a > 1 and (self.support is None or _smooth(a - 1, self.support)):
-            yield a - 1
+    def ideals(self):
+        return itertools.count(1) if self.support is None else _smooth_numbers(self.support)
 
 
 class Dvs(Kind):
@@ -378,13 +375,8 @@ class Dvs(Kind):
             raise Unsupported("dvs generators are written t^n with integer n")
         return nums, 0
 
-    def grid(self):
-        return [0, 1, 2, 5, 3]
-
-    def random(self, rng):
-        return _below(rng, 21)
-
-    shrink = GcdFamily.shrink
+    def ideals(self):
+        return itertools.count()
 
 
 class Quad5(Kind):
@@ -392,7 +384,6 @@ class Quad5(Kind):
 
     ezero = zero = QI_ZERO
     eone = one = QI_ONE
-    _pool = None  # the random law sample, built on first use
 
     def element(self, value):
         if isinstance(value, QuadIdeal):
@@ -474,16 +465,43 @@ class Quad5(Kind):
     def estr(self, x):  # an element is spelled 0, 1, 6 where its ideal is (0), O, 6*O
         return self.frac_str((x.g, x), "0", "1", "{}")  # the scalar g of x = g*(a, b+w)
 
-    def grid(self):
-        return enumerate_ideals(12)
+    def ideals(self):
+        """By norm n, then (a, b): the ideals of norm n are the products of one
+        ideal of norm p^e for each p^e exactly dividing n."""
+        split = {}
+        for n in itertools.count(1):
+            box = [QI_ONE]
+            for p, e in factorint(n).items():
+                P, *Q = split.get(p) or split.setdefault(p, qi_prime_split(p))
+                k, odd = divmod(e, 2) if P.norm() > p else (e, 0)  # an inert P has norm p^2
+                if odd:
+                    break
+                powers = [self.power(P, k)]
+                if Q:  # split: P^i Q^(k-i)
+                    powers = [self.mul(self.power(P, i), self.power(Q[0], k - i)) for i in range(k + 1)]
+                box = [self.mul(x, y) for x in box for y in powers]
+            else:
+                yield from sorted(box, key=self.key)
 
-    def random(self, rng):
-        if self._pool is None:
-            self._pool = enumerate_ideals(200)
-        return self._pool[_below(rng, len(self._pool))]
 
+def _minimal_tuples(m):
+    """The minimal generator tuples of the n0 ideals with largest minimal
+    generator m, sorted, in lexicographic order. A sorted tuple is minimal iff
+    each entry lies outside the closure of the smaller ones: one bit of the
+    closure's bitmap up to m, which a depth-first build keeps."""
+    mask = (1 << (m + 1)) - 1
 
-_N0_GRID = ((1,), (2,), (3,), (4,), (5,), (2, 3), (3, 4, 5), (4, 6, 9), (2, 5), (6, 10, 15), (4, 5), (3, 5, 7))
+    def build(gens, reach):  # bit x of reach: x is a sum of gens, x <= m
+        for g in range(gens[-1] + 1 if gens else 1, m):
+            if not reach >> g & 1:
+                grown = reach
+                while (more := (grown | grown << g) & mask) != grown:
+                    grown = more
+                if not grown >> m & 1:  # else no extension can end in m
+                    yield from build(gens + (g,), grown)
+        yield gens + (m,)
+
+    return build((), 1)
 
 
 class N0(Kind):
@@ -495,8 +513,8 @@ class N0(Kind):
     ezero, eone = 0, 1
     zero, one = nat.NAT_ZERO, nat.NAT_FULL
     eadd, emul = operator.add, operator.mul
-    # the law grid's 12 ideals make b+c, bc and the rest recur for every a, and
-    # an n0 operation costs far more than the dict lookup; on the other kinds
+    # a law check's first ideals make b+c, bc and the rest recur for every a,
+    # and an n0 operation costs far more than the dict lookup; on the other kinds
     # the lookup costs as much as the operation, so they memoize nothing
     memoized = ("add", "mul", "meet", "quotient", "contains", "cofactor")
 
@@ -582,19 +600,8 @@ class N0(Kind):
         d, A = p
         return (nat._scale_quotient(A, (d,)).min_nonzero(), d)
 
-    def grid(self):
-        return [nat.from_generators(g) for g in _N0_GRID]
-
-    def random(self, rng):
-        return nat.from_generators([1 + _below(rng, 40) for _ in range(1 + _below(rng, 4))])
-
-    def shrink(self, a):
-        gens = list(nat.minimal_generators(a))
-        if len(gens) > 1:
-            yield nat.from_generators(sorted(gens)[:-1])
-        for i, g in enumerate(gens):
-            if g > 1:
-                yield nat.from_generators(gens[:i] + [g - 1] + gens[i + 1 :])
+    def ideals(self):
+        return (nat.from_generators(gens) for m in itertools.count(1) for gens in _minimal_tuples(m))
 
     def cover(self, a, b):
         """The principal (m) with m dividing the content of a, so invertible."""
@@ -686,8 +693,8 @@ class Lagrassa(Kind):
     def clear(self, rats):
         raise Unsupported("lagrassa is not multiplicatively cancellative; no fraction semifield")
 
-    def grid(self):
-        return list(_LAG_RANK)
+    def ideals(self):
+        return iter(_LAG_RANK)
 
 
 # kind: (arithmetic, semidomain, subtractive ideals only, dedekind, noetherian)
@@ -814,24 +821,22 @@ def enumerate_payloads(inst, bound):
     return inst.arith.elements(bound)
 
 
-def check_semidomain(inst, bound):
+def check_semidomain(inst, trials):
     """Search for a multiplicative-cancellation failure among small elements.
 
     For each nonzero a the map b -> a*b must be injective; the first collision
-    (a, b, c) with a*b == a*c and b != c is the returned witness.
+    (a, b, c) with a*b == a*c and b != c is the returned witness. The elements
+    are the kind's sample up to isqrt(trials), and at most trials products
+    are taken; the report's ``trials`` counts them.
     """
     ar = inst.arith
-    elems = ar.elements(bound)
-    trials = 0
-    for a in elems:
-        if a == ar.ezero:
-            continue
-        seen = {}
-        for b in elems:
-            trials += 1
-            p = ar.emul(a, b)
-            if p in seen and seen[p] != b:
-                witness = {"a": ar.estr(a), "b": ar.estr(seen[p]), "c": ar.estr(b), "product": ar.estr(p)}
-                return LawReport("multiplicative-cancellation", inst.id, trials, 0, "fail", witness)
-            seen[p] = b
-    return LawReport("multiplicative-cancellation", inst.id, trials, 0, "pass", None)
+    elems = ar.elements(math.isqrt(trials))
+    pairs = ((a, b) for a in elems if a != ar.ezero for b in elems)
+    seen, count = {}, 0
+    for count, (a, b) in enumerate(itertools.islice(pairs, trials), 1):
+        p = ar.emul(a, b)
+        first = seen.setdefault((a, p), b)
+        if first != b:
+            witness = {"a": ar.estr(a), "b": ar.estr(first), "c": ar.estr(b), "product": ar.estr(p)}
+            return LawReport("multiplicative-cancellation", inst.id, count, 0, "fail", witness)
+    return LawReport("multiplicative-cancellation", inst.id, count, 0, "pass", None)

@@ -1,21 +1,18 @@
-"""Identity checking over sampled ideal tuples, with shrunk witnesses.
+"""Identity checking over the enumerated ideal tuples of an instance.
 
-Every law is decided exactly: a deterministic grid of small ideals is swept
-first (so known counterexamples surface at fixed trial indices), then seeded
-random tuples fill the remaining budget. ``trials`` is the number of tuples
-checked: the grid is cut at the budget, and a finite kind's grid is every
-ideal, with no random fill after it. A failing tuple is shrunk by dropping
-the largest generator, then decrementing generator values, as long as the
-law still fails.
+Every law is decided exactly on the first ``trials`` tuples of one order:
+each kind's ``ideals()`` (``instances``) lists its ideals by size, and the
+tuples go by their largest index into that list, then lexicographically. The
+first failing tuple is the least in that order, so it is the witness as it
+stands. ``trials`` counts the tuples checked: the budget, or fewer where a
+law fails first or a finite kind's tuples run out (lagrassa's 27 triples).
+The seed is echoed in the report and changes nothing that is checked.
 
-The random tuples come from one ``random.Random(seed)`` per check, read by
-``instances._below``, which takes from the stream exactly what ``randrange``
-would. On n0 a check runs on its own kind object, whose sum, product, meet,
+On n0 a check runs on a copy of its kind object, whose sum, product, meet,
 quotient, containment and cofactor are each computed once per operand pair
-(the kind's ``memoized``): the grid sweeps 12 ideals, so b+c, bc and the
-rest recur for every a, and in the default suite only 28% of the n0
-operations have operands not already seen in their own check. The memo is
-made per check and dropped with it, and a raise is not remembered.
+(the kind's ``memoized``), as b+c, bc and the rest recur for every a. The
+memo lives for one check and keeps no raise; the enumerated prefix stays on
+the instance's kind object for every check.
 
 Law ids:
 
@@ -36,8 +33,8 @@ Law ids:
 
 from __future__ import annotations
 
+import copy
 import itertools
-import random
 
 from .errors import TooLarge, Unsupported, UnknownLaw
 from .fractional import _factorial
@@ -63,18 +60,30 @@ LAW_IDS = (
 
 
 # ---------------------------------------------------------------------------
-# sampler: the kind object's grid, random draw and shrink steps
+# the tuples: a graded product of the kind's enumeration
 
 
-def _tuples(ar, arity, trials, seed):
-    """Grid prefix in deterministic order, then random fill, trials total."""
-    grid = ar.grid()
-    tuples = itertools.islice(itertools.product(grid, repeat=arity), trials)
-    if ar.finite:
-        return tuples
-    rng = random.Random(seed)
-    fill = (tuple(ar.random(rng) for _ in range(arity)) for _ in range(trials - len(grid) ** arity))
-    return itertools.chain(tuples, fill)
+def _level(ideals, k, arity):
+    """The tuples over ideals[:k + 1] that contain ideals[k], in lexicographic
+    order: those that start below k, then those that start with it."""
+    if arity == 1:
+        return [(ideals[k],)]
+    inner = _level(ideals, k, arity - 1)
+    tail = itertools.product(ideals[: k + 1], repeat=arity - 1)
+    return [(x, *rest) for x in ideals[:k] for rest in inner] + [(ideals[k], *rest) for rest in tail]
+
+
+def _tuples(ar, arity, trials):
+    """The first trials tuples of ar's ideals, by largest index k, then lexicographically."""
+
+    def graded():
+        for k in itertools.count():
+            ideals = ar.enumerated(k + 1)
+            if len(ideals) <= k:  # a finite kind has no ideal k
+                return
+            yield from _level(ideals, k, arity)
+
+    return itertools.islice(graded(), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +92,10 @@ def _tuples(ar, arity, trials, seed):
 
 _MISSING = object()
 
-# Results one operation's memo keeps before it starts over. A full sweep of
-# n0's 12^3 grid meets at most 2,002 operand pairs per operation; the random
-# fill's pairs seldom recur, and 10^4 dedekind-identity trials on n0 peaked at
-# about 93 MB without a bound and 25 MB with this one, 19 MB with no memo.
+# Results one operation's memo keeps before it starts over. At 10^4 trials on
+# n0, dedekind-identity peaks at 17.4 MB with this bound, 19.4 MB without it
+# and 16.2 MB with no memo (taking 0.22, 0.27 and 1.27 s), quotient-absorb at
+# 18.2, 21.7 and 16.5 MB (0.39, 0.58 and 0.63 s).
 MEMO_SIZE = 4096
 
 
@@ -109,12 +118,12 @@ def _once(op):
 
 
 def _memoized(ar):
-    """ar, or a new kind object for its instance whose ``ar.memoized``
-    operations are each computed once per operand pair; it, and the results
-    it keeps, live for one check."""
+    """ar, or a copy of it whose ``ar.memoized`` operations are each computed
+    once per operand pair; the copy reads ar's enumerated prefix, and it and
+    the results it keeps live for one check."""
     if not ar.memoized:
         return ar
-    memo = type(ar)(ar.instance)
+    memo = copy.copy(ar)
     for name in ar.memoized:
         setattr(memo, name, _once(getattr(ar, name)))
     return memo
@@ -293,42 +302,27 @@ _CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# shrinking
-
-
-def _shrink(ar, checker, tup):
-    """Take the first shrink step of any entry that keeps the law failing, until none does."""
-    while True:
-        steps = (tup[:i] + (c,) + tup[i + 1 :] for i in range(len(tup)) for c in ar.shrink(tup[i]))
-        smaller = next((t for t in steps if checker(ar, *t) is not None), None)
-        if smaller is None:
-            return tup
-        tup = smaller
-
-
-# ---------------------------------------------------------------------------
 # entry point
 
 
-# Trials one check may run. Past n0's grid of 12^3 triples a random
-# dedekind-identity trial costs about 1.2 ms: in-process on a 2-core x86_64 VM
-# (CPython 3.11), 10^4 trials there took 10-11 s at seed 3 at a peak RSS of
-# 25 MB, 3,000 took 1.5-1.7 s, and at seeds 1 and 2 the run stops with
-# TooLarge after about 5 and 2 s, where a gcd row takes 0.03 s.
+# Trials one check may run. At 10^4 the slowest checks, coprime-identities on
+# quad5 and quotient-absorb and dedekind-identity on n0, take 0.2-0.4 s each
+# in a fresh process on a 2-core x86_64 VM (CPython 3.11).
 MAX_TRIALS = 10_000
 
 
 def check_law(inst, law, trials=200, seed=0) -> LawReport:
-    """Check one law on up to ``trials`` sampled tuples of ideals of inst.
+    """Check one law on the first ``trials`` tuples of ideals of inst.
 
     multiplicative-cancellation is a law on elements, not on ideals (n0's
     naturals cancel while its ideals do not), so it searches the kind's small
-    elements instead, and its ``trials`` counts the pairs it multiplied.
+    elements instead, and its ``trials`` counts the pairs it multiplied. The
+    seed is echoed in the report; it changes nothing that is checked.
     """
     if trials > MAX_TRIALS:
         raise TooLarge(f"more than {MAX_TRIALS} trials asked of {law}")
     if law == "multiplicative-cancellation":
-        report = check_semidomain(inst, bound=min(trials, 60))
+        report = check_semidomain(inst, trials)
         return LawReport(report.law, report.instance, report.trials, seed, report.status, report.witness)
     if law not in _CHECKERS:
         raise UnknownLaw(f"unknown law id {law!r}")
@@ -337,9 +331,9 @@ def check_law(inst, law, trials=200, seed=0) -> LawReport:
         needs(inst, law)
     ar = _memoized(inst.arith)
     count = 0
-    for tup in _tuples(ar, arity, trials, seed):
+    for tup in _tuples(ar, arity, trials):
         count += 1
-        if checker(ar, *tup) is not None:
-            tup = _shrink(ar, checker, tup)
-            return LawReport(law, inst.id, count, seed, "fail", checker(ar, *tup))
+        witness = checker(ar, *tup)
+        if witness is not None:
+            return LawReport(law, inst.id, count, seed, "fail", witness)
     return LawReport(law, inst.id, count, seed, "pass", None)

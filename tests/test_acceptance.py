@@ -406,9 +406,9 @@ def test_c12_lagrassa_semiring_exhaustive():
     assert not is_subtractive(u)
     # the only nonzero proper principal ideal is (u), and it is itself prime
     assert ideal_equals(ideal_from_generators(LAG, ["1"]), unit_ideal(LAG))
-    rep = check_semidomain(LAG, bound=3)
+    rep = check_semidomain(LAG, trials=3)
     assert rep.status == "fail"
     assert rep.witness == {"a": "u", "b": "u", "c": "1", "product": "u"}
     for inst in (N0, GCD, GS, DVS, Q5):
-        assert check_semidomain(inst, bound=12).status == "pass"
+        assert check_semidomain(inst, trials=144).status == "pass"
     _done(12, "lagrassa semiring fully enumerated: ideals, primality, cancellation failure")

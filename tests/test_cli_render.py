@@ -17,7 +17,7 @@ import io
 
 from semideal.cli import main
 
-DIGEST = "eece524e5166c514a1738d327c906658c543998a1d0ccfa9ee4dd0c157262d57"
+DIGEST = "6012d5ce37cfc573aeef85aeeb7bbc6495568a1ef8b73846722efcbc080b35ec"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5")
 

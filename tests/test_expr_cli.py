@@ -643,7 +643,7 @@ def test_cli_default_config_passes(capsys):
     assert any(line.startswith("XFAIL dedekind2-law-3") for line in out.splitlines())
     assert any(line.startswith("XFAIL multiplicative-cancellation") for line in out.splitlines())
     # every row's trial count and witness, not only its status
-    assert hashlib.sha256(out.encode()).hexdigest() == "f05447fb99d91ce067d2c9abff22c7bcaa4ef1943b332a2bea053d79e6f24751"
+    assert hashlib.sha256(out.encode()).hexdigest() == "da37404ca2dd757bcbed54a3ae77229bdc971abd1ffd6f4338c9a4bd54220d20"
 
 
 def test_cli_builds_the_parser_once(monkeypatch, capsys):

@@ -1,5 +1,6 @@
-"""Instance lookup, element validation, and element arithmetic."""
+"""Instance lookup, element validation, element arithmetic, and the ideal enumeration."""
 
+import itertools
 import math
 import resource
 import subprocess
@@ -20,8 +21,9 @@ from semideal import (
     payload_str,
     zero,
 )
+from semideal import natideal
 from semideal.errors import InvalidInput
-from semideal.quadratic import QI_ONE, QI_ZERO, QuadIdeal
+from semideal.quadratic import QI_ONE, QI_ZERO, QuadIdeal, enumerate_ideals
 
 ALL_IDS = ["n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5"]
 
@@ -188,9 +190,9 @@ def test_commutativity_associativity_distributivity_small():
 
 def test_check_semidomain_verdicts():
     for spec in ("n0", "gcd", "gcd-supported(2,3)", "dvs", "quad5"):
-        rep = check_semidomain(instance(spec), 8)
+        rep = check_semidomain(instance(spec), 64)
         assert rep.status == "pass", spec
-    rep = check_semidomain(instance("lagrassa"), 8)
+    rep = check_semidomain(instance("lagrassa"), 64)
     assert rep.status == "fail"
     assert rep.witness == {"a": "u", "b": "u", "c": "1", "product": "u"}
 
@@ -230,7 +232,7 @@ def test_power_refuses_a_negative_exponent_for_every_kind():
         "from semideal.instances import KINDS, instance\n"
         "for kind in KINDS:\n"
         "    ar = instance(kind).arith\n"
-        "    for payload, element in ((ar.grid()[-1], False), (ar.elements(5)[-1], True)):\n"
+        "    for payload, element in ((ar.enumerated(3)[2], False), (ar.elements(5)[-1], True)):\n"
         "        try:\n"
         "            ar.power(payload, -1, element=element)\n"
         "        except ValueError as exc:\n"
@@ -244,3 +246,53 @@ def test_power_refuses_a_negative_exponent_for_every_kind():
     assert proc.returncode == 0, proc.stderr
     kinds = ("n0", "gcd", "gcd-supported", "dvs", "lagrassa", "quad5")
     assert proc.stdout.splitlines() == [f"{k} {e} negative ideal power" for k in kinds for e in (False, True)]
+
+
+# the size ideals() orders each kind by
+SIZE = {
+    "n0": lambda a: max(natideal.minimal_generators(a)),
+    "gcd": lambda a: a,
+    "gcd-supported": lambda a: a,
+    "dvs": lambda a: a,
+    "lagrassa": ("zero", "u", "full").index,
+    "quad5": lambda a: a.norm(),
+}
+
+
+def test_ideals_are_distinct_sized_in_order_and_canonical():
+    for spec in (*ALL_IDS, "gcd-supported(2,3,5,7)"):
+        inst = instance(spec)
+        ar = inst.arith
+        first = list(itertools.islice(ar.ideals(), 300))
+        assert len(first) == (3 if spec == "lagrassa" else 300), spec
+        assert ar.enumerated(300)[:300] == first, spec
+        assert len(set(first)) == len(first), spec
+        sizes = [SIZE[inst.kind](a) for a in first]
+        assert sizes == sorted(sizes), spec
+        for a in first:
+            assert ar.ideal(ar.generators(a)) == a, (spec, a)
+        if spec != "lagrassa":
+            assert ar.zero not in first, spec
+
+
+def test_ideals_are_every_ideal_up_to_their_size():
+    # gcd-supported: every smooth number up to the 300th, from the exponents
+    for spec in ("gcd-supported(2,3)", "gcd-supported(2,3,5,7)"):
+        ar = instance(spec).arith
+        first = ar.enumerated(300)[:300]
+        top = first[-1]
+        smooth = {1}
+        for p in instance(spec).support:
+            smooth = {n * p**e for n in smooth for e in range(top.bit_length()) if n * p**e <= top}
+        assert first == sorted(smooth), spec
+    # n0: the ideals spanned by the subsets of 1..9, by largest minimal
+    # generator, then by the sorted generator tuple
+    ar = instance("n0").arith
+    spanned = {natideal.from_generators(gens) for r in range(1, 10) for gens in itertools.combinations(range(1, 10), r)}
+    want = sorted(spanned, key=lambda a: (max(natideal.minimal_generators(a)), natideal.minimal_generators(a)))
+    assert ar.enumerated(len(want) + 1)[: len(want)] == want
+    assert max(natideal.minimal_generators(ar.enumerated(len(want) + 1)[len(want)])) == 10
+    # quad5: the root scan over every norm up to 1000, in its order
+    want = enumerate_ideals(1000)
+    assert len(want) == 1403
+    assert instance("quad5").arith.enumerated(1403)[:1403] == want

@@ -1,7 +1,7 @@
 """Pins the behaviour of the ideal layer and of what fractional ideals make possible, and where kinds are told apart.
 
 ``render()`` calls every public function of ``semideal.ideals`` and
-``semideal.fractional`` on the law grids, zero, unit, a seeded random sample
+``semideal.fractional`` on small fixed ideals, zero, unit, a seeded random sample
 of ideals of all six instances and ideals spanned by rationals, and writes
 one line per call: the result, or the exception with its message. The digest
 of that text was last computed when a generator of the wrong type became an
@@ -28,7 +28,7 @@ DIGEST = "8aa2fc93d2ace02fe9f09981fb21e5b0b8fe16a6a6935dc0590be8cd2686fb81"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "gcd-supported(2,3,5,7)", "dvs", "quad5", "lagrassa")
 
-# generator lists of the law grids
+# generator lists of small ideals
 GRIDS = {
     "n0": [(1,), (2,), (3,), (4,), (5,), (2, 3), (3, 4, 5), (4, 6, 9), (2, 5), (6, 10, 15), (4, 5), (3, 5, 7)],
     "gcd": [(g,) for g in (1, 2, 3, 4, 5, 6, 12, 30, 7, 96)],

@@ -1,7 +1,10 @@
-"""Law harness: status matrix, exact shrunk witnesses, reproducibility."""
+"""Law harness: status matrix, exact first witnesses, the tuple order, reproducibility."""
 
+import itertools
 import json
-import random
+import math
+import pathlib
+import re
 
 import pytest
 
@@ -22,7 +25,6 @@ from semideal import (
     unit_ideal,
 )
 from semideal import laws, natideal
-from semideal.instances import _below
 from semideal.laws import _CHECKERS, LAW_IDS, MAX_TRIALS
 
 from oracles import n0_intersect, n0_product
@@ -36,11 +38,12 @@ Q5 = instance("quad5")
 ALL = (N0, GCD, GS, DVS, LAG, Q5)
 
 # Expected outcome of check_law at the default budget (trials=200, seed=0);
-# the deterministic grid prefix pins where each counterexample surfaces.
-# "pass" means no violation found within the budget, not a proof: law-2 fails
-# on n0, but its grid reaches the first counterexample only at trial 735
-# (test_law2_n0_fails_at_trial_735), and quotient-absorb on n0 survives the
-# sweep, while laws 1/3/4/5/6, the distributive law, and contains-iff-divides
+# the one enumeration order pins where each counterexample surfaces.
+# "pass" means no violation found within the budget, not a proof: law-6 and
+# the distributive law fail on n0, but the order reaches their first
+# counterexamples only at trials 370 and 305
+# (test_law4_and_law6_and_distributive_n0_witnesses), and quotient-absorb and
+# reyes on n0 hold for every tuple, while laws 1 to 5 and contains-iff-divides
 # all fail on n0 within it.
 EXPECTED = {}
 for _law in LAW_IDS:
@@ -48,11 +51,10 @@ for _law in LAW_IDS:
         EXPECTED[(_law, _inst.id)] = "pass"
 for _law, _iid in [
     ("dedekind2-law-1", "n0"),
+    ("dedekind2-law-2", "n0"),
     ("dedekind2-law-3", "n0"),
     ("dedekind2-law-4", "n0"),
     ("dedekind2-law-5", "n0"),
-    ("dedekind2-law-6", "n0"),
-    ("distributive-lattice", "n0"),
     ("contains-iff-divides", "n0"),
     ("multiplicative-cancellation", "lagrassa"),
 ]:
@@ -158,35 +160,51 @@ def test_law5_n0_witness():
 
 def test_law4_and_law6_and_distributive_n0_witnesses():
     rep4 = check_law(N0, "dedekind2-law-4")
-    assert rep4.status == "fail"
+    assert (rep4.status, rep4.trials) == ("fail", 40)
     assert rep4.witness["a"] == "I(2)" and rep4.witness["b"] == "I(3)"
-    assert rep4.witness["c"] == "I(5)"
+    assert rep4.witness["c"] == "I(2,3)"
     assert rep4.witness["left"] == "I(1)" and rep4.witness["right"] == "I(2,3)"
-    # [(2)+(3) : (5)] = S because 5x lands in (2,3) for every nonzero x,
-    # while [2:5] + [3:5] = (2)+(3) misses 1
-    a, b, c = _nat(2), _nat(3), _nat(5)
+    # [(2)+(3) : (2,3)] = [(2,3) : (2,3)] = S, while
+    # [2:(2,3)] + [3:(2,3)] = (2)+(3) misses 1
+    a, b, c = _nat(2), _nat(3), _nat(2, 3)
     assert ideal_str(_residual(ideal_sum(a, b), c)) == "I(1)"
     assert ideal_str(ideal_sum(_residual(a, c), _residual(b, c))) == "I(2,3)"
 
-    rep6 = check_law(N0, "dedekind2-law-6")
-    assert rep6.status == "fail"
-    assert rep6.witness["left"] == "I(1)" and rep6.witness["right"] == "I(2,3)"
-
-    repd = check_law(N0, "distributive-lattice")
-    assert repd.status == "fail"
-    assert repd.witness == {
+    # law 6 and the distributive law hold on every tuple of the first six
+    # ideals, so they pass the default budget and fail past it
+    assert check_law(N0, "dedekind2-law-6", trials=369).status == "pass"
+    rep6 = check_law(N0, "dedekind2-law-6", trials=500)
+    assert (rep6.status, rep6.trials) == ("fail", 370)
+    assert rep6.witness == {
         "a": "I(2)",
-        "b": "I(3)",
-        "c": "I(5)",
-        "left": "I(6,8,10)",
-        "missing_from_right": "8",
-        "right": "I(6,10)",
+        "b": "I(3,4,5)",
+        "c": "I(3,4)",
+        "left": "I(1)",
+        "missing_from_right": "1",
+        "right": "I(2,3)",
     }
+    # [c : a & b] = [(3,4) : (4,6)] = S, while [c:a] + [c:b] = (2,3) + (2,3) misses 1
+    a, b, c = _nat(2), _nat(3, 4, 5), _nat(3, 4)
+    assert ideal_str(_residual(c, ideal_intersect(a, b))) == "I(1)"
+    assert ideal_str(ideal_sum(_residual(c, a), _residual(c, b))) == "I(2,3)"
+
+    assert check_law(N0, "distributive-lattice", trials=304).status == "pass"
+    repd = check_law(N0, "distributive-lattice", trials=500)
+    assert (repd.status, repd.trials) == ("fail", 305)
+    assert repd.witness == {
+        "a": "I(2,5)",
+        "b": "I(2)",
+        "c": "I(3)",
+        "left": "I(2,5)",
+        "missing_from_right": "5",
+        "right": "I(2,9)",
+    }
+    a, b, c = _nat(2, 5), _nat(2), _nat(3)
     left = ideal_intersect(a, ideal_sum(b, c))
     right = ideal_sum(ideal_intersect(a, b), ideal_intersect(a, c))
-    assert ideal_str(left) == "I(6,8,10)"
-    assert ideal_str(right) == "I(6,10)"
-    assert ideal_membership(left, 8) and not ideal_membership(right, 8)
+    assert ideal_str(left) == "I(2,5)"
+    assert ideal_str(right) == "I(2,9)"
+    assert ideal_membership(left, 5) and not ideal_membership(right, 5)
 
 
 def test_contains_iff_divides_n0_witness():
@@ -206,22 +224,55 @@ def test_contains_iff_divides_n0_witness():
     assert not ideal_membership(prod, 2)
 
 
-def test_failing_witnesses_are_shrink_minimal():
-    # every single shrink step applied to the reported witness makes the law
-    # pass again, so the witness is a local minimum of the shrinking order
-    cases = [
-        ("dedekind2-law-3", ("I(2)", "I(3)")),
-        ("dedekind2-law-5", ("I(2)", "I(3)")),
-    ]
-    ar = N0.arith
-    for law, names in cases:
-        _, _, checker = _CHECKERS[law]
-        tup = tuple(natideal.from_generators([int(s[2:-1])]) for s in names)
-        assert checker(ar, *tup) is not None
-        for i in range(len(tup)):
-            for cand in ar.shrink(tup[i]):
-                trial = tup[:i] + (cand,) + tup[i + 1 :]
-                assert checker(ar, *trial) is None, (law, i, ar.str(cand))
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "laws-default.cfg"
+
+# the largest generator of each n0 "expect fail" row's witness as the grid,
+# random fill and shrinker reported it before ideals were enumerated by size
+# (law 2: the counterexample the grid reached at trial 735)
+SHRUNK_LARGEST = {
+    "dedekind2-law-1": 3,
+    "dedekind2-law-2": 3,
+    "dedekind2-law-3": 3,
+    "dedekind2-law-4": 5,
+    "dedekind2-law-5": 3,
+    "dedekind2-law-6": 6,
+    "distributive-lattice": 5,
+    "contains-iff-divides": 3,
+}
+
+
+def test_expected_failures_are_the_first_failing_tuples():
+    # the tuples are checked in one order, so a row's witness is the first
+    # failing tuple: one trial fewer passes, and the witness is no larger
+    # than the one the shrinker used to reach
+    rows = [line.split() for line in CONFIG.read_text().splitlines() if line.endswith("expect fail")]
+    assert len(rows) == 9
+    for _, law, _, iid, _, trials, _, seed, *_ in rows:
+        rep = check_law(instance(iid), law, int(trials), int(seed))
+        assert rep.status == "fail", (law, iid)
+        assert check_law(instance(iid), law, rep.trials - 1, int(seed)).status == "pass", (law, iid)
+        if iid == "n0":
+            gens = [int(g) for key in "abc" if key in rep.witness for g in re.findall(r"\d+", rep.witness[key])]
+            assert max(gens) <= SHRUNK_LARGEST[law], (law, rep.witness)
+        else:
+            assert (law, iid, rep.trials) == ("multiplicative-cancellation", "lagrassa", 3)
+            assert rep.witness == {"a": "u", "b": "u", "c": "1", "product": "u"}
+
+
+def test_tuples_go_by_largest_index_then_lexicographically():
+    class Counting:
+        def __init__(self, size):
+            self.size = size
+
+        def enumerated(self, n):
+            return list(range(min(n, self.size)))
+
+    def order(size, arity):
+        return sorted(itertools.product(range(size), repeat=arity), key=lambda t: (max(t), t))
+
+    for arity in (1, 2, 3):
+        assert list(laws._tuples(Counting(6), arity, 10**4)) == order(6, arity)
+        assert list(laws._tuples(Counting(10**9), arity, 40)) == order(40, arity)[:40]
 
 
 def test_determinism_same_args_same_report():
@@ -277,17 +328,25 @@ def test_sampled_trials_count_the_tuples_checked():
             except Unsupported:
                 continue
             assert rep.trials == 5, (law, inst.id)
-    # a finite kind's grid is every ideal: a larger budget checks each tuple once
+    # a finite kind's tuples run out: a larger budget checks each one once
     assert check_law(LAG, "dedekind-identity", trials=200).trials == 27
     assert check_law(LAG, "dedekind2-law-3", trials=5).trials == 5
+    # the element route multiplies the elements up to isqrt(trials), and
+    # counts the products it takes, at most the budget
+    for inst in (N0, GCD, GS, DVS, Q5):
+        for trials in (1, 5, 8, 40, 10**4):
+            n = len(inst.arith.elements(math.isqrt(trials)))
+            rep = check_law(inst, "multiplicative-cancellation", trials=trials)
+            assert (rep.status, rep.trials) == ("pass", min(trials, (n - 1) * n)), (inst.id, trials)
+    assert check_law(LAG, "multiplicative-cancellation", trials=10**4).trials == 3
 
 
-def test_law2_n0_fails_at_trial_735():
-    # the grid's 735th triple is the first counterexample, whatever the seed
+def test_law2_n0_witness_matches_the_oracle():
+    # the order reaches a=(2,3), b=(2), c=(3) at trial 43, whatever the seed
     for seed in (0, 3):
-        assert check_law(N0, "dedekind2-law-2", trials=734, seed=seed).status == "pass"
-        rep = check_law(N0, "dedekind2-law-2", trials=735, seed=seed)
-        assert (rep.status, rep.trials) == ("fail", 735)
+        assert check_law(N0, "dedekind2-law-2", trials=42, seed=seed).status == "pass"
+        rep = check_law(N0, "dedekind2-law-2", trials=500, seed=seed)
+        assert (rep.status, rep.trials) == ("fail", 43)
         assert rep.witness == {
             "a": "I(2,3)",
             "b": "I(2)",
@@ -349,23 +408,21 @@ def test_quotient_absorb_and_reyes_pass_on_fractional_instances():
     assert check_law(LAG, "quotient-absorb", trials=50).status == "pass"
 
 
-def test_below_draws_what_randrange_draws():
-    # the sampler reads the seeded stream itself; a Python whose randrange
-    # reads it differently would change every random trial, so this fails first
-    for seed in (0, 1, 11, 37, 2**40 + 3):
-        mine, ref = random.Random(seed), random.Random(seed)
-        for n in range(1, 301):
-            for _ in range(3):
-                assert _below(mine, n) == ref.randrange(n), (seed, n)
-        pool = list(range(500))
-        for _ in range(200):
-            assert 1 + _below(mine, 40) == ref.randint(1, 40)
-            assert pool[_below(mine, len(pool))] == ref.choice(pool)
+def test_seed_changes_only_the_reported_seed():
+    for law in LAW_IDS:
+        for inst in ALL:
+            try:
+                reports = [check_law(inst, law, trials=100, seed=seed).to_dict() for seed in (0, 1, 7)]
+            except Unsupported:
+                continue
+            assert [r.pop("seed") for r in reports] == [0, 1, 7]
+            assert reports[0] == reports[1] == reports[2], (law, inst.id)
 
 
 def test_n0_memo_lives_for_one_check(monkeypatch):
     calls = []
     closure = natideal.additive_closure
+    check_law(N0, "dedekind-identity", 500, 1)  # the enumerated prefix is kept on the kind object; the memo is not
     monkeypatch.setattr(natideal, "additive_closure", lambda gens, limit: calls.append(limit) or closure(gens, limit))
     counts = []
     for _ in range(2):
@@ -404,8 +461,8 @@ def test_memo_is_n0_only_and_keeps_no_raise(monkeypatch):
 
 
 def test_memo_starts_over_past_its_size(monkeypatch):
-    # the random fill's operand pairs seldom recur, so a check of many trials
-    # must not keep every result
+    # a check of many trials meets more operand pairs than it is worth
+    # keeping, so it must not keep every result
     monkeypatch.setattr(laws, "MEMO_SIZE", 2)
     seen = []
     once = laws._once(lambda x, y: seen.append((x, y)) or x + y)
