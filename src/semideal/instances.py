@@ -12,15 +12,18 @@ Supported instances:
 
 Elements and ideals are tagged with their instance so mixed-instance
 operations fail loudly. ``Instance.arith`` is the arithmetic of the
-instance's kind on raw payloads: element payloads (int for n0 and the gcd
-family, int-or-None for dvs where None is the zero, "0" / "u" / "1" for
-lagrassa, a QuadIdeal for quad5), ideal payloads, the fractional payloads of
-``ideals`` (``split`` reads one as A/d, ``join`` writes A/d back in
-canonical form), prime labels, and ``ideals()``, which yields every nonzero
-ideal once (lagrassa's three, zero among them) in nondecreasing size: the law
-checker's one enumeration, whose prefix ``enumerated`` keeps on the kind
-object. This module is the only one that compares ``.kind`` with a kind name
-or tests the class of a kind object; other modules read its flags.
+instance's kind on raw payloads, and the only way to it: element payloads
+(int for n0 and the gcd family, int-or-None for dvs where None is the zero,
+"0" / "u" / "1" for lagrassa, a QuadIdeal for quad5), ideal payloads, the
+fractional payloads of ``ideals`` (``split`` reads one as A/d, ``join``
+writes A/d back in canonical form), prime labels, and ``ideals()``, which
+yields every nonzero ideal once (lagrassa's three, zero among them) in
+nondecreasing size: the law checker's one enumeration, whose prefix
+``enumerated`` keeps on the kind object. ``elements(bound)``, the small
+elements, zero first, reads ``ideals()`` up to the bound where an element is
+the generator of a principal ideal (the gcd family and quad5). This module
+is the only one that compares ``.kind`` with a kind name or tests the class
+of a kind object; other modules read its flags.
 
 ``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
 quad5), where an ideal is stored as its generator, an element payload:
@@ -48,9 +51,9 @@ from fractions import Fraction
 from . import natideal as nat
 from .errors import InstanceMismatch, InternalError, InvalidInput, NotFractional, OutOfSupport, TooLarge, Unsupported
 from .primes import factorint, is_prime_int, primes_up_to, valuation
-from .quadratic import QI_ONE, QI_ZERO, QuadIdeal, _compose, enumerate_ideals, prime_for_root, qi_add, qi_divide
+from .quadratic import QI_ONE, QI_ZERO, QuadIdeal, _compose, prime_for_root, qi_add, qi_divide
 from .quadratic import qi_factor, qi_meet, qi_mul, qi_prime_split, qi_principal_int
-from .reports import LawReport, Record
+from .reports import Record
 
 
 # The budget of Kind.power (ideal_power's numerator and denominator, and the
@@ -277,7 +280,7 @@ class GcdFamily(Kind):
         return v
 
     def elements(self, bound):
-        return [n for n in range(bound + 1) if self.support is None or _smooth(n, self.support)]
+        return [0, *itertools.takewhile(lambda n: n <= bound, self.ideals())]
 
     def quotient(self, a, b):
         return a // math.gcd(a, b)
@@ -391,7 +394,7 @@ class Quad5(Kind):
         return qi_principal_int(_natural(value, "quad5 elements are QuadIdeals or naturals n meaning n*O"))
 
     def elements(self, bound):
-        return [QI_ZERO] + enumerate_ideals(bound)
+        return [QI_ZERO, *itertools.takewhile(lambda q: q.norm() <= bound, self.ideals())]
 
     def add(self, x, y):
         return qi_add(x, y)
@@ -518,7 +521,10 @@ class N0(Kind):
     # the lookup costs as much as the operation, so they memoize nothing
     memoized = ("add", "mul", "meet", "quotient", "contains", "cofactor")
 
-    element, elements = GcdFamily.element, GcdFamily.elements  # the naturals, support None
+    element = GcdFamily.element  # the naturals, support None
+
+    def elements(self, bound):
+        return list(range(bound + 1))
 
     def ideal(self, gens):
         return nat.from_generators(gens)
@@ -792,14 +798,6 @@ def one(inst):
     return Element(inst, inst.arith.eone)
 
 
-def payload_add(kind, x, y):
-    return instance(kind).arith.eadd(x, y)
-
-
-def payload_mul(kind, x, y):
-    return instance(kind).arith.emul(x, y)
-
-
 def element_op(inst, op, x, y):
     """Binary element operation; op is "add" or "mul"."""
     for e in (x, y):
@@ -810,33 +808,3 @@ def element_op(inst, op, x, y):
     if op == "mul":
         return Element(inst, inst.arith.emul(x.payload, y.payload))
     raise InvalidInput(f"unknown op {op!r}; element ops are 'add' and 'mul'")
-
-
-def payload_str(kind, x):
-    return instance(kind).arith.estr(x)
-
-
-def enumerate_payloads(inst, bound):
-    """Deterministically ordered finite element sample, zero first."""
-    return inst.arith.elements(bound)
-
-
-def check_semidomain(inst, trials):
-    """Search for a multiplicative-cancellation failure among small elements.
-
-    For each nonzero a the map b -> a*b must be injective; the first collision
-    (a, b, c) with a*b == a*c and b != c is the returned witness. The elements
-    are the kind's sample up to isqrt(trials), and at most trials products
-    are taken; the report's ``trials`` counts them.
-    """
-    ar = inst.arith
-    elems = ar.elements(math.isqrt(trials))
-    pairs = ((a, b) for a in elems if a != ar.ezero for b in elems)
-    seen, count = {}, 0
-    for count, (a, b) in enumerate(itertools.islice(pairs, trials), 1):
-        p = ar.emul(a, b)
-        first = seen.setdefault((a, p), b)
-        if first != b:
-            witness = {"a": ar.estr(a), "b": ar.estr(first), "c": ar.estr(b), "product": ar.estr(p)}
-            return LawReport("multiplicative-cancellation", inst.id, count, 0, "fail", witness)
-    return LawReport("multiplicative-cancellation", inst.id, count, 0, "pass", None)

@@ -5,8 +5,9 @@ Ideals of the usual naturals coincide with additive submonoids: they are
 with members = {0} u {kd : bit k of mask} u {n >= c : d | n}, where d is the
 gcd of all members (0 for the zero ideal), c is the least threshold from
 which the set is purely periodic (a multiple of d, 0 when there are no gaps)
-and mask is the scaled membership bitmap below c, bit 0 clear. Equality of
-ideals is equality of the three ints.
+and mask is the scaled membership bitmap below c, bit 0 clear. Equality and
+the hash of ideals read the three ints; the minimal generators are the one
+value an ideal keeps once computed.
 
 Every ideal is built by ``from_generators``: the closure bitmap of the
 scaled generators comes from ``_kernels.additive_closure``, in a window grown
@@ -49,14 +50,10 @@ from .errors import EmptyIdeal, TooLarge, ZeroDivisorIdeal
 from .reports import Record
 
 
-class NatIdeal(Record, derived=("_bytes", "_gens", "_hash")):
-    # Each derived slot is made by its first use and kept. _bytes: the mask as
-    # little-endian bytes, from the first bit test below c: nat_between and the
-    # law checks test many members of one ideal, and a byte index per test
-    # replaces a shift of the whole mask per test. _gens: minimal_generators,
-    # which a sum, a product and the printer each ask for. _hash: the law
-    # checks' memo hashes one ideal many times, and a hash reads the whole mask.
-    __slots__ = ("d", "c", "mask", "_bytes", "_gens", "_hash")
+class NatIdeal(Record, derived=("_gens",)):
+    # _gens, made by its first use and kept: minimal_generators, which a sum,
+    # a product and the printer each ask for.
+    __slots__ = ("d", "c", "mask", "_gens")
 
     def __init__(self, d, c, mask):
         _set_d(self, d)
@@ -67,12 +64,7 @@ class NatIdeal(Record, derived=("_bytes", "_gens", "_hash")):
         return other.__class__ is self.__class__ and (self.d, self.c, self.mask) == (other.d, other.c, other.mask)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.d, self.c, self.mask))
-            _set_hash(self, h)
-            return h
+        return hash((self.d, self.c, self.mask))
 
     def __repr__(self):
         return f"NatIdeal(d={self.d!r}, c={self.c!r}, ex={self.ex!r})"
@@ -90,13 +82,7 @@ class NatIdeal(Record, derived=("_bytes", "_gens", "_hash")):
             return False
         if x >= self.c:
             return True
-        k = x // d
-        try:
-            view = self._bytes
-        except AttributeError:
-            view = self.mask.to_bytes(self.c // d // 8 + 1, "little")
-            _set_bytes(self, view)
-        return view[k >> 3] >> (k & 7) & 1 == 1
+        return self.mask >> (x // d) & 1 == 1
 
     def min_nonzero(self):
         if self.d == 0:
@@ -118,9 +104,7 @@ class NatIdeal(Record, derived=("_bytes", "_gens", "_hash")):
         return out
 
 
-_set_d, _set_c, _set_mask, _set_bytes, _set_gens, _set_hash = (
-    s.__set__ for s in (NatIdeal.d, NatIdeal.c, NatIdeal.mask, NatIdeal._bytes, NatIdeal._gens, NatIdeal._hash)
-)
+_set_d, _set_c, _set_mask, _set_gens = (s.__set__ for s in (NatIdeal.d, NatIdeal.c, NatIdeal.mask, NatIdeal._gens))
 
 
 def _generator(i):

@@ -13,8 +13,9 @@ bases, and a meet the lattice intersection (``qi_meet``). Only the answer is
 a new record: ``_compose`` is the product on triples, ``qi_divide`` takes
 conj(den) = (g, a, -b mod a), its candidate and the multiply-back certificate
 as triples, and a product by O, or a sum or meet equal to an operand, is that
-operand. Only ``qi_normalize`` runs the general reduction ``_hnf2``. Powers
-and containment are the kind's (``instances.Kind``); ``qi_factor`` reads prime
+operand. Only ``qi_normalize`` runs the general reduction ``_hnf2``. Powers,
+containment and the enumeration of the ideals by norm are the kind's
+(``instances.Kind``, ``instances.Quad5.ideals``); ``qi_factor`` reads prime
 labels off g and a, which ``instances.Quad5.factor`` composes back.
 """
 
@@ -286,9 +287,3 @@ def qi_factor(i):
         bump((p, r), e)
     return out
 
-
-def enumerate_ideals(max_norm):
-    """All nonzero ideals of norm <= max_norm, in a deterministic order."""
-    roots = [(a, b) for a in range(1, max_norm + 1) for b in range(a) if (b * b + 5) % a == 0]
-    out = [QuadIdeal(g, a, b) for a, b in roots for g in range(1, math.isqrt(max_norm // a) + 1)]
-    return sorted(out, key=lambda q: (q.norm(), q.a, q.b))

@@ -4,6 +4,7 @@ Everything here works on explicit member sets and avoids the canonical forms
 and kernels under test.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -81,6 +82,14 @@ def primes_naive(bound):
             for m in range(n * n, bound + 1, n):
                 sieve[m] = False
     return out
+
+
+def quad_ideals(max_norm):
+    """Every nonzero ideal g*(a, b+w) of Z[w], w*w = -5, of norm g*g*a <= max_norm,
+    as (g, a, b) triples sorted by (norm, a, b): a root scan over a and b."""
+    roots = [(a, b) for a in range(1, max_norm + 1) for b in range(a) if (b * b + 5) % a == 0]
+    out = [(g, a, b) for a, b in roots for g in range(1, math.isqrt(max_norm // a) + 1)]
+    return sorted(out, key=lambda t: (t[0] * t[0] * t[1], t[1], t[2]))
 
 
 def quad_member_brute(g, a, b, x, y):

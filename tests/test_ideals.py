@@ -45,7 +45,6 @@ from semideal import (
     zero_ideal,
 )
 from semideal.errors import InvalidInput
-from semideal.instances import enumerate_payloads, payload_add, payload_mul
 from semideal.instances import zero as element_zero
 from semideal.quadratic import QuadIdeal
 
@@ -62,7 +61,7 @@ UNIVERSE_BOUND = {"n0": 40, "gcd": 40, "gcd-supported": 48, "dvs": 10, "lagrassa
 
 
 def universe(inst):
-    return enumerate_payloads(inst, UNIVERSE_BOUND[inst.kind])
+    return inst.arith.elements(UNIVERSE_BOUND[inst.kind])
 
 
 def closure(inst, gens):
@@ -75,12 +74,12 @@ def closure(inst, gens):
         snapshot = list(s)
         for x in snapshot:
             for y in snapshot:
-                v = payload_add(inst.kind, x, y)
+                v = inst.arith.eadd(x, y)
                 if v in uni and v not in s:
                     s.add(v)
                     changed = True
             for u in uni:
-                v = payload_mul(inst.kind, x, u)
+                v = inst.arith.emul(x, u)
                 if v in uni and v not in s:
                     s.add(v)
                     changed = True
@@ -97,7 +96,7 @@ SMALL_BOUND = {"n0": 10, "gcd": 12, "gcd-supported": 12, "dvs": 6, "lagrassa": 3
 def gen_pool(inst, rng, small=False):
     # small pools keep n0 powers/products representable: the gap list of a
     # numeric semigroup grows quadratically in its generators
-    pool = enumerate_payloads(inst, SMALL_BOUND[inst.kind]) if small else universe(inst)
+    pool = inst.arith.elements(SMALL_BOUND[inst.kind]) if small else universe(inst)
     k = rng.randint(1, 2 if inst.kind == "quad5" else 3)
     return [rng.choice(pool) for _ in range(k)]
 
@@ -132,7 +131,7 @@ def test_ops_match_closure_oracle():
 
             assert member_window(ideal_sum(a, b)) == closure(inst, list(ma | mb))
 
-            prods = [payload_mul(inst.kind, x, y) for x in ga for y in gb]
+            prods = [inst.arith.emul(x, y) for x in ga for y in gb]
             # the product window is exact when all generator products fit
             if all(p in uni for p in prods):
                 assert member_window(ideal_product(a, b)) == closure(inst, prods)
@@ -146,7 +145,7 @@ def test_ops_match_closure_oracle():
                 expect = {
                     x
                     for x in universe(inst)
-                    if all(ideal_membership(a, payload_mul(inst.kind, x, g)) for g in gb)
+                    if all(ideal_membership(a, inst.arith.emul(x, g)) for g in gb)
                 }
                 assert member_window(q) == expect
 
@@ -298,7 +297,7 @@ def brute_prime(inst, a):
         if ideal_membership(a, x):
             continue
         for y in uni:
-            if not ideal_membership(a, y) and ideal_membership(a, payload_mul(inst.kind, x, y)):
+            if not ideal_membership(a, y) and ideal_membership(a, inst.arith.emul(x, y)):
                 return False
     return True
 

@@ -11,19 +11,19 @@ import pytest
 from semideal import (
     Element,
     InstanceMismatch,
+    LawReport,
     OutOfSupport,
-    check_semidomain,
+    check_law,
     element,
     element_op,
-    enumerate_payloads,
     instance,
     one,
-    payload_str,
     zero,
 )
-from semideal import natideal
+from semideal import instances, natideal
 from semideal.errors import InvalidInput
-from semideal.quadratic import QI_ONE, QI_ZERO, QuadIdeal, enumerate_ideals
+from semideal.quadratic import QI_ONE, QI_ZERO, QuadIdeal
+from oracles import quad_ideals
 
 ALL_IDS = ["n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5"]
 
@@ -109,7 +109,7 @@ def test_zero_one():
     for spec in ALL_IDS:
         inst = instance(spec)
         z, u = zero(inst), one(inst)
-        for x in [element(inst, p) for p in enumerate_payloads(inst, 6)]:
+        for x in [element(inst, p) for p in inst.arith.elements(6)]:
             assert element_op(inst, "add", z, x).payload == x.payload
             assert element_op(inst, "mul", u, x).payload == x.payload
             assert element_op(inst, "mul", z, x).payload == z.payload
@@ -161,7 +161,7 @@ def test_lagrassa_tables_absorbing_and_idempotent():
 def test_commutativity_associativity_distributivity_small():
     for spec in ALL_IDS:
         inst = instance(spec)
-        elems = [element(inst, p) for p in enumerate_payloads(inst, 4)]
+        elems = [element(inst, p) for p in inst.arith.elements(4)]
         for a in elems:
             for b in elems:
                 assert (
@@ -188,34 +188,56 @@ def test_commutativity_associativity_distributivity_small():
                     assert lhs.payload == rhs.payload
 
 
-def test_check_semidomain_verdicts():
-    for spec in ("n0", "gcd", "gcd-supported(2,3)", "dvs", "quad5"):
-        rep = check_semidomain(instance(spec), 64)
-        assert rep.status == "pass", spec
-    rep = check_semidomain(instance("lagrassa"), 64)
-    assert rep.status == "fail"
-    assert rep.witness == {"a": "u", "b": "u", "c": "1", "product": "u"}
+def test_multiplicative_cancellation_verdicts():
+    # gcd-supported(2,3) has 7 elements up to isqrt(64) = 8, so it takes 6 * 7 products
+    for spec, trials in (("n0", 64), ("gcd", 64), ("gcd-supported(2,3)", 42), ("dvs", 64), ("quad5", 64)):
+        rep = check_law(instance(spec), "multiplicative-cancellation", 64)
+        assert rep == LawReport("multiplicative-cancellation", spec, trials, 0, "pass", None)
+    rep = check_law(instance("lagrassa"), "multiplicative-cancellation", 64)
+    witness = {"a": "u", "b": "u", "c": "1", "product": "u"}
+    assert rep == LawReport("multiplicative-cancellation", "lagrassa", 3, 0, "fail", witness)
 
 
 def test_payload_str():
-    assert payload_str("dvs", None) == "0"
-    assert payload_str("dvs", 0) == "1"
-    assert payload_str("dvs", 4) == "t^4"
-    assert payload_str("quad5", QI_ZERO) == "0"
-    assert payload_str("quad5", QI_ONE) == "1"
-    assert payload_str("quad5", QuadIdeal(6, 1, 0)) == "6"
-    assert payload_str("quad5", QuadIdeal(1, 2, 1)) == "(2, 1+w)"
-    assert payload_str("quad5", QuadIdeal(2, 3, 1)) == "2*(3, 1+w)"
+    dvs, q5 = instance("dvs").arith, instance("quad5").arith
+    assert dvs.estr(None) == "0"
+    assert dvs.estr(0) == "1"
+    assert dvs.estr(4) == "t^4"
+    assert q5.estr(QI_ZERO) == "0"
+    assert q5.estr(QI_ONE) == "1"
+    assert q5.estr(QuadIdeal(6, 1, 0)) == "6"
+    assert q5.estr(QuadIdeal(1, 2, 1)) == "(2, 1+w)"
+    assert q5.estr(QuadIdeal(2, 3, 1)) == "2*(3, 1+w)"
 
 
 def test_enumerate_payloads_shapes():
-    assert enumerate_payloads(instance("n0"), 3) == [0, 1, 2, 3]
-    assert enumerate_payloads(instance("gcd-supported(2,3)"), 10) == [0, 1, 2, 3, 4, 6, 8, 9]
-    assert enumerate_payloads(instance("dvs"), 2) == [None, 0, 1, 2]
-    assert enumerate_payloads(instance("lagrassa"), 99) == ["0", "u", "1"]
-    quads = enumerate_payloads(instance("quad5"), 6)
+    assert instance("n0").arith.elements(3) == [0, 1, 2, 3]
+    assert instance("gcd-supported(2,3)").arith.elements(10) == [0, 1, 2, 3, 4, 6, 8, 9]
+    assert instance("dvs").arith.elements(2) == [None, 0, 1, 2]
+    assert instance("lagrassa").arith.elements(99) == ["0", "u", "1"]
+    quads = instance("quad5").arith.elements(6)
     assert quads[0] == QI_ZERO
     assert QI_ONE in quads and QuadIdeal(1, 2, 1) in quads
+
+
+def test_elements_read_the_kind_up_to_the_bound():
+    # each kind's elements against a definition that does not read ideals():
+    # a range filter on the gcd family, zero and the root scan on quad5
+    def smooth(support):
+        return lambda b: [n for n in range(b + 1) if instances._smooth(n, support)]
+
+    want = {
+        "n0": lambda b: list(range(b + 1)),
+        "gcd": lambda b: list(range(b + 1)),
+        "gcd-supported(2,3)": smooth((2, 3)),
+        "gcd-supported(2,3,5,7)": smooth((2, 3, 5, 7)),
+        "dvs": lambda b: [None, *range(b + 1)],
+        "lagrassa": lambda b: ["0", "u", "1"],
+        "quad5": lambda b: [QI_ZERO, *(QuadIdeal(*t) for t in quad_ideals(b))],
+    }
+    for spec, expected in want.items():
+        for bound in range(61):
+            assert instance(spec).arith.elements(bound) == expected(bound), (spec, bound)
 
 
 def test_element_is_frozen():
@@ -293,6 +315,6 @@ def test_ideals_are_every_ideal_up_to_their_size():
     assert ar.enumerated(len(want) + 1)[: len(want)] == want
     assert max(natideal.minimal_generators(ar.enumerated(len(want) + 1)[len(want)])) == 10
     # quad5: the root scan over every norm up to 1000, in its order
-    want = enumerate_ideals(1000)
+    want = [QuadIdeal(*t) for t in quad_ideals(1000)]
     assert len(want) == 1403
     assert instance("quad5").arith.enumerated(1403)[:1403] == want

@@ -83,7 +83,7 @@ def _prod(xs):
 
 def _sample(inst_id, rng):
     inst = instance(inst_id)
-    gens = GRIDS[inst_id] or [(q,) for q in semideal.enumerate_payloads(inst, 9)]
+    gens = GRIDS[inst_id] or [(q,) for q in inst.arith.elements(9)]
     gens = gens + [_random_gens(inst_id, rng) for _ in range(6)]
     out = [ideals.zero_ideal(inst), ideals.unit_ideal(inst)]
     for g in gens:
@@ -98,7 +98,7 @@ def render():
     for inst_id in INSTANCES:
         inst = instance(inst_id)
         sample = _sample(inst_id, rng)
-        elems = semideal.enumerate_payloads(inst, 6)
+        elems = inst.arith.elements(6)
         for fn in (ideals.zero_ideal, ideals.unit_ideal):
             _call(out, fn.__name__, fn, inst)
         _call(out, "ideal_from_generators", ideals.ideal_from_generators, inst, [semideal.one(inst), elems[-1]])

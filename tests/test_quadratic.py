@@ -11,7 +11,6 @@ from semideal.quadratic import (
     QI_ZERO,
     QuadIdeal,
     _compose,
-    enumerate_ideals,
     prime_for_root,
     qi_add,
     qi_conj,
@@ -24,13 +23,18 @@ from semideal.quadratic import (
     qi_prime_split,
     qi_principal_int,
 )
-from oracles import quad_member_brute
+from oracles import quad_ideals, quad_member_brute
 
 Q5 = instance("quad5").arith
 P2 = QuadIdeal(1, 2, 1)
 P3 = QuadIdeal(1, 3, 1)
 P3C = QuadIdeal(1, 3, 2)
 P5 = QuadIdeal(1, 5, 0)
+
+
+def ideals_to(max_norm):
+    """The ideals of norm <= max_norm, in the root-scan oracle's order."""
+    return [QuadIdeal(*t) for t in quad_ideals(max_norm)]
 
 
 def members_box(q, box=8):
@@ -52,7 +56,7 @@ def test_normalize_known_forms():
 
 
 def test_membership_matches_brute():
-    for q in enumerate_ideals(30):
+    for q in ideals_to(30):
         for x in range(-7, 8):
             for y in range(-7, 8):
                 assert qi_member(q, x, y) == quad_member_brute(q.g, q.a, q.b, x, y)
@@ -73,7 +77,7 @@ def test_normalize_is_smallest_containing_ideal():
 
 
 # every ideal of norm <= 60, the zero ideal, and scaled ideals with g > 1
-POOL = [QI_ZERO, *enumerate_ideals(60), *(QuadIdeal(g, q.a, q.b) for g in (2, 3) for q in enumerate_ideals(15))]
+POOL = [QI_ZERO, *ideals_to(60), *(QuadIdeal(g, q.a, q.b) for g in (2, 3) for q in ideals_to(15))]
 
 
 def hnf_generators(q):
@@ -127,14 +131,14 @@ def test_meet_matches_membership_box():
 
 
 def test_norm_multiplicative():
-    pool = enumerate_ideals(25)
+    pool = ideals_to(25)
     for i in pool:
         for j in pool:
             assert qi_mul(i, j).norm() == i.norm() * j.norm()
 
 
 def test_conj_involution_and_norm_identity():
-    for q in enumerate_ideals(40):
+    for q in ideals_to(40):
         assert qi_conj(qi_conj(q)) == q
         assert qi_mul(q, qi_conj(q)) == qi_principal_int(q.norm())
 
@@ -154,7 +158,7 @@ def test_pow_matches_repeated_mul():
 def test_contains_via_member_sets():
     # every ideal in the pool contains 12*Z^2 (its index divides its norm),
     # so a 12-box window decides containment exactly
-    pool = enumerate_ideals(12)
+    pool = ideals_to(12)
     sets = {q: members_box(q, box=12) for q in pool}
     for i in pool:
         for j in pool:
@@ -162,7 +166,7 @@ def test_contains_via_member_sets():
 
 
 def test_divide_exactness():
-    pool = enumerate_ideals(12)
+    pool = ideals_to(12)
     for i in pool:
         for j in pool:
             assert qi_divide(qi_mul(i, j), i) == j
@@ -181,7 +185,7 @@ def _inside(i, j):
 def test_quotient_is_the_residual():
     # [a : b] is the largest c with c*b inside a. Its norm is at most N(a), so
     # the pool holds it, and maximality over the pool decides it.
-    pool = enumerate_ideals(30)
+    pool = ideals_to(30)
     prod = {(d, b): qi_mul(d, b) for d in pool for b in pool}
     cases = {"b inside a": 0, "a + b = O": 0, "divides": 0}
     for a in pool:
@@ -200,7 +204,7 @@ def test_quotient_is_the_residual():
 
 def test_divide_is_none_exactly_without_a_cofactor():
     # an exact cofactor c of i by j has N(c) = N(i)/N(j) <= 30, so it is in the pool
-    pool = enumerate_ideals(30)
+    pool = ideals_to(30)
     products = {(qi_mul(j, c), j) for j in pool for c in pool}
     for i in pool:
         for j in pool:
@@ -210,7 +214,7 @@ def test_divide_is_none_exactly_without_a_cofactor():
 
 
 def test_a_result_equal_to_an_operand_is_that_operand():
-    pool = enumerate_ideals(30)
+    pool = ideals_to(30)
     for i in pool:
         assert qi_mul(i, QI_ONE) is i
         assert qi_mul(QI_ONE, i) is (QI_ONE if i == QI_ONE else i)  # O times O is the first factor
@@ -277,7 +281,7 @@ def test_factor_known():
 
 
 def test_factor_composes_back():
-    for q in enumerate_ideals(60):
+    for q in ideals_to(60):
         fac = qi_factor(q)  # the labels alone: the kind's factor certifies them
         composed = QI_ONE
         for (p, b), e in fac.items():
@@ -294,8 +298,8 @@ def test_factor_certificate_rejects_wrong_labels(monkeypatch):
         Q5.is_prime(P2)
 
 
-def test_enumerate_ideals_valid_and_counts():
-    pool = enumerate_ideals(30)
+def test_quad_ideals_oracle_valid_and_counts():
+    pool = ideals_to(30)
     assert len(pool) == len(set(pool))
     for q in pool:
         assert q.g >= 1 and q.a >= 1 and 0 <= q.b < q.a
