@@ -104,7 +104,10 @@ class Kind:
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
     gcd_family = False  # gcd and gcd-supported: localization and two generators
     finite = False  # ideals() ends; content sweeps its modules
-    memoized = ()  # binary operations one law check answers once per operand pair (laws._memoized)
+    # binary operations that one law check computes once per operand pair
+    # (laws._memoized); a kind that names any gives memo_key(x, y), the
+    # canonical ints of the two payloads
+    memoized = ()
 
     def __init__(self, inst):
         self.instance = inst
@@ -394,7 +397,10 @@ class Quad5(Kind):
         return qi_principal_int(_natural(value, "quad5 elements are QuadIdeals or naturals n meaning n*O"))
 
     def elements(self, bound):
-        return [QI_ZERO, *itertools.takewhile(lambda q: q.norm() <= bound, self.ideals())]
+        have = self.enumerated(1)
+        while have[-1].norm() <= bound:  # read on past the bound: ideals() is by norm
+            have = self.enumerated(2 * len(have))
+        return [QI_ZERO, *itertools.takewhile(lambda q: q.norm() <= bound, have)]
 
     def add(self, x, y):
         return qi_add(x, y)
@@ -403,6 +409,11 @@ class Quad5(Kind):
         return qi_mul(x, y)
 
     eadd, emul = add, mul
+    memoized = ("add", "mul", "meet", "quotient", "contains", "cofactor")  # as N0's, which says why
+
+    @staticmethod
+    def memo_key(x, y):  # the canonical ints of two ideals, which hash in C
+        return (x.g, x.a, x.b, y.g, y.a, y.b)
 
     def meet(self, x, y):
         return qi_meet(x, y)
@@ -517,9 +528,17 @@ class N0(Kind):
     zero, one = nat.NAT_ZERO, nat.NAT_FULL
     eadd, emul = operator.add, operator.mul
     # a law check's first ideals make b+c, bc and the rest recur for every a,
-    # and an n0 operation costs far more than the dict lookup; on the other kinds
-    # the lookup costs as much as the operation, so they memoize nothing
+    # and an n0 sum or product (about 4-5 us on the first 22 ideals) or a quad5
+    # one (about 1 us) costs several memo hits (about 0.2 us; a miss costs 0.3 us
+    # more than the operation) on a 2-core x86_64 VM, CPython 3.11. The gcd
+    # family's operations are C builtins (under 0.1 us) and dvs's cost about a
+    # hit (0.05-0.3 us): memoizing all six made their default law rows 30-60%
+    # slower, so they memoize nothing
     memoized = ("add", "mul", "meet", "quotient", "contains", "cofactor")
+
+    @staticmethod
+    def memo_key(x, y):  # the canonical ints of two ideals, which hash in C
+        return (x.d, x.c, x.mask, y.d, y.c, y.mask)
 
     element = GcdFamily.element  # the naturals, support None
 

@@ -8,11 +8,13 @@ stands. ``trials`` counts the tuples checked: the budget, or fewer where a
 law fails first or a finite kind's tuples run out (lagrassa's 27 triples).
 The seed is echoed in the report and changes nothing that is checked.
 
-On n0 a check runs on a copy of its kind object, whose sum, product, meet,
-quotient, containment and cofactor are each computed once per operand pair
-(the kind's ``memoized``), as b+c, bc and the rest recur for every a. The
-memo lives for one check and keeps no raise; the enumerated prefix stays on
-the instance's kind object for every check.
+On n0 and quad5 a check runs on a copy of the kind object, whose sum,
+product, meet, quotient, containment and cofactor are each computed once per
+operand pair (the kind's ``memoized``), as b+c, bc and the rest recur for
+every a. The kind's ``memo_key`` names a pair by the canonical ints of its
+two payloads, so a lookup hashes a tuple of ints and no payload's
+``__hash__``. The memo lives for one check and keeps no raise; the
+enumerated prefix stays on the instance's kind object for every check.
 
 Law ids:
 
@@ -58,16 +60,17 @@ def _level(ideals, k, arity):
 
 
 def _tuples(ar, arity, trials):
-    """The first trials tuples of ar's ideals, by largest index k, then lexicographically."""
-
-    def graded():
-        for k in itertools.count():
-            ideals = ar.enumerated(k + 1)
-            if len(ideals) <= k:  # a finite kind has no ideal k
-                return
-            yield from _level(ideals, k, arity)
-
-    return itertools.islice(graded(), trials)
+    """The first trials tuples of ar's ideals, by largest index k, then
+    lexicographically: those with k below the least K with K**arity >= trials,
+    from one read of the enumerated prefix."""
+    if arity == 1:
+        return itertools.islice(zip(ar.enumerated(trials)), trials)
+    side = 0
+    while side**arity < trials:
+        side += 1
+    ideals = ar.enumerated(side)  # fewer where a finite kind runs out
+    levels = (_level(ideals, k, arity) for k in range(min(side, len(ideals))))
+    return itertools.islice(itertools.chain.from_iterable(levels), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -76,26 +79,31 @@ def _tuples(ar, arity, trials):
 
 _MISSING = object()
 
-# Results one operation's memo keeps before it starts over. At 10^4 trials on
-# n0, dedekind-identity peaks at 17.4 MB with this bound, 19.4 MB without it
-# and 16.2 MB with no memo (taking 0.22, 0.27 and 1.27 s), quotient-absorb at
-# 18.2, 21.7 and 16.5 MB (0.39, 0.58 and 0.63 s).
+# Results one operation's memo keeps before it starts over. At 10^4 trials, in
+# a fresh process (2-core x86_64 VM, CPython 3.11, medians of 5 runs), each
+# check peaks at this many MB with this bound, without it and with no memo:
+# dedekind-identity on n0 at 17.1, 19.1 and 16.3 (taking 0.19, 0.18 and
+# 1.21 s), quotient-absorb on n0 at 17.8, 21.2 and 16.6 (0.38, 0.33 and
+# 0.42 s), dedekind-identity on quad5 at 16.8, 17.6 and 16.3 (0.06, 0.06 and
+# 0.19 s), coprime-identities on quad5 at 17.9, 22.8 and 16.2 (0.42, 0.41
+# and 0.44 s).
 MEMO_SIZE = 4096
 
 
-def _once(op):
-    """The binary op, computed once per operand pair; a raise is not kept, so
-    it is raised again when the pair recurs."""
+def _once(op, key):
+    """The binary op, computed once per operand pair, where key(x, y) names the
+    pair by the canonical ints of its payloads; a raise is not kept, so it is
+    raised again when the pair recurs."""
     done = {}
     get = done.get
 
     def once(x, y):
-        key = (x, y)
-        r = get(key, _MISSING)
+        k = key(x, y)
+        r = get(k, _MISSING)
         if r is _MISSING:
             if len(done) >= MEMO_SIZE:
                 done.clear()
-            r = done[key] = op(x, y)
+            r = done[k] = op(x, y)
         return r
 
     return once
@@ -103,13 +111,13 @@ def _once(op):
 
 def _memoized(ar):
     """ar, or a copy of it whose ``ar.memoized`` operations are each computed
-    once per operand pair; the copy reads ar's enumerated prefix, and it and
-    the results it keeps live for one check."""
+    once per operand pair, keyed by ``ar.memo_key``; the copy reads ar's
+    enumerated prefix, and it and the results it keeps live for one check."""
     if not ar.memoized:
         return ar
     memo = copy.copy(ar)
     for name in ar.memoized:
-        setattr(memo, name, _once(getattr(ar, name)))
+        setattr(memo, name, _once(getattr(ar, name), ar.memo_key))
     return memo
 
 

@@ -240,6 +240,14 @@ def test_elements_read_the_kind_up_to_the_bound():
             assert instance(spec).arith.elements(bound) == expected(bound), (spec, bound)
 
 
+def test_quad5_elements_read_the_kept_prefix(monkeypatch):
+    ar = instance("quad5").arith
+    fresh = list(itertools.takewhile(lambda q: q.norm() <= 200, ar.ideals()))
+    monkeypatch.setattr(instances.Quad5, "ideals", lambda self: pytest.fail("ideals() ran again"))
+    for bound in range(201):
+        assert ar.elements(bound) == [QI_ZERO, *(q for q in fresh if q.norm() <= bound)], bound
+
+
 def test_element_is_frozen():
     e = element(instance("gcd"), 4)
     assert isinstance(e, Element)

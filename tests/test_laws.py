@@ -24,8 +24,9 @@ from semideal import (
     instance,
     unit_ideal,
 )
-from semideal import laws, natideal
+from semideal import instances, laws, natideal
 from semideal.laws import _CHECKERS, LAW_IDS, MAX_TRIALS
+from semideal.quadratic import QuadIdeal
 
 from oracles import n0_intersect, n0_product
 
@@ -275,6 +276,22 @@ def test_tuples_go_by_largest_index_then_lexicographically():
         assert list(laws._tuples(Counting(10**9), arity, 40)) == order(40, arity)[:40]
 
 
+def test_tuples_read_the_prefix_once():
+    # one read of the least K ideals with K**arity >= trials
+    class Counting:
+        def __init__(self):
+            self.reads = []
+
+        def enumerated(self, n):
+            self.reads.append(n)
+            return list(range(n))
+
+    for arity, trials, side in ((1, 40, 40), (2, 40, 7), (2, 49, 7), (2, 50, 8), (3, 512, 8), (3, 513, 9), (3, 10**4, 22)):
+        ar = Counting()
+        assert len(list(laws._tuples(ar, arity, trials))) == trials
+        assert ar.reads == [side], (arity, trials)
+
+
 def test_determinism_same_args_same_report():
     for law, inst in [
         ("dedekind2-law-3", N0),
@@ -419,45 +436,91 @@ def test_seed_changes_only_the_reported_seed():
             assert reports[0] == reports[1] == reports[2], (law, inst.id)
 
 
-def test_n0_memo_lives_for_one_check(monkeypatch):
+def _memo_lives_for_one_check(monkeypatch, inst, module, name):
+    # module.name is the costly call under the memoized operations
     calls = []
-    closure = natideal.additive_closure
-    check_law(N0, "dedekind-identity", 500, 1)  # the enumerated prefix is kept on the kind object; the memo is not
-    monkeypatch.setattr(natideal, "additive_closure", lambda gens, limit: calls.append(limit) or closure(gens, limit))
+    real = getattr(module, name)
+    check_law(inst, "dedekind-identity", 500, 1)  # the enumerated prefix is kept on the kind object; the memo is not
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     counts = []
     for _ in range(2):
         calls.clear()
-        first = check_law(N0, "dedekind-identity", 500, 1)
+        first = check_law(inst, "dedekind-identity", 500, 1)
         counts.append(len(calls))
     # a memo kept past the call would make the second check cheaper
     assert counts[0] == counts[1] > 0
     monkeypatch.setattr(laws, "_memoized", lambda ar: ar)
     calls.clear()
-    assert check_law(N0, "dedekind-identity", 500, 1) == first
+    assert check_law(inst, "dedekind-identity", 500, 1) == first
     assert len(calls) > counts[0]
 
 
-def test_memo_is_n0_only_and_keeps_no_raise(monkeypatch):
-    for inst in (GCD, GS, DVS, LAG, Q5):
+def test_n0_memo_lives_for_one_check(monkeypatch):
+    _memo_lives_for_one_check(monkeypatch, N0, natideal, "additive_closure")
+
+
+def test_quad5_memo_lives_for_one_check(monkeypatch):
+    _memo_lives_for_one_check(monkeypatch, Q5, instances, "qi_mul")
+
+
+def test_memo_is_n0_and_quad5_only_and_keeps_no_raise(monkeypatch):
+    for inst in (GCD, GS, DVS, LAG):
         assert laws._memoized(inst.arith) is inst.arith
-    ar = laws._memoized(N0.arith)
-    assert ar is not N0.arith and laws._memoized(N0.arith) is not ar
-    assert N0.arith.add.__func__ is type(N0.arith).add  # the shared kind object is untouched
-    a, b = natideal.from_generators([3, 5]), natideal.from_generators([4, 7])
-    product = natideal.nat_product
-    raised = []
+    pairs = {
+        N0: (natideal, "nat_product", natideal.from_generators([3, 5]), natideal.from_generators([4, 7])),
+        Q5: (instances, "qi_mul", QuadIdeal(1, 2, 1), QuadIdeal(1, 3, 1)),
+    }
+    for inst, (module, name, a, b) in pairs.items():
+        ar = laws._memoized(inst.arith)
+        assert ar is not inst.arith and laws._memoized(inst.arith) is not ar
+        assert inst.arith.add.__func__ is type(inst.arith).add  # the shared kind object is untouched
+        product = getattr(module, name)
+        raised = []
 
-    def too_large(i, j):
-        raised.append((i, j))
-        raise TooLarge("past the budget")
+        def too_large(i, j):
+            raised.append((i, j))
+            raise TooLarge("past the budget")
 
-    monkeypatch.setattr(natideal, "nat_product", too_large)
-    for _ in range(2):
-        with pytest.raises(TooLarge):
-            ar.mul(a, b)
-    assert len(raised) == 2
-    monkeypatch.setattr(natideal, "nat_product", product)
-    assert ar.mul(a, b) == product(a, b)
+        monkeypatch.setattr(module, name, too_large)
+        for _ in range(2):
+            with pytest.raises(TooLarge):
+                ar.mul(a, b)
+        assert len(raised) == 2, inst.id
+        monkeypatch.setattr(module, name, product)
+        assert ar.mul(a, b) == product(a, b)
+
+
+def test_equal_payloads_share_one_memo_entry(monkeypatch):
+    # the memo keys a pair by its payloads' canonical ints, so an equal but
+    # distinct payload is a hit, and no payload's own __hash__ runs
+    pairs = {
+        N0: (natideal, "nat_product", natideal.NatIdeal, lambda: natideal.from_generators([3, 5])),
+        Q5: (instances, "qi_mul", QuadIdeal, lambda: QuadIdeal(1, 2, 1)),
+    }
+    for inst, (module, name, cls, make) in pairs.items():
+        ar = laws._memoized(inst.arith)
+        a, b = make(), make()
+        assert a is not b and a == b
+        real, calls = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda x, y: calls.append((x, y)) or real(x, y))
+        monkeypatch.setattr(cls, "__hash__", lambda self: pytest.fail("a payload was hashed"))
+        assert ar.mul(a, a) is ar.mul(b, b) is ar.mul(a, b)
+        assert len(calls) == 1, inst.id
+        monkeypatch.undo()
+
+
+def test_memo_changes_no_report(monkeypatch):
+    memo = {}
+    for inst in (N0, Q5):
+        for law in LAW_IDS:
+            try:
+                memo[inst.id, law] = check_law(inst, law, 300, 1)
+            except Unsupported:
+                continue
+    assert len(memo) == 2 * len(LAW_IDS) - 1  # coprime-identities needs factors, which n0 lacks
+    monkeypatch.setattr(laws, "_memoized", lambda ar: ar)
+    for (iid, law), report in memo.items():
+        assert check_law(instance(iid), law, 300, 1) == report, (iid, law)
 
 
 def test_memo_starts_over_past_its_size(monkeypatch):
@@ -465,7 +528,7 @@ def test_memo_starts_over_past_its_size(monkeypatch):
     # keeping, so it must not keep every result
     monkeypatch.setattr(laws, "MEMO_SIZE", 2)
     seen = []
-    once = laws._once(lambda x, y: seen.append((x, y)) or x + y)
+    once = laws._once(lambda x, y: seen.append((x, y)) or x + y, lambda x, y: (x, y))
     for pair in ((1, 2), (1, 2), (3, 4), (1, 2), (5, 6), (1, 2)):
         assert once(*pair) == sum(pair)
     assert seen == [(1, 2), (3, 4), (5, 6), (1, 2)]
