@@ -104,9 +104,10 @@ class Kind:
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
     gcd_family = False  # gcd and gcd-supported: localization and two generators
     finite = False  # ideals() ends; content sweeps its modules
-    # binary operations that one law check computes once per operand pair
-    # (laws._memoized); a kind that names any gives memo_key(x, y), the
-    # canonical ints of the two payloads
+    # operations that cost more than a memo lookup: a law check computes each
+    # once per operand pair where its law names it recurring (laws._memoized),
+    # or once per ideal for the unary factor; a kind that names a binary one
+    # gives memo_key(x, y), the canonical ints of the two payloads
     memoized = ()
 
     def __init__(self, inst):
@@ -275,6 +276,7 @@ class GcdFamily(Kind):
     add = eadd = math.gcd
     mul = emul = operator.mul
     meet = math.lcm
+    memoized = ("factor",)  # factorint, about 3 us on the first 15 naturals; see N0's
 
     def element(self, value):
         v = _natural(value, "naturals only")
@@ -409,7 +411,9 @@ class Quad5(Kind):
         return qi_mul(x, y)
 
     eadd, emul = add, mul
-    memoized = ("add", "mul", "meet", "quotient", "contains", "cofactor")  # as N0's, which says why
+    # as N0's, which says why; factor (qi_factor and its certificate) takes
+    # about 6 us on the first 15 ideals, against 0.3 us for a memo hit
+    memoized = ("add", "mul", "meet", "quotient", "factor")
 
     @staticmethod
     def memo_key(x, y):  # the canonical ints of two ideals, which hash in C
@@ -527,14 +531,16 @@ class N0(Kind):
     ezero, eone = 0, 1
     zero, one = nat.NAT_ZERO, nat.NAT_FULL
     eadd, emul = operator.add, operator.mul
-    # a law check's first ideals make b+c, bc and the rest recur for every a,
-    # and an n0 sum or product (about 4-5 us on the first 22 ideals) or a quad5
-    # one (about 1 us) costs several memo hits (about 0.2 us; a miss costs 0.3 us
-    # more than the operation) on a 2-core x86_64 VM, CPython 3.11. The gcd
-    # family's operations are C builtins (under 0.1 us) and dvs's cost about a
-    # hit (0.05-0.3 us): memoizing all six made their default law rows 30-60%
-    # slower, so they memoize nothing
-    memoized = ("add", "mul", "meet", "quotient", "contains", "cofactor")
+    # an n0 sum or product (about 4-5 us on the first 22 ideals) or a quad5
+    # one (about 1 us) costs several memo hits (about 0.2 us) on a 2-core
+    # x86_64 VM, CPython 3.11, so each pays where its law makes its operands
+    # recur (b+c and bc for every a); where they never recur, every call is a
+    # miss costing 0.3 us more than the operation, which is why each law names
+    # its own (laws._CHECKERS; no law's tuples make a containment or cofactor
+    # recur). The gcd family's operations are C builtins (under 0.1 us) and
+    # dvs's cost about a hit (0.05-0.3 us): memoizing all of them made their
+    # default law rows 30-60% slower, so they memoize at most factor
+    memoized = ("add", "mul", "meet", "quotient")
 
     @staticmethod
     def memo_key(x, y):  # the canonical ints of two ideals, which hash in C

@@ -8,13 +8,17 @@ stands. ``trials`` counts the tuples checked: the budget, or fewer where a
 law fails first or a finite kind's tuples run out (lagrassa's 27 triples).
 The seed is echoed in the report and changes nothing that is checked.
 
-On n0 and quad5 a check runs on a copy of the kind object, whose sum,
-product, meet, quotient, containment and cofactor are each computed once per
-operand pair (the kind's ``memoized``), as b+c, bc and the rest recur for
-every a. The kind's ``memo_key`` names a pair by the canonical ints of its
-two payloads, so a lookup hashes a tuple of ints and no payload's
-``__hash__``. The memo lives for one check and keeps no raise; the
-enumerated prefix stays on the instance's kind object for every check.
+Each law names the operations whose operands recur from tuple to tuple
+(``_CHECKERS``): b+c and bc recur for every a in the Dedekind identity, while
+law 3's pairs never recur. A check runs on a copy of the kind object that
+computes each of those operations the kind names costly (its ``memoized``:
+sum, product, meet and quotient on n0 and quad5, ``factor`` on the gcd family
+and quad5) once per operand pair, or once per ideal for ``factor``; where
+none is both, it runs on the kind object itself. The kind's ``memo_key`` names a
+pair by the canonical ints of its two payloads, so a lookup hashes a tuple of
+ints and no payload's ``__hash__``. The memo lives for one check and keeps no
+raise; the enumerated prefix stays on the instance's kind object for every
+check.
 
 Law ids:
 
@@ -36,12 +40,13 @@ Law ids:
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 
-from .errors import TooLarge, Unsupported, UnknownLaw
+from .errors import InvalidInput, TooLarge, Unsupported, UnknownLaw
 from .fractional import _factorial
-from .ideals import _invert, _quotient
+from .ideals import _quotient
 from .reports import LawReport
 
 
@@ -50,13 +55,14 @@ from .reports import LawReport
 
 
 def _level(ideals, k, arity):
-    """The tuples over ideals[:k + 1] that contain ideals[k], in lexicographic
-    order: those that start below k, then those that start with it."""
-    if arity == 1:
-        return [(ideals[k],)]
-    inner = _level(ideals, k, arity - 1)
-    tail = itertools.product(ideals[: k + 1], repeat=arity - 1)
-    return [(x, *rest) for x in ideals[:k] for rest in inner] + [(ideals[k], *rest) for rest in tail]
+    """The tuples over ideals[:k + 1] that contain ideals[k], for arity 2 or 3,
+    in lexicographic order: those that start below k, then those that start
+    with it."""
+    top, below, upto = ideals[k], ideals[:k], ideals[: k + 1]
+    pairs = [(x, top) for x in below] + [(top, y) for y in upto]
+    if arity == 2:
+        return pairs
+    return [(x, y, z) for x in below for y, z in pairs] + [(top, y, z) for y in upto for z in upto]
 
 
 def _tuples(ar, arity, trials):
@@ -82,20 +88,33 @@ _MISSING = object()
 # Results one operation's memo keeps before it starts over. At 10^4 trials, in
 # a fresh process (2-core x86_64 VM, CPython 3.11, medians of 5 runs), each
 # check peaks at this many MB with this bound, without it and with no memo:
-# dedekind-identity on n0 at 17.1, 19.1 and 16.3 (taking 0.19, 0.18 and
-# 1.21 s), quotient-absorb on n0 at 17.8, 21.2 and 16.6 (0.38, 0.33 and
-# 0.42 s), dedekind-identity on quad5 at 16.8, 17.6 and 16.3 (0.06, 0.06 and
-# 0.19 s), coprime-identities on quad5 at 17.9, 22.8 and 16.2 (0.42, 0.41
-# and 0.44 s).
+# dedekind-identity on n0 at 17.0, 18.9 and 16.1 (taking 0.25, 0.19 and
+# 1.19 s), quotient-absorb on n0 at 17.1, 19.1 and 16.3 (0.34, 0.34 and
+# 0.39 s), dedekind-identity on quad5 at 16.7, 17.5 and 16.1 (0.05, 0.05 and
+# 0.12 s), coprime-identities on quad5 at 16.6, 19.0 and 16.1 (0.16, 0.15
+# and 0.38 s).
 MEMO_SIZE = 4096
 
 
 def _once(op, key):
-    """The binary op, computed once per operand pair, where key(x, y) names the
-    pair by the canonical ints of its payloads; a raise is not kept, so it is
-    raised again when the pair recurs."""
+    """The op, computed once per operand pair where key(x, y) names the pair by
+    the canonical ints of its payloads, or once per operand where key is None
+    (a unary op, keyed by the payload itself); a raise is not kept, so it is
+    raised again when the operands recur."""
     done = {}
     get = done.get
+
+    if key is None:
+
+        def once(x):
+            r = get(x, _MISSING)
+            if r is _MISSING:
+                if len(done) >= MEMO_SIZE:
+                    done.clear()
+                r = done[x] = op(x)
+            return r
+
+        return once
 
     def once(x, y):
         k = key(x, y)
@@ -109,15 +128,19 @@ def _once(op, key):
     return once
 
 
-def _memoized(ar):
-    """ar, or a copy of it whose ``ar.memoized`` operations are each computed
-    once per operand pair, keyed by ``ar.memo_key``; the copy reads ar's
-    enumerated prefix, and it and the results it keeps live for one check."""
-    if not ar.memoized:
+def _memoized(ar, recurring):
+    """ar, or a copy of it whose operations named both in recurring (those
+    whose operands recur in one law's tuples) and in ``ar.memoized`` (those
+    that cost more than a lookup on this kind) are each computed once per
+    operand pair, keyed by ``ar.memo_key``, or once per operand for the unary
+    ``factor``; the copy reads ar's enumerated prefix, and it and the results
+    it keeps live for one check."""
+    names = [name for name in ar.memoized if name in recurring]
+    if not names:
         return ar
     memo = copy.copy(ar)
-    for name in ar.memoized:
-        setattr(memo, name, _once(getattr(ar, name), ar.memo_key))
+    for name in names:
+        setattr(memo, name, _once(getattr(ar, name), None if name == "factor" else ar.memo_key))
     return memo
 
 
@@ -145,14 +168,23 @@ def _dedekind_identity(ar, a, b, c):
     return None if left == right else _sides_witness(ar, "abc", (a, b, c), left, right)
 
 
-def _law1(ar, a):
-    if a == ar.zero:
-        return None
-    fa = ar.join(a, ar.eone)  # a as a fractional ideal
-    if _invert(ar, fa) is not None:
-        return None
-    cand = _quotient(ar, ar.join(ar.one, ar.eone), fa)
-    return {"a": ar.str(a), "candidate_inverse": ar.frac_str(cand), "product": ar.frac_str(ar.frac_mul(fa, cand))}
+def _law1(ar):
+    """Law 1's check of each a, with the fractional unit S built once per
+    check: the candidate inverse [S : a] is built once and multiplied back
+    once, and a is invertible iff that product is S."""
+    unit = ar.join(ar.one, ar.eone)
+
+    def check(a):
+        if a == ar.zero:
+            return None
+        fa = ar.join(a, ar.eone)  # a as a fractional ideal
+        cand = _quotient(ar, unit, fa)
+        product = ar.frac_mul(fa, cand)
+        if product == unit:
+            return None
+        return {"a": ar.str(a), "candidate_inverse": ar.frac_str(cand), "product": ar.frac_str(product)}
+
+    return check
 
 
 def _law2(ar, a, b, c):
@@ -276,20 +308,28 @@ def _factors(inst, law):
     _factorial(inst)
 
 
-# law: (arity, requirement or None, checker)
+def _each(checker):
+    """The plan that checks each tuple with checker(ar, *tup)."""
+    return lambda ar: functools.partial(checker, ar)
+
+
+# law: (arity, requirement or None, plan, recurring). plan(ar) gives the check
+# of one tuple; recurring names the operations whose operands recur from tuple
+# to tuple (b+c and bc for every a, say), which a check memoizes where the kind
+# names them costly (_memoized)
 _CHECKERS = {
-    "dedekind-identity": (3, None, _dedekind_identity),
-    "dedekind2-law-1": (1, _fractions, _law1),
-    "dedekind2-law-2": (3, None, _law2),
-    "dedekind2-law-3": (2, None, _law3),
-    "dedekind2-law-4": (3, None, _law4),
-    "dedekind2-law-5": (2, None, _law5),
-    "dedekind2-law-6": (3, None, _law6),
-    "distributive-lattice": (3, None, _distributive),
-    "coprime-identities": (2, _factors, _coprime),
-    "reyes": (2, _fractions, _reyes),
-    "quotient-absorb": (2, None, _quotient_absorb),
-    "contains-iff-divides": (2, _fractions, _contains_iff_divides),
+    "dedekind-identity": (3, None, _each(_dedekind_identity), ("add", "mul")),
+    "dedekind2-law-1": (1, _fractions, _law1, ()),
+    "dedekind2-law-2": (3, None, _each(_law2), ("mul", "meet")),
+    "dedekind2-law-3": (2, None, _each(_law3), ()),
+    "dedekind2-law-4": (3, None, _each(_law4), ("add", "quotient")),
+    "dedekind2-law-5": (2, None, _each(_law5), ("quotient",)),
+    "dedekind2-law-6": (3, None, _each(_law6), ("add", "meet", "quotient")),
+    "distributive-lattice": (3, None, _each(_distributive), ("add", "meet")),
+    "coprime-identities": (2, _factors, _each(_coprime), ("factor", "mul")),
+    "reyes": (2, _fractions, _each(_reyes), ("mul", "quotient")),
+    "quotient-absorb": (2, None, _each(_quotient_absorb), ("mul",)),
+    "contains-iff-divides": (2, _fractions, _each(_contains_iff_divides), ()),
 }
 LAW_IDS = (*_CHECKERS, "multiplicative-cancellation")
 
@@ -319,8 +359,8 @@ def _cancellation(inst, trials, seed):
 # entry point
 
 
-# Trials one check may run. At 10^4 the slowest checks, coprime-identities on
-# quad5 and quotient-absorb and dedekind-identity on n0, take 0.2-0.4 s each
+# Trials one check may run. At 10^4 the slowest checks, quotient-absorb and
+# dedekind-identity on n0 and dedekind2-law-1 on quad5, take 0.2-0.35 s each
 # in a fresh process on a 2-core x86_64 VM (CPython 3.11).
 MAX_TRIALS = 10_000
 
@@ -333,20 +373,23 @@ def check_law(inst, law, trials=200, seed=0) -> LawReport:
     elements instead, and its ``trials`` counts the pairs it multiplied. The
     seed is echoed in the report; it changes nothing that is checked.
     """
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+        raise InvalidInput(f"trials for {law} must be a nonnegative integer")
     if trials > MAX_TRIALS:
         raise TooLarge(f"more than {MAX_TRIALS} trials asked of {law}")
     if law == "multiplicative-cancellation":
         return _cancellation(inst, trials, seed)
     if law not in _CHECKERS:
         raise UnknownLaw(f"unknown law id {law!r}")
-    arity, needs, checker = _CHECKERS[law]
+    arity, needs, plan, recurring = _CHECKERS[law]
     if needs is not None:
         needs(inst, law)
-    ar = _memoized(inst.arith)
+    ar = _memoized(inst.arith, recurring)
+    check = plan(ar)
     count = 0
     for tup in _tuples(ar, arity, trials):
         count += 1
-        witness = checker(ar, *tup)
+        witness = check(*tup)
         if witness is not None:
             return LawReport(law, inst.id, count, seed, "fail", witness)
     return LawReport(law, inst.id, count, seed, "pass", None)

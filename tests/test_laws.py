@@ -25,6 +25,7 @@ from semideal import (
     unit_ideal,
 )
 from semideal import instances, laws, natideal
+from semideal.errors import InvalidInput
 from semideal.laws import _CHECKERS, LAW_IDS, MAX_TRIALS
 from semideal.quadratic import QuadIdeal
 
@@ -338,7 +339,7 @@ def test_coprime_identities_catches_a_wrong_meet(monkeypatch):
 
 
 def test_sampled_trials_count_the_tuples_checked():
-    for law, (arity, _, _) in _CHECKERS.items():
+    for law, (arity, _, _, _) in _CHECKERS.items():
         for inst in (GCD, GS, DVS, LAG, Q5):
             try:
                 rep = check_law(inst, law, trials=5, seed=1)
@@ -436,23 +437,24 @@ def test_seed_changes_only_the_reported_seed():
             assert reports[0] == reports[1] == reports[2], (law, inst.id)
 
 
-def _memo_lives_for_one_check(monkeypatch, inst, module, name):
+def _memo_lives_for_one_check(monkeypatch, inst, module, name, law="dedekind-identity", trials=500):
     # module.name is the costly call under the memoized operations
     calls = []
     real = getattr(module, name)
-    check_law(inst, "dedekind-identity", 500, 1)  # the enumerated prefix is kept on the kind object; the memo is not
+    check_law(inst, law, trials, 1)  # the enumerated prefix is kept on the kind object; the memo is not
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     counts = []
     for _ in range(2):
         calls.clear()
-        first = check_law(inst, "dedekind-identity", 500, 1)
+        first = check_law(inst, law, trials, 1)
         counts.append(len(calls))
     # a memo kept past the call would make the second check cheaper
     assert counts[0] == counts[1] > 0
-    monkeypatch.setattr(laws, "_memoized", lambda ar: ar)
+    monkeypatch.setattr(laws, "_memoized", lambda ar, recurring: ar)
     calls.clear()
-    assert check_law(inst, "dedekind-identity", 500, 1) == first
+    assert check_law(inst, law, trials, 1) == first
     assert len(calls) > counts[0]
+    return counts[0]
 
 
 def test_n0_memo_lives_for_one_check(monkeypatch):
@@ -463,17 +465,59 @@ def test_quad5_memo_lives_for_one_check(monkeypatch):
     _memo_lives_for_one_check(monkeypatch, Q5, instances, "qi_mul")
 
 
-def test_memo_is_n0_and_quad5_only_and_keeps_no_raise(monkeypatch):
-    for inst in (GCD, GS, DVS, LAG):
-        assert laws._memoized(inst.arith) is inst.arith
+def test_factor_memo_lives_for_one_check(monkeypatch):
+    # coprime-identities factors each ideal of its pairs once per check
+    distinct = {x for pair in laws._tuples(GCD.arith, 2, 200) for x in pair}
+    assert len(distinct) == 15
+    assert _memo_lives_for_one_check(monkeypatch, GCD, instances, "factorint", "coprime-identities", 200) == len(distinct)
+
+
+def test_memo_follows_each_laws_plan():
+    # a check memoizes the operations that recur in its law's tuples and that
+    # cost more than a lookup on its kind; the rest are called as they are
+    for law, (_, _, _, recurring) in _CHECKERS.items():
+        for inst in (DVS, LAG):
+            assert laws._memoized(inst.arith, recurring) is inst.arith, (law, inst.id)
+        for inst in (GCD, GS):
+            ar = laws._memoized(inst.arith, recurring)
+            assert (ar is inst.arith) == ("factor" not in recurring), (law, inst.id)
+        for inst in (N0, Q5):
+            ar = laws._memoized(inst.arith, recurring)
+            for name in ("add", "mul", "meet", "quotient", "contains", "cofactor", "factor"):
+                if not hasattr(inst.arith, name):
+                    continue
+                remembered = getattr(ar, name).__qualname__ == "_once.<locals>.once"
+                assert remembered == (name in recurring and name in inst.arith.memoized), (law, inst.id, name)
+    # law 1 checks single ideals, and law 3's and contains-iff-divides' pairs
+    # never recur, so they run on the kind object itself
+    for law in ("dedekind2-law-1", "dedekind2-law-3", "contains-iff-divides"):
+        for inst in ALL:
+            assert laws._memoized(inst.arith, _CHECKERS[law][3]) is inst.arith, (law, inst.id)
+
+
+def test_quad5_law3_calls_qi_mul_as_often_as_with_no_memo(monkeypatch):
+    real, calls = instances.qi_mul, []
+    check_law(Q5, "dedekind2-law-3", 500, 4)  # the enumerated prefix is read once
+    monkeypatch.setattr(instances, "qi_mul", lambda x, y: calls.append((x, y)) or real(x, y))
+    counts = []
+    for memoized in (laws._memoized, lambda ar, recurring: ar):
+        monkeypatch.setattr(laws, "_memoized", memoized)
+        calls.clear()
+        assert check_law(Q5, "dedekind2-law-3", 500, 4).status == "pass"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_memo_keeps_no_raise(monkeypatch):
     pairs = {
         N0: (natideal, "nat_product", natideal.from_generators([3, 5]), natideal.from_generators([4, 7])),
         Q5: (instances, "qi_mul", QuadIdeal(1, 2, 1), QuadIdeal(1, 3, 1)),
     }
     for inst, (module, name, a, b) in pairs.items():
-        ar = laws._memoized(inst.arith)
-        assert ar is not inst.arith and laws._memoized(inst.arith) is not ar
+        ar = laws._memoized(inst.arith, ("mul",))
+        assert ar is not inst.arith and laws._memoized(inst.arith, ("mul",)) is not ar
         assert inst.arith.add.__func__ is type(inst.arith).add  # the shared kind object is untouched
+        assert inst.arith.mul.__func__ is type(inst.arith).mul
         product = getattr(module, name)
         raised = []
 
@@ -488,6 +532,22 @@ def test_memo_is_n0_and_quad5_only_and_keeps_no_raise(monkeypatch):
         assert len(raised) == 2, inst.id
         monkeypatch.setattr(module, name, product)
         assert ar.mul(a, b) == product(a, b)
+    # the unary factor memo keeps no raise either
+    ar = laws._memoized(GCD.arith, ("factor",))
+    assert GCD.arith.factor.__func__ is type(GCD.arith).factor
+    raised = []
+
+    def refuse(n):
+        raised.append(n)
+        raise TooLarge("past the budget")
+
+    monkeypatch.setattr(instances, "factorint", refuse)
+    for _ in range(2):
+        with pytest.raises(TooLarge):
+            ar.factor(12)
+    assert raised == [12, 12]
+    monkeypatch.undo()
+    assert ar.factor(12) == GCD.arith.factor(12) == {("numeric", 2, None): 2, ("numeric", 3, None): 1}
 
 
 def test_equal_payloads_share_one_memo_entry(monkeypatch):
@@ -498,7 +558,7 @@ def test_equal_payloads_share_one_memo_entry(monkeypatch):
         Q5: (instances, "qi_mul", QuadIdeal, lambda: QuadIdeal(1, 2, 1)),
     }
     for inst, (module, name, cls, make) in pairs.items():
-        ar = laws._memoized(inst.arith)
+        ar = laws._memoized(inst.arith, ("mul",))
         a, b = make(), make()
         assert a is not b and a == b
         real, calls = getattr(module, name), []
@@ -510,17 +570,21 @@ def test_equal_payloads_share_one_memo_entry(monkeypatch):
 
 
 def test_memo_changes_no_report(monkeypatch):
-    memo = {}
-    for inst in (N0, Q5):
+    # every report is the same with each law's memo plan, with no memo, and
+    # with every costly operation of the kind memoized on every law
+    planned = {}
+    for inst in ALL:
         for law in LAW_IDS:
             try:
-                memo[inst.id, law] = check_law(inst, law, 300, 1)
+                planned[inst.id, law] = check_law(inst, law, 300, 1)
             except Unsupported:
                 continue
-    assert len(memo) == 2 * len(LAW_IDS) - 1  # coprime-identities needs factors, which n0 lacks
-    monkeypatch.setattr(laws, "_memoized", lambda ar: ar)
-    for (iid, law), report in memo.items():
-        assert check_law(instance(iid), law, 300, 1) == report, (iid, law)
+    assert len(planned) == len(ALL) * len(LAW_IDS) - 5  # as EXPECTED's five "unsupported"
+    memoized = laws._memoized
+    for plan in (lambda ar, recurring: ar, lambda ar, recurring: memoized(ar, ar.memoized)):
+        monkeypatch.setattr(laws, "_memoized", plan)
+        for (iid, law), report in planned.items():
+            assert check_law(instance(iid), law, 300, 1) == report, (iid, law)
 
 
 def test_memo_starts_over_past_its_size(monkeypatch):
@@ -532,3 +596,44 @@ def test_memo_starts_over_past_its_size(monkeypatch):
     for pair in ((1, 2), (1, 2), (3, 4), (1, 2), (5, 6), (1, 2)):
         assert once(*pair) == sum(pair)
     assert seen == [(1, 2), (3, 4), (5, 6), (1, 2)]
+    # the unary memo (key None) the same way
+    seen.clear()
+    once = laws._once(lambda x: seen.append(x) or -x, None)
+    for x in (1, 1, 3, 1, 5, 1):
+        assert once(x) == -x
+    assert seen == [1, 3, 5, 1]
+
+
+def test_law1_certificate_is_checked(monkeypatch):
+    # a wrong product from the kind's frac_mul must fail law 1, whose witness
+    # names the first a and the product it got
+    for inst in (GCD, Q5):
+        ar = inst.arith
+        real = ar.frac_mul
+        monkeypatch.setattr(ar, "frac_mul", lambda x, y: real(x, real(y, y)))  # x*y*y in place of x*y
+        rep = check_law(inst, "dedekind2-law-1", 500, 2)
+        monkeypatch.undo()
+        a = ar.enumerated(2)[1]  # the first ideal is S, whose inverse S squares to itself
+        fa = ar.join(a, ar.eone)
+        inverse = ideal_invert(ideal_from_generators(inst, ar.generators(a))).payload
+        assert (rep.status, rep.trials) == ("fail", 2), inst.id
+        assert rep.witness == {
+            "a": ar.str(a),
+            "candidate_inverse": ar.frac_str(inverse),
+            "product": ar.frac_str(real(fa, real(inverse, inverse))),
+        }, inst.id
+        assert rep.witness["product"] != ar.frac_str(ar.join(ar.one, ar.eone))
+        assert check_law(inst, "dedekind2-law-1", 500, 2).status == "pass"
+
+
+def test_trials_must_be_a_nonnegative_integer(monkeypatch):
+    # refused by name before any work, on every law and every kind, even one
+    # where the law is not defined
+    monkeypatch.setattr(laws, "_memoized", lambda ar, recurring: pytest.fail("a check started"))
+    monkeypatch.setattr(laws, "_cancellation", lambda *args: pytest.fail("a check started"))
+    for law in LAW_IDS:
+        for inst in (GCD, LAG):
+            for trials in (-1, -3, -(10**5000), 2.5, 7.0, "7", None, True):
+                with pytest.raises(InvalidInput, match=f"trials for {law} must be a nonnegative integer"):
+                    check_law(inst, law, trials)
+    assert issubclass(InvalidInput, ValueError)
