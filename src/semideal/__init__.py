@@ -1,6 +1,8 @@
 """Exact ideal arithmetic over six decidable semiring instances.
 
-The six instances (see instances.instance):
+The six instances; ``instance(id)`` returns the one object of the
+instance's kind class, which carries its flags (``semidomain``, ``dedekind``)
+and its payload arithmetic:
 
   n0                  naturals under + and *; ideals are numerical-monoid style
   gcd                 naturals under gcd and *; ideals are principal
@@ -74,7 +76,7 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
 )
-from .instances import Element, Instance, element, element_op, instance, one, zero
+from .instances import Element, element, element_op, instance, one, zero
 from .laws import LAW_IDS, check_law
 from .polynomials import Polynomial, poly, poly_mul, poly_str
 from .reports import ContentReport, LawReport

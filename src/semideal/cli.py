@@ -76,7 +76,7 @@ def _eval(inst, args):
     integral = is_integral(ideal)
     result = {"text": ideal_str(ideal), "integral": integral}
     if integral:
-        result["generators"] = [inst.arith.estr(g) for g in generators(ideal)]
+        result["generators"] = [inst.estr(g) for g in generators(ideal)]
     return Outcome(result["text"], result)
 
 
@@ -167,7 +167,7 @@ def _laws(inst, args):
     report = check_law(inst, args.law, trials, args.seed)
     # A failure only counts against the exit code (and gets the marker) on
     # instances where the law is supposed to hold.
-    unexpected = report.status == "fail" and inst.is_dedekind
+    unexpected = report.status == "fail" and inst.dedekind
     text = _law_line(report, False, not unexpected)
     return Outcome(text, report.to_dict(), report.witness, report.status, 1 if unexpected else 0)
 
@@ -189,7 +189,7 @@ def _localize(inst, args):
 def _sandwich(inst, args):
     ideal = _eval_ideal(inst, args.expr)
     c, d = sandwich(ideal)
-    result = {"ideal": ideal_str(ideal), "c": inst.arith.estr(c), "d": inst.arith.estr(d)}
+    result = {"ideal": ideal_str(ideal), "c": inst.estr(c), "d": inst.estr(d)}
     return Outcome(f"c={result['c']} d={result['d']}", result)
 
 
@@ -210,7 +210,7 @@ def _coeffs(inst, text):
 
 
 def _dm(inst, args):
-    if not inst.arith.numeric:
+    if not inst.numeric:
         raise Unsupported(f"dm coefficients are numeric; not available on {inst.kind}")
     f = _coeffs(inst, args.f)
     g = _coeffs(inst, args.g)
@@ -233,7 +233,7 @@ def _between(inst, args):
     if found is None:
         return Outcome("none", {"found": False})
     text = ideal_str(found)
-    gens = [inst.arith.estr(g) for g in generators(found)]
+    gens = [inst.estr(g) for g in generators(found)]
     return Outcome(text, {"found": True, "ideal": text, "generators": gens}, {"ideal": text})
 
 

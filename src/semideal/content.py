@@ -50,7 +50,7 @@ def gaussian_check(f: Polynomial, g: Polynomial, cs=None) -> ContentReport:
     if not gaussian:
         member = separating_member(cfg, prod)
         witness = {
-            "member": inst.arith.estr(member) if member is not None else None,
+            "member": inst.estr(member) if member is not None else None,
             "in": "c(f)c(g)",
             "not_in": "c(fg)",
         }
@@ -84,7 +84,7 @@ def dm_exponent(f: Polynomial, g: Polynomial, cs=None) -> int:
 # ---------------------------------------------------------------------------
 # module-level cancellation probes
 
-_LAG = instance("lagrassa").arith
+_LAG = instance("lagrassa")
 
 
 def _span(vectors, width):
@@ -137,7 +137,7 @@ def m_cancellation_check(a: Ideal, module_spec) -> LawReport:
     inst = a.instance
     tag, arg = module_spec
     if tag == "power":
-        if not inst.arith.finite:
+        if not inst.finite:
             raise Unsupported("power sweeps enumerate lagrassa modules only")
         if not 1 <= arg <= 2:
             raise Unsupported("module power is bounded by 2")

@@ -34,14 +34,14 @@ def inversion_witness(a: Ideal):
     (Fraction, primitive QuadIdeal) for quad5. Outside n0 they are the
     payloads of the principal ideals they generate.
     """
-    b = ideal_invert(a) if a.instance.is_semidomain else None  # lagrassa has no K-elements
+    inst = a.instance
+    b = ideal_invert(a) if inst.semidomain else None  # lagrassa has no K-elements
     if b is None:
         return None
-    ar = a.instance.arith
-    x, y = ar.k_generator(a.payload), ar.k_generator(b.payload)
+    x, y = inst.k_generator(a.payload), inst.k_generator(b.payload)
     if x is None or y is None:
         return None
-    if ar.k_mul(x, y) != ar.k_one():
+    if inst.k_mul(x, y) != inst.k_one():
         raise InternalError("inversion witness does not multiply to 1")
     return (x, y)
 
@@ -50,7 +50,7 @@ def sandwich(a: Ideal):
     """Elements (c, d) with (c) <= a and d*a integral; a must be nonzero."""
     if is_zero(a):
         raise EmptyIdeal("the zero ideal has no nonzero member to sandwich")
-    return a.instance.arith.sandwich(a.payload)
+    return a.instance.sandwich(a.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -79,45 +79,45 @@ class ExponentVector(Record):
 
 
 def _factorial(inst):
-    if not inst.arith.factorial:
+    if not inst.dedekind:
         raise Unsupported(f"{inst.kind} ideals do not factor into primes here")
-    return inst.arith
 
 
 def uft_factor(a: Ideal) -> ExponentVector:
     inst = a.instance
-    ar = _factorial(inst)
+    _factorial(inst)
     if is_zero(a):
         raise EmptyIdeal("the zero ideal has no prime factorization")
-    A, d = ar.split(a.payload)  # A and d are principal, d an element
-    vec = {PrimeLabel(inst, *lab): e for lab, e in ar.factor(A).items()}
-    for lab, e in ar.factor(d).items():
+    A, d = inst.split(a.payload)  # A and d are principal, d an element
+    vec = {PrimeLabel(inst, *lab): e for lab, e in inst.factor(A).items()}
+    for lab, e in inst.factor(d).items():
         lab = PrimeLabel(inst, *lab)
         vec[lab] = vec.get(lab, 0) - e
     return ExponentVector.of(vec)
 
 
 def uft_compose(inst, vec: ExponentVector) -> Ideal:
-    ar = _factorial(inst)
-    pos = neg = ar.one
+    _factorial(inst)
+    pos = neg = inst.one
     for lab, e in vec.items:
-        prime = ar.prime(lab.kind, lab.p, lab.b)
+        prime = inst.prime(lab.p, lab.b)
         if e > 0:
-            pos = ar.mul(pos, ar.power(prime, e))
+            pos = inst.mul(pos, inst.power(prime, e))
         else:
-            neg = ar.mul(neg, ar.power(prime, -e))
-    return Ideal(inst, ar.join(pos, neg))  # neg is principal, generated by the element neg
+            neg = inst.mul(neg, inst.power(prime, -e))
+    return Ideal(inst, inst.join(pos, neg))  # neg is principal, generated by the element neg
 
 
 def divisors_containing(a: Ideal):
     """All integral ideals containing a, a nonzero integral ideal; sorted canonically."""
+    inst = a.instance
     A = _integral(a)
-    if not a.instance.is_semidomain:
+    if not inst.semidomain:
         raise Unsupported("lagrassa is not multiplicatively cancellative; no fraction semifield")
-    ar = _factorial(a.instance)
-    if A == ar.zero:
+    _factorial(inst)
+    if A == inst.zero:
         raise EmptyIdeal("the zero ideal has no prime factorization")
-    return [_tag(a.instance, d) for d in ar.divisors(A)]
+    return [_tag(inst, d) for d in inst.divisors(A)]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def localize(inst, p, a: Ideal) -> Ideal:
     """Image of the integral ideal a of inst under localization at (p), as an ideal of the dvs instance."""
     _check(inst, a)
     A = _integral(a)
-    if not inst.arith.gcd_family:
+    if not inst.gcd_family:
         raise Unsupported(f"localization is defined for the gcd family, not {inst.kind}")
     if not is_prime_int(p):
         raise UnknownPrime(f"{p} is not prime")
@@ -153,7 +153,7 @@ def two_generators(a: Ideal, member: int):
     """
     inst = a.instance
     g = _integral(a)
-    if not inst.arith.gcd_family:
+    if not inst.gcd_family:
         raise Unsupported(f"two-generator search runs on the gcd family, not {inst.kind}")
     if g == 0:
         raise ZeroDivisorIdeal("the zero ideal is not invertible")

@@ -1,8 +1,8 @@
 """Ideals over the six instances, integral and fractional alike, with canonical payloads.
 
 An Ideal is a fractional ideal A/d tagged with its instance: an integral
-ideal payload A over a nonzero element payload d. Its payload is the
-fractional payload of the instance's kind object, ``inst.arith``
+ideal payload A over a nonzero element payload d. Its payload is a
+fractional payload of the instance, the object of its kind class
 (``instances``), which owns the conventions:
 
   gcd / gcd-supported   nonnegative Fraction (0 means the zero ideal)
@@ -45,14 +45,13 @@ def _check(inst, *ideals):
 
 def _tag(inst, A):
     """The ideal A/1 of an integral ideal payload A."""
-    return Ideal(inst, inst.arith.join(A, inst.arith.eone))
+    return Ideal(inst, inst.join(A, inst.eone))
 
 
 def _integral(a):
     """The integral payload A of a = A/1; NotFractional for any other ideal."""
-    ar = a.instance.arith
-    A, d = ar.split(a.payload)
-    if d != ar.eone:
+    A, d = a.instance.split(a.payload)
+    if d != a.instance.eone:
         raise NotFractional(f"{ideal_str(a)} is not an integral ideal")
     return A
 
@@ -60,7 +59,7 @@ def _integral(a):
 def _element(inst, x):
     """The payload of x, an Element of inst or a raw payload that inst validates."""
     if not isinstance(x, Element):
-        return inst.arith.element(x)
+        return inst.element(x)
     if x.instance is not inst:
         raise InstanceMismatch(f"element from {x.instance.id}, expected {inst.id}")
     return x.payload
@@ -81,9 +80,9 @@ def _quotient(ar, x, y):
     A, B, _ = _common(ar, x, y)  # [A/d : B/d] = [A : B]
     if B == ar.zero:
         raise ZeroDivisorIdeal("residual quotient by the zero ideal")
-    if not ar.instance.is_semidomain:
+    if not ar.semidomain:
         return ar.quotient(A, B)  # split and join are the identity
-    if ar.instance.is_dedekind:
+    if ar.dedekind:
         # B is invertible and generated by the element B: [A : B] = A/B
         return ar.join(A, B)
     # x*B <= A  iff  t*x in [t*A : B], for a nonzero t in B
@@ -91,38 +90,26 @@ def _quotient(ar, x, y):
     return ar.join(ar.quotient(ar.scale(A, t), B), t)
 
 
-def _invert(ar, x):
-    """The inverse [S : x] of a payload when x * [S : x] = S; None otherwise."""
-    if ar.split(x)[0] == ar.zero:
-        return None
-    unit = ar.join(ar.one, ar.eone)
-    y = _quotient(ar, unit, x)
-    return y if ar.frac_mul(x, y) == unit else None
-
-
 def zero_ideal(inst):
-    return _tag(inst, inst.arith.zero)
+    return _tag(inst, inst.zero)
 
 
 def unit_ideal(inst):
-    return _tag(inst, inst.arith.one)
+    return _tag(inst, inst.one)
 
 
 def is_zero(a):
-    ar = a.instance.arith
-    return ar.split(a.payload)[0] == ar.zero
+    return a.instance.split(a.payload)[0] == a.instance.zero
 
 
 def is_integral(a):
-    ar = a.instance.arith
-    return ar.split(a.payload)[1] == ar.eone
+    return a.instance.split(a.payload)[1] == a.instance.eone
 
 
 def ideal_from_generators(inst, gens):
     """The ideal spanned by element payloads, tagged Elements and nonnegative
     rationals. The kind clears the denominators of the Fractions; lagrassa,
     which has no fractions, refuses any Fraction with Unsupported."""
-    ar = inst.arith
     payloads, rats = [], []
     for g in gens:
         if isinstance(g, Fraction):
@@ -130,33 +117,31 @@ def ideal_from_generators(inst, gens):
         else:
             payloads.append(_element(inst, g))
     if not rats:
-        return _tag(inst, ar.ideal(payloads))
-    nums, den = ar.clear(rats)
-    scale = ar.element(den)
-    payloads = [ar.emul(p, scale) for p in payloads] + [ar.element(n) for n in nums]
-    return Ideal(inst, ar.join(ar.ideal(payloads), den))
+        return _tag(inst, inst.ideal(payloads))
+    nums, den = inst.clear(rats)
+    scale = inst.element(den)
+    payloads = [inst.emul(p, scale) for p in payloads] + [inst.element(n) for n in nums]
+    return Ideal(inst, inst.join(inst.ideal(payloads), den))
 
 
 def ideal_sum(a, b):
     inst = a.instance
     _check(inst, b)
-    ar = inst.arith
-    A, B, d = _common(ar, a.payload, b.payload)
-    return Ideal(inst, ar.join(ar.add(A, B), d))
+    A, B, d = _common(inst, a.payload, b.payload)
+    return Ideal(inst, inst.join(inst.add(A, B), d))
 
 
 def ideal_product(a, b):
     inst = a.instance
     _check(inst, b)
-    return Ideal(inst, inst.arith.frac_mul(a.payload, b.payload))
+    return Ideal(inst, inst.frac_mul(a.payload, b.payload))
 
 
 def ideal_intersect(a, b):
     inst = a.instance
     _check(inst, b)
-    ar = inst.arith
-    A, B, d = _common(ar, a.payload, b.payload)
-    return Ideal(inst, ar.join(ar.meet(A, B), d))
+    A, B, d = _common(inst, a.payload, b.payload)
+    return Ideal(inst, inst.join(inst.meet(A, B), d))
 
 
 def ideal_quotient(a, b):
@@ -164,13 +149,17 @@ def ideal_quotient(a, b):
     which has no semifield of fractions K, x runs over the semiring."""
     inst = a.instance
     _check(inst, b)
-    return Ideal(inst, _quotient(inst.arith, a.payload, b.payload))
+    return Ideal(inst, _quotient(inst, a.payload, b.payload))
 
 
 def ideal_invert(a):
     """The inverse [S : a] when a * [S : a] = S; None otherwise."""
-    inv = _invert(a.instance.arith, a.payload)
-    return None if inv is None else Ideal(a.instance, inv)
+    inst, x = a.instance, a.payload
+    if inst.split(x)[0] == inst.zero:
+        return None
+    unit = inst.join(inst.one, inst.eone)
+    y = _quotient(inst, unit, x)
+    return Ideal(inst, y) if inst.frac_mul(x, y) == unit else None
 
 
 def ideal_power(a, k):
@@ -180,17 +169,17 @@ def ideal_power(a, k):
         if inv is None:
             raise Unsupported("negative power of a non-invertible ideal")
         return ideal_power(inv, -k)
-    ar = a.instance.arith
-    A, d = ar.split(a.payload)
-    return Ideal(a.instance, ar.join(ar.power(A, k), ar.power(d, k, element=True)))
+    inst = a.instance
+    A, d = inst.split(a.payload)
+    return Ideal(inst, inst.join(inst.power(A, k), inst.power(d, k, element=True)))
 
 
 def ideal_contains(a, b):
     """True iff b is a subset of a."""
-    _check(a.instance, b)
-    ar = a.instance.arith
-    A, B, _ = _common(ar, a.payload, b.payload)
-    return ar.contains(A, B)
+    inst = a.instance
+    _check(inst, b)
+    A, B, _ = _common(inst, a.payload, b.payload)
+    return inst.contains(A, B)
 
 
 def ideal_equals(a, b):
@@ -201,23 +190,23 @@ def ideal_equals(a, b):
 def ideal_membership(a, x):
     """True iff the element x (payload or Element) lies in the integral ideal a."""
     A = _integral(a)
-    return a.instance.arith.member(A, _element(a.instance, x))
+    return a.instance.member(A, _element(a.instance, x))
 
 
 def is_subtractive(a):
-    return a.instance.arith.is_subtractive(_integral(a))
+    return a.instance.is_subtractive(_integral(a))
 
 
 def is_prime(a):
-    return a.instance.arith.is_prime(_integral(a))
+    return a.instance.is_prime(_integral(a))
 
 
 def is_maximal(a):
-    return a.instance.arith.is_maximal(_integral(a))
+    return a.instance.is_maximal(_integral(a))
 
 
 def min_nonzero(a):
-    return a.instance.arith.min_nonzero(_integral(a))
+    return a.instance.min_nonzero(_integral(a))
 
 
 def divides(a, b):
@@ -225,32 +214,32 @@ def divides(a, b):
     inst = a.instance
     _check(inst, b)
     A, B = _integral(a), _integral(b)
-    if A == inst.arith.zero:
+    if A == inst.zero:
         raise ZeroDivisorIdeal("division by the zero ideal")
-    if B == inst.arith.zero:
+    if B == inst.zero:
         return b
-    c = inst.arith.cofactor(B, A)
+    c = inst.cofactor(B, A)
     return None if c is None else _tag(inst, c)
 
 
 def separating_member(small, big):
     """An element payload in big but not in small (both integral); None when there is none."""
     _check(small.instance, big)
-    return small.instance.arith.separating(_integral(small), _integral(big))
+    return small.instance.separating(_integral(small), _integral(big))
 
 
 def search_between(m):
     """An ideal strictly between m*m and m for a maximal m, or None."""
     if not is_maximal(m):
         raise NotMaximal(f"{ideal_str(m)} is not maximal")
-    found = m.instance.arith.between(_integral(m))
+    found = m.instance.between(_integral(m))
     return None if found is None else _tag(m.instance, found)
 
 
 def generators(a):
     """Canonical generator payloads of an integral ideal (minimal for n0, principal elsewhere)."""
-    return a.instance.arith.generators(_integral(a))
+    return a.instance.generators(_integral(a))
 
 
 def ideal_str(a):
-    return a.instance.arith.frac_str(a.payload)
+    return a.instance.frac_str(a.payload)

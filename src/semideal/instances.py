@@ -1,4 +1,4 @@
-"""Semiring instances, and one arithmetic object per instance kind.
+"""Semiring instances: one object per instance, of its kind's class.
 
 Supported instances:
 
@@ -10,20 +10,24 @@ Supported instances:
                     u*u = u*1 = u (additively idempotent, not cancellative)
   quad5             ideals of Z[w], w*w = -5, under ideal sum and product
 
-Elements and ideals are tagged with their instance so mixed-instance
-operations fail loudly. ``Instance.arith`` is the arithmetic of the
-instance's kind on raw payloads, and the only way to it: element payloads
+``instance(id)`` returns the interned object of the instance's kind class
+(``N0``, ``GcdFamily``, ``Dvs``, ``Lagrassa``, ``Quad5``). It carries the
+instance's ``id``, ``kind`` and ``support``; its properties as class
+attributes (``semidomain``, ``dedekind``, ``numeric``, ``gcd_family``,
+``finite``); and the kind's arithmetic on raw payloads: element payloads
 (int for n0 and the gcd family, int-or-None for dvs where None is the zero,
 "0" / "u" / "1" for lagrassa, a QuadIdeal for quad5), ideal payloads, the
 fractional payloads of ``ideals`` (``split`` reads one as A/d, ``join``
-writes A/d back in canonical form), prime labels, and ``ideals()``, which
-yields every nonzero ideal once (lagrassa's three, zero among them) in
-nondecreasing size: the law checker's one enumeration, whose prefix
-``enumerated`` keeps on the kind object. ``elements(bound)``, the small
-elements, zero first, reads ``ideals()`` up to the bound where an element is
-the generator of a principal ideal (the gcd family and quad5). This module
-is the only one that compares ``.kind`` with a kind name or tests the class
-of a kind object; other modules read its flags.
+writes A/d back in canonical form), prime labels (p, b), which the kind
+spells with ``label_str``, and ``ideals()``, which yields every nonzero
+ideal once (lagrassa's three, zero among them) in nondecreasing size: the
+law checker's one enumeration, whose prefix ``enumerated`` keeps on the
+object. ``elements(bound)``, the small elements, zero first, reads
+``ideals()`` up to the bound where an element is the generator of a
+principal ideal (the gcd family and quad5). Elements and ideals are tagged
+with the object so mixed-instance operations fail loudly. This module is the
+only one that compares ``.kind`` with a kind name or tests the class of an
+instance; other modules read its flags.
 
 ``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
 quad5), where an ideal is stored as its generator, an element payload:
@@ -59,8 +63,9 @@ from .reports import Record
 # The budget of Kind.power (ideal_power's numerator and denominator, and the
 # prime-power divisors): a power of a payload whose size (the natural, the
 # norm, the gcd of an n0 ideal) would pass 2^20 bits, about 315,000 digits,
-# is refused with TooLarge before its first product. Kind.power and
-# Quad5.factor's certificate share the one squaring loop, _power.
+# is refused with TooLarge before its first product. Kind.power, and
+# Quad5.factor's certificate and Quad5.ideals, which rebuild ideals of known
+# norm without the budget, share the one squaring loop, _power.
 MAX_POWER_BITS = 1 << 20
 
 
@@ -98,9 +103,10 @@ def _power(a, k, mul, one):
 
 
 class Kind:
-    """Payload arithmetic of the principal kinds; subclasses give the rest."""
+    """An instance, with the payload arithmetic of the principal kinds; subclasses give the rest."""
 
-    factorial = True  # nonzero ideals factor into prime labels
+    semidomain = True  # nonzero factors cancel: there is a semifield of fractions
+    dedekind = True  # every nonzero ideal is invertible and factors into prime labels
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
     gcd_family = False  # gcd and gcd-supported: localization and two generators
     finite = False  # ideals() ends; content sweeps its modules
@@ -110,13 +116,15 @@ class Kind:
     # gives memo_key(x, y), the canonical ints of the two payloads
     memoized = ()
 
-    def __init__(self, inst):
-        self.instance = inst
-        self.support = inst.support
+    def __init__(self, id, kind, support):
+        self.id, self.kind, self.support = id, kind, support  # support: gcd-supported's primes, else None
         self._ideals, self._enumerated = self.ideals(), []
 
+    def __repr__(self):
+        return f"instance({self.id!r})"
+
     def enumerated(self, n):
-        """The ideals of ideals() enumerated so far on this kind object, read on
+        """The ideals of ideals() enumerated so far on this object, read on
         until there are at least n of them or a finite kind has no more."""
         have = self._enumerated
         if len(have) < n:
@@ -190,21 +198,19 @@ class Kind:
             return None
         return big
 
-    def divisors(self, p, times=1):
-        """Every ideal containing p**times, for a nonzero ideal p, in canonical order."""
+    def divisors(self, p):
+        """Every ideal containing p, for a nonzero ideal p, in canonical order."""
         box = [self.one]
-        for (label, q, b), e in self.factor(p).items():
-            prime = self.prime(label, q, b)
-            box = [self.mul(d, self.power(prime, k)) for d in box for k in range(e * times + 1)]
+        for (q, b), e in self.factor(p).items():
+            prime = self.prime(q, b)
+            box = [self.mul(d, self.power(prime, k)) for d in box for k in range(e + 1)]
         return sorted(box, key=self.key)
 
     def between(self, m):
-        """An ideal strictly between m*m and m, or None; every ideal containing
-        m*m divides it, so its divisors decide existence."""
-        m2 = self.mul(m, m)
-        for c in self.divisors(m, 2):
-            if self.contains(c, m2) and self.contains(m, c) and c != m2 and c != m:
-                return c
+        """An ideal strictly between m*m and m for a maximal m: None on every
+        kind but n0. On a Dedekind kind an ideal that contains m*m divides it,
+        so it is S, m or m*m; on lagrassa the only maximal ideal is u, and
+        u*u = u."""
         return None
 
     def key(self, p):
@@ -300,14 +306,17 @@ class GcdFamily(Kind):
         return a == 0 or (a != 1 and is_prime_int(a))
 
     def factor(self, a):
-        return {("numeric", p, None): e for p, e in factorint(a).items()}
+        return {(p, None): e for p, e in factorint(a).items()}
 
-    def prime(self, label, p, b):
+    def prime(self, p, b):
         return p
 
     def prime_labels(self, bound, low=2):
-        """Labels of the primes over low <= p <= bound, and of those no p names (here the support)."""
-        return [("numeric", p, None) for p in self.support or primes_up_to(bound, low)]
+        """Labels (p, b) of the primes over low <= p <= bound, and of those no p names (here the support)."""
+        return [(p, None) for p in self.support or primes_up_to(bound, low)]
+
+    def label_str(self, p, b):  # the text of the label (p, b)
+        return str(p)
 
     def split(self, p):
         return p.numerator, p.denominator
@@ -363,13 +372,16 @@ class Dvs(Kind):
         return a is None or a == 1
 
     def factor(self, a):
-        return {("t", None, None): a}
+        return {(None, None): a}
 
-    def prime(self, label, p, b):
+    def prime(self, p, b):
         return 1
 
     def prime_labels(self, bound, low=2):
-        return [("t", None, None)]
+        return [(None, None)]
+
+    def label_str(self, p, b):
+        return "t"
 
     def split(self, p):
         return (None, 0) if p is None else (max(p, 0), max(-p, 0))
@@ -388,7 +400,11 @@ class Dvs(Kind):
 
 
 class Quad5(Kind):
-    """quad5: an element of the semiring is an ideal of Z[w], a QuadIdeal."""
+    """quad5: an element of the semiring is an ideal of Z[w], a QuadIdeal.
+
+    Z[w] is a Noetherian Dedekind domain, so every ideal of its semiring of
+    ideals is principal, generated by the sum of its members (a finite sum,
+    hence a member), and that generator is invertible."""
 
     ezero = zero = QI_ZERO
     eone = one = QI_ONE
@@ -440,14 +456,19 @@ class Quad5(Kind):
             back = qi_mul(back, _power(prime_for_root(p, b), e, qi_mul, QI_ONE))
         if back != q:
             raise InternalError("factorization did not compose back")
-        return {("quad", p, b): e for (p, b), e in fac.items()}
+        return fac
 
-    def prime(self, label, p, b):
+    def prime(self, p, b):
         return prime_for_root(p, b)
 
     def prime_labels(self, bound, low=2):
         primes = primes_up_to(bound, low)
-        return [("quad", p, q.b if q.norm() == p else None) for p in primes for q in qi_prime_split(p)]
+        return [(p, q.b if q.norm() == p else None) for p in primes for q in qi_prime_split(p)]
+
+    def label_str(self, p, b):
+        """Pp for the one prime over p (inert, or ramified: 2 and 5, the primes
+        dividing the discriminant -20), Pp[b] for the two over a split p."""
+        return f"P{p}" if b is None or p in (2, 5) else f"P{p}[{b}]"
 
     def key(self, q):
         return (q.norm(), q.a, q.b)
@@ -494,10 +515,13 @@ class Quad5(Kind):
                 k, odd = divmod(e, 2) if P.norm() > p else (e, 0)  # an inert P has norm p^2
                 if odd:
                     break
-                powers = [self.power(P, k)]
+                # norms at most n, which Kind.power's budget would never refuse
+                powers = [_power(P, k, qi_mul, QI_ONE)]
                 if Q:  # split: P^i Q^(k-i)
-                    powers = [self.mul(self.power(P, i), self.power(Q[0], k - i)) for i in range(k + 1)]
-                box = [self.mul(x, y) for x in box for y in powers]
+                    powers = [
+                        qi_mul(_power(P, i, qi_mul, QI_ONE), _power(Q[0], k - i, qi_mul, QI_ONE)) for i in range(k + 1)
+                    ]
+                box = [qi_mul(x, y) for x in box for y in powers]
             else:
                 yield from sorted(box, key=self.key)
 
@@ -526,7 +550,7 @@ class N0(Kind):
     """n0: an ideal is a NatIdeal; a fractional ideal is (den, NatIdeal) with
     gcd(den, content) == 1, and a K-element is a Fraction."""
 
-    factorial = False
+    dedekind = False  # (2, 3) is not invertible
     numeric = True
     ezero, eone = 0, 1
     zero, one = nat.NAT_ZERO, nat.NAT_FULL
@@ -599,11 +623,14 @@ class N0(Kind):
     def between(self, m):
         return nat.nat_between(m)
 
-    def prime(self, label, p, b):
-        return nat.NatIdeal(p, 0, 0) if label == "numeric" else nat.NAT_MAX
+    def prime(self, p, b):
+        return nat.NAT_MAX if p is None else nat.NatIdeal(p, 0, 0)
 
     def prime_labels(self, bound, low=2):
-        return [("numeric", p, None) for p in primes_up_to(bound, low)] + [("max", None, None)]
+        return [(p, None) for p in primes_up_to(bound, low)] + [(None, None)]
+
+    def label_str(self, p, b):
+        return "MAX" if p is None else str(p)
 
     def split(self, p):
         return p[1], p[0]
@@ -648,7 +675,7 @@ _LAG_MEMBERS = {"zero": ("0",), "u": ("0", "u"), "full": ("0", "u", "1")}
 class Lagrassa(Kind):
     """lagrassa: its three ideals "zero" < "u" < "full"; a product is the smaller factor."""
 
-    factorial = False
+    semidomain = dedekind = False  # u*u = u*1: no semifield of fractions
     finite = True
     ezero, eone, zero, one = "0", "1", "zero", "full"
 
@@ -705,14 +732,14 @@ class Lagrassa(Kind):
             return None
         return next((x for x in ("u", "1") if self.member(big, x) and not self.member(small, x)), None)
 
-    def divisors(self, p, times=1):
-        return list(_LAG_RANK)
-
-    def prime(self, label, p, b):
+    def prime(self, p, b):
         return "u"
 
     def prime_labels(self, bound, low=2):
-        return [("u", None, None)]
+        return [(None, None)]
+
+    def label_str(self, p, b):
+        return "u"
 
     # no fractions: an ideal is its own payload, over the denominator "1"
     def split(self, p):
@@ -728,33 +755,15 @@ class Lagrassa(Kind):
         return iter(_LAG_RANK)
 
 
-# kind: (arithmetic, semidomain, subtractive ideals only, dedekind, noetherian)
-_KINDS = {
-    "n0": (N0, True, False, False, True),
-    "gcd": (GcdFamily, True, True, True, True),
-    "gcd-supported": (GcdFamily, True, True, True, True),
-    "dvs": (Dvs, True, True, True, True),
-    "lagrassa": (Lagrassa, False, False, False, True),
-    # quad5: Z[w] is a Noetherian Dedekind domain, so every ideal of its
-    # semiring of ideals is principal, generated by the sum of its members
-    # (a finite sum, hence a member), and that generator is invertible.
-    "quad5": (Quad5, True, True, True, True),
-}
+_KINDS = {"n0": N0, "gcd": GcdFamily, "gcd-supported": GcdFamily, "dvs": Dvs, "lagrassa": Lagrassa, "quad5": Quad5}
 KINDS = tuple(_KINDS)
-
-
-class Instance(Record, derived=("arith",)):
-    __slots__ = ("id", "kind", "support", "is_semidomain", "is_subtractive", "is_dedekind", "is_noetherian", "arith")
-
-    def __hash__(self):  # the canonical id determines every other field
-        return hash(self.id)
-
 
 _CACHE = {}
 
 
 def instance(spec):
-    """Look up an instance by id, e.g. "gcd" or "gcd-supported(2,3)".
+    """Look up an instance by id, e.g. "gcd" or "gcd-supported(2,3)": the
+    object of its kind class.
 
     Instances are interned: every id that names the same instance
     ("gcd-supported", "gcd-supported(3,2)", "gcd-supported(2,3)") returns the
@@ -780,12 +789,10 @@ def instance(spec):
             raise InvalidInput(f"unknown instance: {spec!r}")
     elif spec not in KINDS:
         raise InvalidInput(f"unknown instance: {spec!r}")
-    arith, *flags = _KINDS[kind]
     canonical = kind if support is None else "gcd-supported(%s)" % ",".join(map(str, support))
     inst = _CACHE.get(canonical)
     if inst is None:
-        inst = Instance(canonical, kind, support, *flags)
-        object.__setattr__(inst, "arith", arith(inst))
+        inst = _KINDS[kind](canonical, kind, support)
     _CACHE[spec] = _CACHE[canonical] = inst
     return inst
 
@@ -812,15 +819,15 @@ class Element(Tagged):
 
 def element(inst, value):
     """Validate a raw payload and tag it."""
-    return Element(inst, inst.arith.element(value))
+    return Element(inst, inst.element(value))
 
 
 def zero(inst):
-    return Element(inst, inst.arith.ezero)
+    return Element(inst, inst.ezero)
 
 
 def one(inst):
-    return Element(inst, inst.arith.eone)
+    return Element(inst, inst.eone)
 
 
 def element_op(inst, op, x, y):
@@ -829,7 +836,7 @@ def element_op(inst, op, x, y):
         if e.instance is not inst:
             raise InstanceMismatch(f"operand from {e.instance.id}, expected {inst.id}")
     if op == "add":
-        return Element(inst, inst.arith.eadd(x.payload, y.payload))
+        return Element(inst, inst.eadd(x.payload, y.payload))
     if op == "mul":
-        return Element(inst, inst.arith.emul(x.payload, y.payload))
+        return Element(inst, inst.emul(x.payload, y.payload))
     raise InvalidInput(f"unknown op {op!r}; element ops are 'add' and 'mul'")

@@ -10,15 +10,14 @@ The seed is echoed in the report and changes nothing that is checked.
 
 Each law names the operations whose operands recur from tuple to tuple
 (``_CHECKERS``): b+c and bc recur for every a in the Dedekind identity, while
-law 3's pairs never recur. A check runs on a copy of the kind object that
+law 3's pairs never recur. A check runs on a copy of the instance that
 computes each of those operations the kind names costly (its ``memoized``:
 sum, product, meet and quotient on n0 and quad5, ``factor`` on the gcd family
 and quad5) once per operand pair, or once per ideal for ``factor``; where
-none is both, it runs on the kind object itself. The kind's ``memo_key`` names a
+none is both, it runs on the instance itself. The kind's ``memo_key`` names a
 pair by the canonical ints of its two payloads, so a lookup hashes a tuple of
 ints and no payload's ``__hash__``. The memo lives for one check and keeps no
-raise; the enumerated prefix stays on the instance's kind object for every
-check.
+raise; the enumerated prefix stays on the instance for every check.
 
 Law ids:
 
@@ -80,7 +79,7 @@ def _tuples(ar, arity, trials):
 
 
 # ---------------------------------------------------------------------------
-# per-check memo: the kind object names the operations worth remembering
+# per-check memo: the instance names the operations worth remembering
 
 
 _MISSING = object()
@@ -129,12 +128,14 @@ def _once(op, key):
 
 
 def _memoized(ar, recurring):
-    """ar, or a copy of it whose operations named both in recurring (those
-    whose operands recur in one law's tuples) and in ``ar.memoized`` (those
-    that cost more than a lookup on this kind) are each computed once per
-    operand pair, keyed by ``ar.memo_key``, or once per operand for the unary
-    ``factor``; the copy reads ar's enumerated prefix, and it and the results
-    it keeps live for one check."""
+    """The instance ar, or a shallow copy of it whose operations named both
+    in recurring (those whose operands recur in one law's tuples) and in
+    ``ar.memoized`` (those that cost more than a lookup on this kind) are
+    each computed once per operand pair, keyed by ``ar.memo_key``, or once
+    per operand for the unary ``factor``; the copy reads ar's enumerated
+    prefix, and it and the results it keeps live for one check. The copy is
+    not the interned instance, so it must never tag an element or an ideal:
+    the checks work on payloads only."""
     names = [name for name in ar.memoized if name in recurring]
     if not names:
         return ar
@@ -145,7 +146,7 @@ def _memoized(ar, recurring):
 
 
 # ---------------------------------------------------------------------------
-# checkers: (kind object, ideal payloads...) -> witness dict | None
+# checkers: (instance, ideal payloads...) -> witness dict | None
 
 
 def _sides_witness(ar, names, tup, left, right):
@@ -299,7 +300,7 @@ def _coprime(ar, a, b):
 
 def _fractions(inst, law):
     """A semifield of fractions."""
-    if not inst.is_semidomain:
+    if not inst.semidomain:
         raise Unsupported(f"law {law} is not defined on {inst.kind}")
 
 
@@ -342,15 +343,14 @@ def _cancellation(inst, trials, seed):
     kind's sample up to isqrt(trials), and at most trials products are taken;
     the report's ``trials`` counts them.
     """
-    ar = inst.arith
-    elems = ar.elements(math.isqrt(trials))
-    pairs = ((a, b) for a in elems if a != ar.ezero for b in elems)
+    elems = inst.elements(math.isqrt(trials))
+    pairs = ((a, b) for a in elems if a != inst.ezero for b in elems)
     seen, count = {}, 0
     for count, (a, b) in enumerate(itertools.islice(pairs, trials), 1):
-        p = ar.emul(a, b)
+        p = inst.emul(a, b)
         first = seen.setdefault((a, p), b)
         if first != b:
-            witness = {"a": ar.estr(a), "b": ar.estr(first), "c": ar.estr(b), "product": ar.estr(p)}
+            witness = {"a": inst.estr(a), "b": inst.estr(first), "c": inst.estr(b), "product": inst.estr(p)}
             return LawReport("multiplicative-cancellation", inst.id, count, seed, "fail", witness)
     return LawReport("multiplicative-cancellation", inst.id, count, seed, "pass", None)
 
@@ -384,7 +384,7 @@ def check_law(inst, law, trials=200, seed=0) -> LawReport:
     arity, needs, plan, recurring = _CHECKERS[law]
     if needs is not None:
         needs(inst, law)
-    ar = _memoized(inst.arith, recurring)
+    ar = _memoized(inst, recurring)
     check = plan(ar)
     count = 0
     for tup in _tuples(ar, arity, trials):

@@ -36,7 +36,7 @@ def poly_str(f):
     for i, c in enumerate(f.coeffs):
         if c == zp:
             continue
-        cs = f.instance.arith.estr(c)
+        cs = f.instance.estr(c)
         if i == 0:
             parts.append(cs)
         else:
@@ -55,5 +55,5 @@ def poly_mul(f, g):
     out = [zp] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs):
-            out[i + j] = inst.arith.eadd(out[i + j], inst.arith.emul(a, b))
+            out[i + j] = inst.eadd(out[i + j], inst.emul(a, b))
     return poly(inst, out)

@@ -1,10 +1,12 @@
 """Classified prime spectra and Krull dimension.
 
-Primes are addressed by small symbolic labels so that factorizations and CLI
-output are stable: numeric labels p for the principal primes of the gcd-like
-instances and n0, MAX for the n0 ideal of everything except 1, t and u for
-the one nonzero prime of dvs and lagrassa, and (p, b) pairs for quad5 where b
-is the HNF coefficient of the degree-one prime over p (None for inert p).
+Primes are addressed by small symbolic labels (p, b) so that factorizations
+and CLI output are stable: p is the rational prime under the prime, or None
+for the one prime of its kind that lies over no p (MAX, the n0 ideal of
+everything except 1; t and u, the one nonzero prime of dvs and lagrassa),
+and b is quad5's HNF coefficient of the degree-one prime over p (None
+elsewhere, and for an inert p). The instance spells its own labels
+(``label_str``).
 """
 
 from __future__ import annotations
@@ -15,36 +17,26 @@ from .reports import Record
 
 
 class PrimeLabel(Record):
-    __slots__ = ("instance", "kind", "p", "b")  # kind: "numeric" | "max" | "t" | "u" | "quad"
+    __slots__ = ("instance", "p", "b")
 
-    def __init__(self, instance, kind, p=None, b=None):
+    def __init__(self, instance, p=None, b=None):
         object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "b", b)
 
-    def sort_key(self):
-        order = {"numeric": 0, "quad": 0, "max": 1, "t": 0, "u": 0}
-        return (order[self.kind], self.p or 0, -1 if self.b is None else self.b)
+    def sort_key(self):  # by p, the prime over no p last
+        return (self.p is None, self.p or 0, -1 if self.b is None else self.b)
 
     def text(self):
-        if self.kind == "numeric":
-            return str(self.p)
-        if self.kind == "max":
-            return "MAX"
-        if self.kind in ("t", "u"):
-            return self.kind
-        if self.b is None or self.p in (2, 5):
-            return f"P{self.p}"
-        return f"P{self.p}[{self.b}]"
+        return self.instance.label_str(self.p, self.b)
 
     def ideal(self):
-        return _tag(self.instance, self.instance.arith.prime(self.kind, self.p, self.b))
+        return _tag(self.instance, self.instance.prime(self.p, self.b))
 
 
 def spectrum(inst, bound=10):
     """The classified prime labels, materialized up to bound where infinite."""
-    return [PrimeLabel(inst, *lab) for lab in inst.arith.prime_labels(bound)]
+    return [PrimeLabel(inst, *lab) for lab in inst.prime_labels(bound)]
 
 
 def label_from_text(inst, text):
@@ -52,7 +44,7 @@ def label_from_text(inst, text):
     primes. Only the labels over the p that "p", "Pp" or "Pp[b]" names are built."""
     digits = text.removeprefix("P").split("[", 1)[0]
     p = int(digits) if len(digits) <= 3 and digits.isascii() and digits.isdigit() else 0  # 101 has 3 digits
-    for label in (PrimeLabel(inst, *lab) for lab in inst.arith.prime_labels(min(p, 101), p)):
+    for label in (PrimeLabel(inst, *lab) for lab in inst.prime_labels(min(p, 101), p)):
         if label.text() == text:
             return label
     raise UnknownPrime(f"unknown prime label {text!r} for {inst.id}")

@@ -19,6 +19,7 @@ from semideal import (
     ExponentVector,
     Ideal,
     InstanceMismatch,
+    InternalError,
     NotAMember,
     NotFractional,
     OutOfSupport,
@@ -79,7 +80,7 @@ FRAC_INSTANCES = (N0, GCD, GS, DVS, Q5)
 def scaled_payload(inst, ideal_obj, den):
     """Canonical payload of (1/den) * integral ideal, by hand."""
     kind = inst.kind
-    p = inst.arith.split(ideal_obj.payload)[0]
+    p = inst.split(ideal_obj.payload)[0]
     if kind in ("gcd", "gcd-supported"):
         return Fraction(p, den)
     if kind == "dvs":
@@ -316,7 +317,22 @@ def test_invert_random_group_property():
             w = inversion_witness(a)
             assert w is not None
             x, y = w
-            assert inst.arith.k_mul(x, y) == inst.arith.k_one()
+            assert inst.k_mul(x, y) == inst.k_one()
+
+
+def test_inversion_witness_certificate_is_checked(monkeypatch):
+    # a k_mul that multiplies by y twice gives x*y*y, which is 1 only when y
+    # is; the witness of a = (6/5) is x = 6/5, y = 5/6, so the certificate
+    # must refuse it, and the witness stands again without the fault
+    a = ideal_from_generators(GCD, [Fraction(6, 5)])
+    assert inversion_witness(a) == (Fraction(6, 5), Fraction(5, 6))
+    real = GCD.k_mul
+    monkeypatch.setattr(GCD, "k_mul", lambda x, y: real(x, real(y, y)))
+    with pytest.raises(InternalError, match="^inversion witness does not multiply to 1$"):
+        inversion_witness(a)
+    assert inversion_witness(ideal_from_generators(GCD, [1])) == (Fraction(1), Fraction(1))  # 1*1*1 = 1
+    monkeypatch.undo()
+    assert inversion_witness(a) == (Fraction(6, 5), Fraction(5, 6))
 
 
 def test_power():
@@ -340,10 +356,10 @@ def test_power():
 # kind object's one power loop on the numerator, which multiplies with the
 # kind's ``mul``
 POWER_LOOPS = [
-    pytest.param(ideal_from_generators(N0, [Fraction(2, 5), Fraction(3, 5)]), N0.arith, "mul", id="frac-n0"),
-    pytest.param(ideal_from_generators(GCD, [Fraction(6, 5)]), GCD.arith, "mul", id="frac-gcd"),
-    pytest.param(ideal_from_generators(Q5, [Fraction(2), Fraction(3, 2)]), Q5.arith, "mul", id="frac-quad5"),
-    pytest.param(ideal_from_generators(N0, [2, 3]), N0.arith, "mul", id="nat-n0"),
+    pytest.param(ideal_from_generators(N0, [Fraction(2, 5), Fraction(3, 5)]), N0, "mul", id="frac-n0"),
+    pytest.param(ideal_from_generators(GCD, [Fraction(6, 5)]), GCD, "mul", id="frac-gcd"),
+    pytest.param(ideal_from_generators(Q5, [Fraction(2), Fraction(3, 2)]), Q5, "mul", id="frac-quad5"),
+    pytest.param(ideal_from_generators(N0, [2, 3]), N0, "mul", id="nat-n0"),
 ]
 
 
@@ -429,8 +445,8 @@ def test_frac_str():
 
 
 def test_exponent_vector():
-    lab2 = PrimeLabel(GCD, "numeric", 2)
-    lab3 = PrimeLabel(GCD, "numeric", 3)
+    lab2 = PrimeLabel(GCD, 2)
+    lab3 = PrimeLabel(GCD, 3)
     v = ExponentVector.of({lab3: 1, lab2: 2})
     assert v.items == ((lab2, 2), (lab3, 1))
     assert v.text() == "2^2 * 3"
@@ -476,14 +492,14 @@ def test_uft_roundtrip_random():
 def test_uft_compose_then_factor():
     rng = random.Random(68)
     labels = {
-        GCD: [PrimeLabel(GCD, "numeric", p) for p in (2, 3, 5, 7)],
-        GS: [PrimeLabel(GS, "numeric", p) for p in (2, 3)],
-        DVS: [PrimeLabel(DVS, "t")],
+        GCD: [PrimeLabel(GCD, p) for p in (2, 3, 5, 7)],
+        GS: [PrimeLabel(GS, p) for p in (2, 3)],
+        DVS: [PrimeLabel(DVS)],
         Q5: [
-            PrimeLabel(Q5, "quad", 2, 1),
-            PrimeLabel(Q5, "quad", 3, 1),
-            PrimeLabel(Q5, "quad", 3, 2),
-            PrimeLabel(Q5, "quad", 11, None),
+            PrimeLabel(Q5, 2, 1),
+            PrimeLabel(Q5, 3, 1),
+            PrimeLabel(Q5, 3, 2),
+            PrimeLabel(Q5, 11, None),
         ],
     }
     for inst, labs in labels.items():

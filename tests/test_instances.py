@@ -29,21 +29,28 @@ ALL_IDS = ["n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5"]
 
 
 def test_instance_ids_and_flags():
-    n0 = instance("n0")
-    assert (n0.is_semidomain, n0.is_subtractive, n0.is_dedekind, n0.is_noetherian) == (
-        True,
-        False,
-        False,
-        True,
-    )
-    for spec in ("gcd", "gcd-supported(2,3)", "dvs"):
+    flags = {spec: (instance(spec).semidomain, instance(spec).dedekind) for spec in ALL_IDS}
+    assert flags == {
+        "n0": (True, False),
+        "gcd": (True, True),
+        "gcd-supported(2,3)": (True, True),
+        "dvs": (True, True),
+        "lagrassa": (False, False),
+        "quad5": (True, True),
+    }
+    kinds = {spec: type(instance(spec)) for spec in ALL_IDS}
+    assert kinds == {
+        "n0": instances.N0,
+        "gcd": instances.GcdFamily,
+        "gcd-supported(2,3)": instances.GcdFamily,
+        "dvs": instances.Dvs,
+        "lagrassa": instances.Lagrassa,
+        "quad5": instances.Quad5,
+    }
+    for spec in ALL_IDS:
         inst = instance(spec)
-        assert inst.is_semidomain and inst.is_subtractive and inst.is_dedekind
-    lag = instance("lagrassa")
-    assert not lag.is_semidomain and not lag.is_dedekind
-    q = instance("quad5")
-    assert q.is_semidomain and q.is_subtractive
-    assert q.is_dedekind is True and q.is_noetherian is True
+        assert (inst.id, inst.kind, repr(inst)) == (spec, spec.split("(")[0], f"instance({spec!r})")
+    assert instance("gcd-supported(2,3)").support == (2, 3) and instance("gcd").support is None
 
 
 def test_instance_cache_and_canonical_id():
@@ -109,7 +116,7 @@ def test_zero_one():
     for spec in ALL_IDS:
         inst = instance(spec)
         z, u = zero(inst), one(inst)
-        for x in [element(inst, p) for p in inst.arith.elements(6)]:
+        for x in [element(inst, p) for p in inst.elements(6)]:
             assert element_op(inst, "add", z, x).payload == x.payload
             assert element_op(inst, "mul", u, x).payload == x.payload
             assert element_op(inst, "mul", z, x).payload == z.payload
@@ -161,7 +168,7 @@ def test_lagrassa_tables_absorbing_and_idempotent():
 def test_commutativity_associativity_distributivity_small():
     for spec in ALL_IDS:
         inst = instance(spec)
-        elems = [element(inst, p) for p in inst.arith.elements(4)]
+        elems = [element(inst, p) for p in inst.elements(4)]
         for a in elems:
             for b in elems:
                 assert (
@@ -199,7 +206,7 @@ def test_multiplicative_cancellation_verdicts():
 
 
 def test_payload_str():
-    dvs, q5 = instance("dvs").arith, instance("quad5").arith
+    dvs, q5 = instance("dvs"), instance("quad5")
     assert dvs.estr(None) == "0"
     assert dvs.estr(0) == "1"
     assert dvs.estr(4) == "t^4"
@@ -211,11 +218,11 @@ def test_payload_str():
 
 
 def test_enumerate_payloads_shapes():
-    assert instance("n0").arith.elements(3) == [0, 1, 2, 3]
-    assert instance("gcd-supported(2,3)").arith.elements(10) == [0, 1, 2, 3, 4, 6, 8, 9]
-    assert instance("dvs").arith.elements(2) == [None, 0, 1, 2]
-    assert instance("lagrassa").arith.elements(99) == ["0", "u", "1"]
-    quads = instance("quad5").arith.elements(6)
+    assert instance("n0").elements(3) == [0, 1, 2, 3]
+    assert instance("gcd-supported(2,3)").elements(10) == [0, 1, 2, 3, 4, 6, 8, 9]
+    assert instance("dvs").elements(2) == [None, 0, 1, 2]
+    assert instance("lagrassa").elements(99) == ["0", "u", "1"]
+    quads = instance("quad5").elements(6)
     assert quads[0] == QI_ZERO
     assert QI_ONE in quads and QuadIdeal(1, 2, 1) in quads
 
@@ -237,11 +244,11 @@ def test_elements_read_the_kind_up_to_the_bound():
     }
     for spec, expected in want.items():
         for bound in range(61):
-            assert instance(spec).arith.elements(bound) == expected(bound), (spec, bound)
+            assert instance(spec).elements(bound) == expected(bound), (spec, bound)
 
 
 def test_quad5_elements_read_the_kept_prefix(monkeypatch):
-    ar = instance("quad5").arith
+    ar = instance("quad5")
     fresh = list(itertools.takewhile(lambda q: q.norm() <= 200, ar.ideals()))
     monkeypatch.setattr(instances.Quad5, "ideals", lambda self: pytest.fail("ideals() ran again"))
     for bound in range(201):
@@ -261,7 +268,7 @@ def test_power_refuses_a_negative_exponent_for_every_kind():
     code = (
         "from semideal.instances import KINDS, instance\n"
         "for kind in KINDS:\n"
-        "    ar = instance(kind).arith\n"
+        "    ar = instance(kind)\n"
         "    for payload, element in ((ar.enumerated(3)[2], False), (ar.elements(5)[-1], True)):\n"
         "        try:\n"
         "            ar.power(payload, -1, element=element)\n"
@@ -292,23 +299,22 @@ SIZE = {
 def test_ideals_are_distinct_sized_in_order_and_canonical():
     for spec in (*ALL_IDS, "gcd-supported(2,3,5,7)"):
         inst = instance(spec)
-        ar = inst.arith
-        first = list(itertools.islice(ar.ideals(), 300))
+        first = list(itertools.islice(inst.ideals(), 300))
         assert len(first) == (3 if spec == "lagrassa" else 300), spec
-        assert ar.enumerated(300)[:300] == first, spec
+        assert inst.enumerated(300)[:300] == first, spec
         assert len(set(first)) == len(first), spec
         sizes = [SIZE[inst.kind](a) for a in first]
         assert sizes == sorted(sizes), spec
         for a in first:
-            assert ar.ideal(ar.generators(a)) == a, (spec, a)
+            assert inst.ideal(inst.generators(a)) == a, (spec, a)
         if spec != "lagrassa":
-            assert ar.zero not in first, spec
+            assert inst.zero not in first, spec
 
 
 def test_ideals_are_every_ideal_up_to_their_size():
     # gcd-supported: every smooth number up to the 300th, from the exponents
     for spec in ("gcd-supported(2,3)", "gcd-supported(2,3,5,7)"):
-        ar = instance(spec).arith
+        ar = instance(spec)
         first = ar.enumerated(300)[:300]
         top = first[-1]
         smooth = {1}
@@ -317,7 +323,7 @@ def test_ideals_are_every_ideal_up_to_their_size():
         assert first == sorted(smooth), spec
     # n0: the ideals spanned by the subsets of 1..9, by largest minimal
     # generator, then by the sorted generator tuple
-    ar = instance("n0").arith
+    ar = instance("n0")
     spanned = {natideal.from_generators(gens) for r in range(1, 10) for gens in itertools.combinations(range(1, 10), r)}
     want = sorted(spanned, key=lambda a: (max(natideal.minimal_generators(a)), natideal.minimal_generators(a)))
     assert ar.enumerated(len(want) + 1)[: len(want)] == want
@@ -325,4 +331,4 @@ def test_ideals_are_every_ideal_up_to_their_size():
     # quad5: the root scan over every norm up to 1000, in its order
     want = [QuadIdeal(*t) for t in quad_ideals(1000)]
     assert len(want) == 1403
-    assert instance("quad5").arith.enumerated(1403)[:1403] == want
+    assert instance("quad5").enumerated(1403)[:1403] == want

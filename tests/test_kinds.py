@@ -4,7 +4,10 @@
 ``semideal.fractional`` on small fixed ideals, zero, unit, a seeded random sample
 of ideals of all six instances and ideals spanned by rationals, and writes
 one line per call: the result, or the exception with its message. The digest
-of that text was last computed when a generator of the wrong type became an
+of that text was last computed when the instance became the object of its
+kind class: the 1,204 lines that show an instance argument changed from the
+``Instance(id=..., ...)`` record's repr to ``instance('<id>')``, and no other
+line changed. Before that, a generator of the wrong type became an
 ``InvalidInput`` (seven ``ideal_from_generators(…, [Ideal(gcd, …)])`` lines,
 one per instance, had raised ``TypeError`` or ``ValueError``); before that,
 when the integral and fractional ideal types became the one ``Ideal``, every
@@ -24,7 +27,7 @@ import semideal
 from semideal import fractional, ideals, instances
 from semideal.instances import KINDS, instance
 
-DIGEST = "8aa2fc93d2ace02fe9f09981fb21e5b0b8fe16a6a6935dc0590be8cd2686fb81"
+DIGEST = "733fe7c0fc13a4826dab3c94efae37d1762dd0685a1edd68263824627cde48e7"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "gcd-supported(2,3,5,7)", "dvs", "quad5", "lagrassa")
 
@@ -83,7 +86,7 @@ def _prod(xs):
 
 def _sample(inst_id, rng):
     inst = instance(inst_id)
-    gens = GRIDS[inst_id] or [(q,) for q in inst.arith.elements(9)]
+    gens = GRIDS[inst_id] or [(q,) for q in inst.elements(9)]
     gens = gens + [_random_gens(inst_id, rng) for _ in range(6)]
     out = [ideals.zero_ideal(inst), ideals.unit_ideal(inst)]
     for g in gens:
@@ -98,7 +101,7 @@ def render():
     for inst_id in INSTANCES:
         inst = instance(inst_id)
         sample = _sample(inst_id, rng)
-        elems = inst.arith.elements(6)
+        elems = inst.elements(6)
         for fn in (ideals.zero_ideal, ideals.unit_ideal):
             _call(out, fn.__name__, fn, inst)
         _call(out, "ideal_from_generators", ideals.ideal_from_generators, inst, [semideal.one(inst), elems[-1]])

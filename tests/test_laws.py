@@ -327,8 +327,7 @@ def test_coprime_identities_support():
 def test_coprime_identities_catches_a_wrong_meet(monkeypatch):
     # the product in place of the meet agrees with it only on coprime pairs
     for inst in (GCD, GS, DVS, Q5):
-        ar = inst.arith
-        monkeypatch.setattr(ar, "meet", ar.mul)
+        monkeypatch.setattr(inst, "meet", inst.mul)
         rep = check_law(inst, "coprime-identities")
         monkeypatch.undo()
         assert rep.status == "fail", inst.id
@@ -353,7 +352,7 @@ def test_sampled_trials_count_the_tuples_checked():
     # counts the products it takes, at most the budget
     for inst in (N0, GCD, GS, DVS, Q5):
         for trials in (1, 5, 8, 40, 10**4):
-            n = len(inst.arith.elements(math.isqrt(trials)))
+            n = len(inst.elements(math.isqrt(trials)))
             rep = check_law(inst, "multiplicative-cancellation", trials=trials)
             assert (rep.status, rep.trials) == ("pass", min(trials, (n - 1) * n)), (inst.id, trials)
     assert check_law(LAG, "multiplicative-cancellation", trials=10**4).trials == 3
@@ -467,7 +466,7 @@ def test_quad5_memo_lives_for_one_check(monkeypatch):
 
 def test_factor_memo_lives_for_one_check(monkeypatch):
     # coprime-identities factors each ideal of its pairs once per check
-    distinct = {x for pair in laws._tuples(GCD.arith, 2, 200) for x in pair}
+    distinct = {x for pair in laws._tuples(GCD, 2, 200) for x in pair}
     assert len(distinct) == 15
     assert _memo_lives_for_one_check(monkeypatch, GCD, instances, "factorint", "coprime-identities", 200) == len(distinct)
 
@@ -477,22 +476,22 @@ def test_memo_follows_each_laws_plan():
     # cost more than a lookup on its kind; the rest are called as they are
     for law, (_, _, _, recurring) in _CHECKERS.items():
         for inst in (DVS, LAG):
-            assert laws._memoized(inst.arith, recurring) is inst.arith, (law, inst.id)
+            assert laws._memoized(inst, recurring) is inst, (law, inst.id)
         for inst in (GCD, GS):
-            ar = laws._memoized(inst.arith, recurring)
-            assert (ar is inst.arith) == ("factor" not in recurring), (law, inst.id)
+            ar = laws._memoized(inst, recurring)
+            assert (ar is inst) == ("factor" not in recurring), (law, inst.id)
         for inst in (N0, Q5):
-            ar = laws._memoized(inst.arith, recurring)
+            ar = laws._memoized(inst, recurring)
             for name in ("add", "mul", "meet", "quotient", "contains", "cofactor", "factor"):
-                if not hasattr(inst.arith, name):
+                if not hasattr(inst, name):
                     continue
                 remembered = getattr(ar, name).__qualname__ == "_once.<locals>.once"
-                assert remembered == (name in recurring and name in inst.arith.memoized), (law, inst.id, name)
+                assert remembered == (name in recurring and name in inst.memoized), (law, inst.id, name)
     # law 1 checks single ideals, and law 3's and contains-iff-divides' pairs
     # never recur, so they run on the kind object itself
     for law in ("dedekind2-law-1", "dedekind2-law-3", "contains-iff-divides"):
         for inst in ALL:
-            assert laws._memoized(inst.arith, _CHECKERS[law][3]) is inst.arith, (law, inst.id)
+            assert laws._memoized(inst, _CHECKERS[law][3]) is inst, (law, inst.id)
 
 
 def test_quad5_law3_calls_qi_mul_as_often_as_with_no_memo(monkeypatch):
@@ -514,10 +513,10 @@ def test_memo_keeps_no_raise(monkeypatch):
         Q5: (instances, "qi_mul", QuadIdeal(1, 2, 1), QuadIdeal(1, 3, 1)),
     }
     for inst, (module, name, a, b) in pairs.items():
-        ar = laws._memoized(inst.arith, ("mul",))
-        assert ar is not inst.arith and laws._memoized(inst.arith, ("mul",)) is not ar
-        assert inst.arith.add.__func__ is type(inst.arith).add  # the shared kind object is untouched
-        assert inst.arith.mul.__func__ is type(inst.arith).mul
+        ar = laws._memoized(inst, ("mul",))
+        assert ar is not inst and laws._memoized(inst, ("mul",)) is not ar
+        assert inst.add.__func__ is type(inst).add  # the shared kind object is untouched
+        assert inst.mul.__func__ is type(inst).mul
         product = getattr(module, name)
         raised = []
 
@@ -533,8 +532,8 @@ def test_memo_keeps_no_raise(monkeypatch):
         monkeypatch.setattr(module, name, product)
         assert ar.mul(a, b) == product(a, b)
     # the unary factor memo keeps no raise either
-    ar = laws._memoized(GCD.arith, ("factor",))
-    assert GCD.arith.factor.__func__ is type(GCD.arith).factor
+    ar = laws._memoized(GCD, ("factor",))
+    assert GCD.factor.__func__ is type(GCD).factor
     raised = []
 
     def refuse(n):
@@ -547,7 +546,7 @@ def test_memo_keeps_no_raise(monkeypatch):
             ar.factor(12)
     assert raised == [12, 12]
     monkeypatch.undo()
-    assert ar.factor(12) == GCD.arith.factor(12) == {("numeric", 2, None): 2, ("numeric", 3, None): 1}
+    assert ar.factor(12) == GCD.factor(12) == {(2, None): 2, (3, None): 1}
 
 
 def test_equal_payloads_share_one_memo_entry(monkeypatch):
@@ -558,7 +557,7 @@ def test_equal_payloads_share_one_memo_entry(monkeypatch):
         Q5: (instances, "qi_mul", QuadIdeal, lambda: QuadIdeal(1, 2, 1)),
     }
     for inst, (module, name, cls, make) in pairs.items():
-        ar = laws._memoized(inst.arith, ("mul",))
+        ar = laws._memoized(inst, ("mul",))
         a, b = make(), make()
         assert a is not b and a == b
         real, calls = getattr(module, name), []
@@ -608,22 +607,61 @@ def test_law1_certificate_is_checked(monkeypatch):
     # a wrong product from the kind's frac_mul must fail law 1, whose witness
     # names the first a and the product it got
     for inst in (GCD, Q5):
-        ar = inst.arith
-        real = ar.frac_mul
-        monkeypatch.setattr(ar, "frac_mul", lambda x, y: real(x, real(y, y)))  # x*y*y in place of x*y
+        real = inst.frac_mul
+        monkeypatch.setattr(inst, "frac_mul", lambda x, y: real(x, real(y, y)))  # x*y*y in place of x*y
         rep = check_law(inst, "dedekind2-law-1", 500, 2)
         monkeypatch.undo()
-        a = ar.enumerated(2)[1]  # the first ideal is S, whose inverse S squares to itself
-        fa = ar.join(a, ar.eone)
-        inverse = ideal_invert(ideal_from_generators(inst, ar.generators(a))).payload
+        a = inst.enumerated(2)[1]  # the first ideal is S, whose inverse S squares to itself
+        fa = inst.join(a, inst.eone)
+        inverse = ideal_invert(ideal_from_generators(inst, inst.generators(a))).payload
         assert (rep.status, rep.trials) == ("fail", 2), inst.id
         assert rep.witness == {
-            "a": ar.str(a),
-            "candidate_inverse": ar.frac_str(inverse),
-            "product": ar.frac_str(real(fa, real(inverse, inverse))),
+            "a": inst.str(a),
+            "candidate_inverse": inst.frac_str(inverse),
+            "product": inst.frac_str(real(fa, real(inverse, inverse))),
         }, inst.id
-        assert rep.witness["product"] != ar.frac_str(ar.join(ar.one, ar.eone))
+        assert rep.witness["product"] != inst.frac_str(inst.join(inst.one, inst.eone))
         assert check_law(inst, "dedekind2-law-1", 500, 2).status == "pass"
+
+
+def test_reyes_witness_names_both_sides_and_the_cover(monkeypatch):
+    # a quotient [a : b] multiplied by b once more recovers a*b in place of a,
+    # so reyes fails at the first pair a = b other than S: trial 4, (x, x)
+    # for the second ideal x, whose cover is x itself
+    for inst in (GCD, Q5):
+        real = inst.quotient
+        monkeypatch.setattr(inst, "quotient", lambda a, b: inst.mul(real(a, b), b))
+        rep = check_law(inst, "reyes", 200, 0)
+        monkeypatch.undo()
+        x = inst.enumerated(2)[1]
+        xx = inst.mul(x, x)
+        assert (rep.status, rep.trials) == ("fail", 4), inst.id
+        assert rep.witness == {
+            "a": inst.str(x),
+            "b_sampled": inst.str(x),
+            "b": inst.str(x),
+            "left": inst.str(xx),
+            "right": inst.str(x),
+            "missing_from_left": inst.estr(x),  # the generator of x is not in x*x
+        }, inst.id
+        assert check_law(inst, "reyes", 200, 0).status == "pass"
+    assert rep.witness["left"] == "2*O" and rep.witness["missing_from_left"] == "(2, 1+w)"
+
+
+def test_contains_iff_divides_witness_names_the_cofactor(monkeypatch):
+    # a containment that misses a >= a for every a but S: at the first such
+    # pair, trial 4, (x, x) for the second ideal x, the cofactor S divides
+    # x into x although x is said not to contain itself
+    for inst in (GCD, Q5):
+        real = inst.contains
+        monkeypatch.setattr(inst, "contains", lambda a, b: real(a, b) and (a != b or a == inst.one))
+        rep = check_law(inst, "contains-iff-divides", 200, 0)
+        monkeypatch.undo()
+        x = inst.enumerated(2)[1]
+        assert (rep.status, rep.trials) == ("fail", 4), inst.id
+        assert rep.witness == {"a": inst.str(x), "b": inst.str(x), "contains": False, "cofactor": inst.str(inst.one)}
+        assert check_law(inst, "contains-iff-divides", 200, 0).status == "pass"
+    assert (rep.witness["a"], rep.witness["cofactor"]) == ("(2, 1+w)", "O")
 
 
 def test_trials_must_be_a_nonnegative_integer(monkeypatch):

@@ -369,7 +369,7 @@ def test_meet_quotient_containment_and_sandwich_list_no_members(monkeypatch):
         lambda: nat_contains(a, j),
         lambda: nat_contains(j, a),
         lambda: nat_contains(c, nat_intersect(a, b)),
-        lambda: N0.arith.sandwich((7, a)),
+        lambda: N0.sandwich((7, a)),
         lambda: nat_divides(c, a),
     ]
     for k, run in enumerate(cases):
@@ -432,7 +432,7 @@ def test_strided_ops_match_oracle():
             q = nat_quotient(a, NatIdeal(g, 0, 0))
             lim = covering_window(a, q, NatIdeal(g, 0, 0))
             assert_matches(q, n0_quotient(ga, (g,), lim), lim)
-            assert N0.arith.sandwich((g, a))[0] == q.min_nonzero()
+            assert N0.sandwich((g, a))[0] == q.min_nonzero()
     assert strides >= {2, 3, 5, 7}
 
 

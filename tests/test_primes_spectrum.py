@@ -152,7 +152,7 @@ def test_labels_sort_stably():
     assert labs == sorted(labs, key=PrimeLabel.sort_key)
     n0_labs = spectrum(N0, 13)
     assert n0_labs == sorted(n0_labs, key=PrimeLabel.sort_key)
-    assert n0_labs[-1].kind == "max"  # MAX sorts after all numeric primes
+    assert n0_labs[-1].p is None and n0_labs[-1].text() == "MAX"  # MAX sorts after all numeric primes
 
 
 def test_label_from_text_roundtrip():

@@ -11,7 +11,7 @@ from semideal import instance
 from semideal.exprparse import IdealLit, Intersect, Invert, Power, Product, Quotient, Sum
 from semideal.fractional import ExponentVector
 from semideal.ideals import Ideal
-from semideal.instances import Element, Instance, Tagged
+from semideal.instances import Element, Tagged
 from semideal.natideal import NatIdeal
 from semideal.polynomials import Polynomial
 from semideal.quadratic import QuadIdeal
@@ -20,18 +20,15 @@ from semideal.spectrum import PrimeLabel
 
 GCD = instance("gcd")
 LIT = IdealLit((Fraction(2),))
-LABEL = PrimeLabel(GCD, "numeric", 7)
+LABEL = PrimeLabel(GCD, 7)
 
 # (class, field values, repr in the format of a generated dataclass)
 CASES = [
-    (Instance, ("gcd", "gcd", None, True, True, True, True),
-     "Instance(id='gcd', kind='gcd', support=None, is_semidomain=True, is_subtractive=True, "
-     "is_dedekind=True, is_noetherian=True)"),
     (Element, (GCD, 6), f"Element(instance={GCD!r}, payload=6)"),
     (Ideal, (GCD, Fraction(6, 5)), f"Ideal(instance={GCD!r}, payload=Fraction(6, 5))"),
     (NatIdeal, (2, 4, 0b10), "NatIdeal(d=2, c=4, ex=(2,))"),
     (QuadIdeal, (1, 3, 1), "QuadIdeal(g=1, a=3, b=1)"),
-    (PrimeLabel, (GCD, "quad", 3, 1), f"PrimeLabel(instance={GCD!r}, kind='quad', p=3, b=1)"),
+    (PrimeLabel, (GCD, 3, 1), f"PrimeLabel(instance={GCD!r}, p=3, b=1)"),
     (ExponentVector, (((LABEL, 2),),), f"ExponentVector(items=(({LABEL!r}, 2),))"),
     (Polynomial, (GCD, (1, 2)), f"Polynomial(instance={GCD!r}, coeffs=(1, 2))"),
     (LawReport, ("reyes", "gcd", 5, 1, "pass", None),
@@ -78,7 +75,7 @@ def test_record_semantics(cls, values, text):
 
 
 def test_record_keywords_defaults_and_dict_order():
-    assert PrimeLabel(GCD, "t") == PrimeLabel(GCD, "t", None, None) == PrimeLabel(instance=GCD, kind="t", p=None)
+    assert PrimeLabel(GCD) == PrimeLabel(GCD, None, None) == PrimeLabel(instance=GCD, p=None)
     report = LawReport(law="reyes", instance="gcd", trials=5, seed=1, status="fail", witness={"a": "I(2)"})
     assert report == LawReport("reyes", "gcd", 5, 1, "fail", {"a": "I(2)"})
     assert list(report.to_dict()) == ["law", "instance", "trials", "seed", "status", "witness"]
