@@ -10,12 +10,15 @@ the hash of ideals read the three ints; the minimal generators are the one
 value an ideal keeps once computed.
 
 Every ideal is built by ``from_generators``: the closure bitmap of the
-scaled generators comes from ``_kernels.additive_closure``, in a window grown
-until min(gens/d) consecutive scaled members are seen, which certifies that
-everything beyond is a member, and ``_scaled_bits_to_ideal`` trims it below
-its last gap. Membership and the least member are bit tests; minimal
-generators are found on the bitmap in ascending order, each the least member
-not yet a sum, and only they are shifted into the sums.
+scaled generators s1 < ... < sk comes from one run of
+``_kernels.additive_closure``, in a window of X + 1 bits, where
+X = sum over i >= 2 of s_i * (e_{i-1}/e_i - 1) and e_i = gcd(s1..s_i).
+Brauer (1942) bounds the largest gap by X - s1, so the top s1 bits of the
+window are members, and so is everything beyond; that run is checked, and
+``_scaled_bits_to_ideal`` trims the bitmap below its last gap. Membership
+and the least member are bit tests; minimal generators are found on the
+bitmap in ascending order, each the least member not yet a sum, and only
+they are shifted into the sums.
 
 Meet, quotient and containment read the bitmaps too, through a view: the
 view of i at a period L that i.d divides has bit k set iff kL is in i. It is
@@ -46,7 +49,7 @@ from bisect import bisect_left
 from itertools import compress
 
 from ._kernels import additive_closure
-from .errors import EmptyIdeal, TooLarge, ZeroDivisorIdeal
+from .errors import EmptyIdeal, InternalError, TooLarge, ZeroDivisorIdeal
 from .reports import Record
 
 
@@ -112,28 +115,17 @@ def _generator(i):
     return 0 if i.c else i.d
 
 
-# Budgets of a canonical form, past which it raises TooLarge: the scaled closure
-# window (2 MiB of bitmap) and the members below the conductor (in a bitmap of at
-# most 2 MiB). The largest inputs of the tests and the benchmark need 331,780 and 130,811.
+# Budgets of a canonical form, past which it raises TooLarge: Brauer's window X
+# (2 MiB of bitmap), checked before any closure runs, and the members below the
+# conductor (in a bitmap of at most 2 MiB). The largest inputs of the tests need
+# X = 2,095,254 and 1,046,903 members (the pair 1447, 1449), and those of the
+# benchmark X = 72,657 and 14,947 members.
 MAX_WINDOW_BITS = 1 << 24
 MAX_EX = 1 << 20
 
 NAT_ZERO = NatIdeal(0, 0, 0)
 NAT_FULL = NatIdeal(1, 0, 0)
 NAT_MAX = NatIdeal(1, 2, 0)  # every natural except 1
-
-
-def _run_start(mask, m):
-    """Index of the first run of m consecutive set bits, or None."""
-    z = mask
-    have = 1
-    while have < m and z:
-        step = min(have, m - have)
-        z &= z >> step
-        have += step
-    if z == 0:
-        return None
-    return (z & -z).bit_length() - 1
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -201,15 +193,18 @@ def from_generators(gens):
         return NatIdeal(d, 0, 0)
     scaled = [g // d for g in gens]
     m = scaled[0]
-    limit = 4 * scaled[-1] + 1
-    while True:
-        if limit > MAX_WINDOW_BITS:
-            raise TooLarge(f"the closure of {len(gens)} generators up to {gens[-1]} needs over {MAX_WINDOW_BITS} bits")
-        mask = additive_closure(scaled, limit)
-        run = _run_start(mask, m)
-        if run is not None:
-            return _scaled_bits_to_ideal(d, mask, run + 1)
-        limit *= 4
+    # X of the module docstring: the largest gap is at most top - m
+    top, e = 0, m
+    for s in scaled[1:]:
+        f = math.gcd(e, s)
+        top += s * (e // f - 1)
+        e = f
+    if top > MAX_WINDOW_BITS:
+        raise TooLarge(f"closing {len(gens)} generators up to {gens[-1]} needs {top} bits, over {MAX_WINDOW_BITS}")
+    mask = additive_closure(scaled, top)
+    if mask >> (top - m + 1) != (1 << m) - 1:
+        raise InternalError(f"the closure of {len(gens)} generators up to {gens[-1]} has a gap past Brauer's bound")
+    return _scaled_bits_to_ideal(d, mask, top + 1)
 
 
 def minimal_generators(i):

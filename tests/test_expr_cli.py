@@ -406,7 +406,7 @@ def test_cli_usage_errors(capsys):
         assert code == 2 and "unknown instance" in err
     code, _, err = run(["eval", "--instance", "gcd", "I()"], capsys)
     assert code == 2 and "syntax error" in err and "expected RAT" in err
-    # argparse rejects a non-integer member before the command runs
+    # cli._int rejects a non-integer member as a usage error before the command runs
     assert run(["twogen", "--instance", "gcd", "I(12)", "x"], capsys)[0] == 2
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semideal import natideal
-from semideal.errors import EmptyIdeal, Unsupported, ZeroDivisorIdeal
+from semideal.errors import EmptyIdeal, InternalError, TooLarge, Unsupported, ZeroDivisorIdeal
 from semideal.ideals import Ideal, ideal_power
 from semideal.instances import instance
 from semideal.natideal import (
@@ -265,6 +265,98 @@ def test_chunk_seams_match_oracle(gens):
     for seam in (4096, 8192):
         assert scaled.intersection(range(seam - 8, seam)) and scaled.intersection(range(seam, seam + 8))
     assert periodic(i.d, i.c, reversed(i.ex)) == i
+
+
+def brauer_window(scaled):
+    """X = sum over i >= 2 of s_i (e_{i-1}/e_i - 1), e_i = gcd(s_1..s_i), for
+    ascending s with gcd 1; Brauer (1942) bounds the largest gap by X - s_1."""
+    return sum(s * (math.gcd(*scaled[:i]) // math.gcd(*scaled[: i + 1]) - 1) for i, s in enumerate(scaled) if i)
+
+
+def test_coprime_pairs_match_sylvester():
+    # For a coprime pair a < b the window is exact and the conductor is
+    # (a-1)(b-1), Sylvester's closed form, with half the naturals below it
+    # members (0 among them, and bit 0 clear); past brute force at these sizes.
+    rng = random.Random(4)
+    pairs = [(2, 1999), (1000, 1001), (1009, 2003), (1447, 1449)]
+    while len(pairs) < 40:
+        a, b = sorted(rng.sample(range(2, 2001), 2))
+        if math.gcd(a, b) == 1 and (a - 1) * (b - 1) // 2 <= natideal.MAX_EX:
+            pairs.append((a, b))
+    for a, b in pairs:
+        assert brauer_window([a, b]) == (a - 1) * (b - 1) + a - 1
+        t = rng.randint(1, 5)
+        i = from_generators([t * a, t * b])
+        assert (i.d, i.c, i.mask.bit_count()) == (t, t * (a - 1) * (b - 1), (a - 1) * (b - 1) // 2 - 1), (t, a, b)
+        assert not i.contains(t * (a * b - a - b)) and i.contains(t * (a * b - a - b + 1))
+
+
+def test_loose_windows_match_brute_force():
+    # sets whose Brauer window X is at least 4x the window they need, F + s_1
+    rng = random.Random(8)
+    loose = 0
+    while loose < 20:
+        t = rng.randint(1, 3)
+        gens = sorted({t * rng.randint(2, 300) for _ in range(rng.randint(3, 7))})
+        d = math.gcd(*gens)
+        scaled = [g // d for g in gens]
+        if scaled[0] == 1:
+            continue
+        i = from_generators(gens)
+        if brauer_window(scaled) >= 4 * (i.c // d - 1 + scaled[0]):
+            loose += 1
+            lim = i.c + 2 * gens[-1]
+            assert_matches(i, n0_members(gens, lim), lim + 1)
+
+
+def test_a_window_past_the_budget_is_refused_before_any_closure(monkeypatch):
+    m = from_generators([1000, 1001])
+    gens = [a * b for a in minimal_generators(m) for b in minimal_generators(m)]
+
+    def no_closure(*args):
+        raise AssertionError("a closure ran")
+
+    monkeypatch.setattr(natideal, "additive_closure", no_closure)
+    # X = 999 * (1001000 + 1002001), about 2e9 bits
+    with pytest.raises(TooLarge):
+        from_generators(gens)
+    with pytest.raises(TooLarge):
+        nat_product(m, m)
+    # X = 2b for a coprime pair (3, b): the budget itself is within it, 4 more is not
+    half = natideal.MAX_WINDOW_BITS // 2
+    with pytest.raises(AssertionError, match="a closure ran"):
+        from_generators([3, half])
+    with pytest.raises(TooLarge):
+        from_generators([3, half + 2])
+
+
+@pytest.mark.parametrize("below_top", [0, 3], ids=["top", "run-start"])
+def test_a_gap_past_brauers_bound_is_an_internal_error(monkeypatch, below_top):
+    # X = 15 for (4, 6, 9): bits 12 to 15 must be members; clear one of them
+    real = natideal.additive_closure
+
+    def closure(gens, limit):
+        return real(gens, limit) & ~(1 << (limit - below_top))
+
+    monkeypatch.setattr(natideal, "additive_closure", closure)
+    with pytest.raises(InternalError):
+        from_generators([4, 6, 9])
+
+
+def test_generators_past_a_gcd_of_1_do_not_widen_the_window(monkeypatch):
+    # once gcd(s_1..s_i) is 1 the later generators add nothing to X
+    limits = []
+    real = natideal.additive_closure
+
+    def closure(gens, limit):
+        limits.append(limit)
+        return real(gens, limit)
+
+    monkeypatch.setattr(natideal, "additive_closure", closure)
+    assert from_generators([2, 3, 10**9]) == NAT_MAX
+    assert from_generators([4, 6, 9, 10**12]) == from_generators([4, 6, 9])
+    # X = 3 * (2/1 - 1) for (2, 3), and 6 * (4/2 - 1) + 9 * (2/1 - 1) for (4, 6, 9)
+    assert limits == [3, 15, 15]
 
 
 def brute_periodic(d, threshold, extras):
