@@ -222,11 +222,11 @@ class Kind:
 
     def clear(self, rats):
         """(numerators, denominator) of nonnegative rational generators."""
-        if any(r < 0 for r in rats):
+        if any(r.numerator < 0 for r in rats):
             raise NotFractional("generators must be nonnegative")
         den = math.lcm(*(r.denominator for r in rats))
         self.element(den)  # OutOfSupport for a denominator outside a gcd-supported support
-        return [int(r * den) for r in rats], den
+        return [r.numerator * (den // r.denominator) for r in rats], den
 
     def frac_mul(self, x, y):
         A, da = self.split(x)

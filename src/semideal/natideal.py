@@ -7,7 +7,7 @@ gcd of all members (0 for the zero ideal), c is the least threshold from
 which the set is purely periodic (a multiple of d, 0 when there are no gaps)
 and mask is the scaled membership bitmap below c, bit 0 clear. Equality and
 the hash of ideals read the three ints; the minimal generators are the one
-value an ideal keeps once computed.
+value an ideal keeps besides them.
 
 Every ideal is built by ``from_generators``: the closure bitmap of the
 scaled generators s1 < ... < sk comes from one run of
@@ -15,10 +15,14 @@ scaled generators s1 < ... < sk comes from one run of
 X = sum over i >= 2 of s_i * (e_{i-1}/e_i - 1) and e_i = gcd(s1..s_i).
 Brauer (1942) bounds the largest gap by X - s1, so the top s1 bits of the
 window are members, and so is everything beyond; that run is checked, and
-``_scaled_bits_to_ideal`` trims the bitmap below its last gap. Membership
-and the least member are bit tests; minimal generators are found on the
-bitmap in ascending order, each the least member not yet a sum, and only
-they are shifted into the sums.
+``_scaled_bits_to_ideal`` trims the bitmap below its last gap. A window past
+``MAX_WINDOW_BITS`` is cut to it: the same run, if the cut window has it,
+proves the rest. The minimal generators are among the given ones, so the form
+keeps them as it is built: s_j is one unless s_j - t is a member for a
+smaller minimal t, one bit test each. Membership and the least member are
+bit tests; a form built otherwise finds its minimal generators on the
+bitmap in ascending order, each the least member not yet a sum. Only they
+are shifted into the sums.
 
 Meet, quotient and containment read the bitmaps too, through a view: the
 view of i at a period L that i.d divides has bit k set iff kL is in i. It is
@@ -54,8 +58,8 @@ from .reports import Record
 
 
 class NatIdeal(Record, derived=("_gens",)):
-    # _gens, made by its first use and kept: minimal_generators, which a sum,
-    # a product and the printer each ask for.
+    # _gens, set by from_generators as it builds the form, else by the first
+    # minimal_generators call: a sum, a product and the printer each ask for it.
     __slots__ = ("d", "c", "mask", "_gens")
 
     def __init__(self, d, c, mask):
@@ -115,11 +119,13 @@ def _generator(i):
     return 0 if i.c else i.d
 
 
-# Budgets of a canonical form, past which it raises TooLarge: Brauer's window X
-# (2 MiB of bitmap), checked before any closure runs, and the members below the
-# conductor (in a bitmap of at most 2 MiB). The largest inputs of the tests need
-# X = 2,095,254 and 1,046,903 members (the pair 1447, 1449), and those of the
-# benchmark X = 72,657 and 14,947 members.
+# Budgets of a canonical form, past which it raises TooLarge: the closure window
+# (2 MiB of bitmap), Brauer's X cut to the budget, refused when the cut window
+# lacks the run of s1 members (two generators, whose X is exact, before any
+# closure runs); and the members below the conductor (in a bitmap of at most
+# 2 MiB). The largest inputs of the tests need 1,046,903 members (the pair 1447,
+# 1449) and a cut window ((4631, 5900, 8739) has X = 27,317,000 and conductor
+# 934,042); those of the benchmark X = 72,657 and 14,947 members, and no cut.
 MAX_WINDOW_BITS = 1 << 24
 MAX_EX = 1 << 20
 
@@ -182,12 +188,16 @@ def _scaled_bits_to_ideal(d, mask, t):
     return NatIdeal(d, (z0 + 1) * d, mask)
 
 
+def _too_large(gens, top):
+    return TooLarge(f"closing {len(gens)} generators up to {gens[-1]} needs over {MAX_WINDOW_BITS} bits (Brauer's X is {top})")
+
+
 def from_generators(gens):
     gens = sorted({int(g) for g in gens if g})
-    if any(g < 0 for g in gens):
-        raise ValueError("generators must be nonnegative")
     if not gens:
         return NAT_ZERO
+    if gens[0] < 0:
+        raise ValueError("generators must be nonnegative")
     d = math.gcd(*gens)
     if d == gens[0]:
         return NatIdeal(d, 0, 0)
@@ -199,12 +209,29 @@ def from_generators(gens):
         f = math.gcd(e, s)
         top += s * (e // f - 1)
         e = f
-    if top > MAX_WINDOW_BITS:
-        raise TooLarge(f"closing {len(gens)} generators up to {gens[-1]} needs {top} bits, over {MAX_WINDOW_BITS}")
-    mask = additive_closure(scaled, top)
-    if mask >> (top - m + 1) != (1 << m) - 1:
+    window = min(top, MAX_WINDOW_BITS)
+    # the first run of m members ends at F + m, F the largest gap: at X for two
+    # generators, never below 2m - 1, and past a capped window that lacks it
+    if window < top and (len(gens) == 2 or 2 * m - 1 > window):
+        raise _too_large(gens, top)
+    mask = additive_closure(scaled, window)
+    if mask >> (window - m + 1) != (1 << m) - 1:
+        if window < top:
+            raise _too_large(gens, top)
         raise InternalError(f"the closure of {len(gens)} generators up to {gens[-1]} has a gap past Brauer's bound")
-    return _scaled_bits_to_ideal(d, mask, top + 1)
+    i = _scaled_bits_to_ideal(d, mask, window + 1)
+    # the minimal generators are among the given ones: g is one unless g - t is
+    # a member for a smaller minimal t (every multiple of d from c on is)
+    c, ex = i.c, i.mask
+    mins = [gens[0]]
+    for g in gens[1:]:
+        for t in mins:
+            if g - t >= c or ex >> ((g - t) // d) & 1:
+                break
+        else:
+            mins.append(g)
+    _set_gens(i, tuple(mins))
+    return i
 
 
 def minimal_generators(i):

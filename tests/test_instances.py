@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +23,7 @@ from semideal import (
     zero,
 )
 from semideal import instances, natideal
-from semideal.errors import InvalidInput
+from semideal.errors import InvalidInput, NotFractional, Unsupported
 from semideal.quadratic import QI_ONE, QI_ZERO, QuadIdeal
 from oracles import quad_ideals
 
@@ -332,3 +334,24 @@ def test_ideals_are_every_ideal_up_to_their_size():
     want = [QuadIdeal(*t) for t in quad_ideals(1000)]
     assert len(want) == 1403
     assert instance("quad5").enumerated(1403)[:1403] == want
+
+
+def test_clear_matches_the_fraction_form():
+    # each numerator times den / its denominator, as int(r * den) gives it
+    rng = random.Random(30)
+    smooth = (1, 2, 3, 4, 6, 9, 16, 27, 72)
+    for spec, dens in (("n0", range(1, 60)), ("gcd", range(1, 60)), ("quad5", range(1, 60)), ("gcd-supported(2,3)", smooth)):
+        inst = instance(spec)
+        for _ in range(400):
+            rats = [Fraction(rng.randint(0, 10 ** rng.randint(1, 30)), rng.choice(dens)) for _ in range(rng.randint(1, 6))]
+            den = math.lcm(*(r.denominator for r in rats))
+            assert inst.clear(rats) == ([int(r * den) for r in rats], den), (spec, rats)
+    assert instance("dvs").clear([Fraction(3), Fraction(0), Fraction(5)]) == ([3, 0, 5], 0)
+    with pytest.raises(NotFractional):
+        instance("n0").clear([Fraction(1, 2), Fraction(-1, 3)])
+    with pytest.raises(NotFractional):
+        instance("gcd").clear([Fraction(-4)])
+    with pytest.raises(OutOfSupport):
+        instance("gcd-supported(2,3)").clear([Fraction(1, 2), Fraction(1, 5)])
+    with pytest.raises(Unsupported):
+        instance("dvs").clear([Fraction(3), Fraction(1, 2)])

@@ -309,25 +309,71 @@ def test_loose_windows_match_brute_force():
             assert_matches(i, n0_members(gens, lim), lim + 1)
 
 
-def test_a_window_past_the_budget_is_refused_before_any_closure(monkeypatch):
+def test_a_window_past_the_budget_closes_once_at_the_budget(monkeypatch):
     m = from_generators([1000, 1001])
     gens = [a * b for a in minimal_generators(m) for b in minimal_generators(m)]
+    limits = []
+    real = natideal.additive_closure
 
-    def no_closure(*args):
-        raise AssertionError("a closure ran")
+    def closure(gens, limit):
+        limits.append(limit)
+        return real(gens, limit)
 
-    monkeypatch.setattr(natideal, "additive_closure", no_closure)
-    # X = 999 * (1001000 + 1002001), about 2e9 bits
-    with pytest.raises(TooLarge):
+    monkeypatch.setattr(natideal, "additive_closure", closure)
+    budget = natideal.MAX_WINDOW_BITS
+    # X = 999 * (1001000 + 1002001), about 2e9 bits; the first 2^24 end in a gap
+    x = brauer_window(sorted(gens))
+    with pytest.raises(TooLarge, match=f"over {budget} bits .Brauer's X is {x}."):
         from_generators(gens)
+    assert limits == [budget]
     with pytest.raises(TooLarge):
         nat_product(m, m)
-    # X = 2b for a coprime pair (3, b): the budget itself is within it, 4 more is not
-    half = natideal.MAX_WINDOW_BITS // 2
-    with pytest.raises(AssertionError, match="a closure ran"):
+    assert limits == [budget, budget]
+    # X = 2b for a coprime pair (3, b), the exact window: the budget itself is
+    # closed, and 4 more bits are refused before any closure
+    half = budget // 2
+    with pytest.raises(TooLarge, match="members below its conductor"):
         from_generators([3, half])
+    assert limits[2:] == [budget]
     with pytest.raises(TooLarge):
         from_generators([3, half + 2])
+    # a least generator s1 with 2 s1 - 1 over the budget leaves no room for the run
+    with pytest.raises(TooLarge):
+        from_generators([half + 1, half + 2, half + 3])
+    assert limits[2:] == [budget]
+
+
+def test_a_capped_window_answers_as_the_full_window_does(monkeypatch):
+    # X = 27,317,000 for (4631, 5900, 8739), past the budget, but the run of
+    # 4631 members starts at the conductor 934,042; X = 36,475,814 for the second
+    sets = [(4631, 5900, 8739), (5459, 6683, 8490)]
+    assert all(brauer_window(gens) > natideal.MAX_WINDOW_BITS for gens in sets)
+    capped = [from_generators(gens) for gens in sets]
+    assert [i.c for i in capped] == [934042, 1094083]
+    monkeypatch.setattr(natideal, "MAX_WINDOW_BITS", max(brauer_window(gens) for gens in sets))
+    for gens, i in zip(sets, capped):
+        full = from_generators(gens)
+        assert (i.d, i.c, i.mask, i._gens) == (full.d, full.c, full.mask, full._gens)
+        assert i._gens == gens
+
+
+def test_recorded_generators_match_the_bitmap_walk():
+    # from_generators keeps the minimal generators it finds among its input;
+    # minimal_generators on a fresh record of the same triple walks the bitmap
+    rng = random.Random(30)
+    sets = [[2, 3, 10**9], [4, 6, 9, 10**12], [0, 4, 0, 6, 9], [6, 6, 10, 15, 10], [0, 0], [5, 0, 5]]
+    for _ in range(40000):
+        t = rng.choice((1, 1, 2, 3, 6))
+        sets.append([t * rng.randint(0, 600) for _ in range(rng.randint(1, 7))])
+    for gens in sets:
+        i = from_generators(gens)
+        fresh = minimal_generators(NatIdeal(i.d, i.c, i.mask))
+        if i.c:
+            assert i._gens == fresh, gens
+        else:
+            assert fresh == ((i.d,) if i.d else ()), gens
+    assert from_generators([2, 3, 10**9])._gens == (2, 3)
+    assert from_generators([4, 6, 9, 10**12])._gens == (4, 6, 9)
 
 
 @pytest.mark.parametrize("below_top", [0, 3], ids=["top", "run-start"])
