@@ -8,16 +8,15 @@ stands. ``trials`` counts the tuples checked: the budget, or fewer where a
 law fails first or a finite kind's tuples run out (lagrassa's 27 triples).
 The seed is echoed in the report and changes nothing that is checked.
 
-Each law names the operations whose operands recur from tuple to tuple
-(``_CHECKERS``): b+c and bc recur for every a in the Dedekind identity, while
-law 3's pairs never recur. A check runs on a copy of the instance that
-computes each of those operations the kind names costly (its ``memoized``:
-sum, product, meet and quotient on n0 and quad5, ``factor`` on the gcd family
-and quad5) once per operand pair, or once per ideal for ``factor``; where
-none is both, it runs on the instance itself. The kind's ``memo_key`` names a
-pair by the canonical ints of its two payloads, so a lookup hashes a tuple of
-ints and no payload's ``__hash__``. The memo lives for one check and keeps no
-raise; the enumerated prefix stays on the instance for every check.
+The eight laws that equate two terms in add, mul, meet and quotient are rows
+of ``_EQUATIONS``, each compiled once into a Python check, on its first use.
+The rows are module constants, so no input from the CLI or a config file
+reaches ``compile``. Each law's row in ``_CHECKERS`` gives its arity and names
+the operations whose operands recur from tuple to tuple: b+c and bc recur for
+every a in the Dedekind identity, while law 3's pairs never recur. A check
+computes each of those its kind names costly (``memoized``) once per operand
+pair, keyed by the payloads' canonical ints (``_memoized``); the memo lives
+for one check and keeps no raise.
 
 Law ids:
 
@@ -162,11 +161,61 @@ def _sides_witness(ar, names, tup, left, right):
     return w
 
 
-def _dedekind_identity(ar, a, b, c):
-    add, mul = ar.add, ar.mul
-    left = mul(add(add(a, b), c), add(add(mul(b, c), mul(c, a)), mul(a, b)))
-    right = mul(mul(add(b, c), add(c, a)), add(a, b))
-    return None if left == right else _sides_witness(ar, "abc", (a, b, c), left, right)
+# law: (left, right, nonzero terms), each term in call syntax over add, mul,
+# meet and quotient, the variables a, b, c and the unit S; a tuple whose
+# nonzero term is the kind's zero is skipped
+_EQUATIONS = {
+    "dedekind-identity": (
+        "mul(add(add(a, b), c), add(add(mul(b, c), mul(c, a)), mul(a, b)))",
+        "mul(mul(add(b, c), add(c, a)), add(a, b))",
+        (),
+    ),
+    "dedekind2-law-2": ("mul(a, meet(b, c))", "meet(mul(a, b), mul(a, c))", ()),
+    "dedekind2-law-3": ("mul(add(a, b), meet(a, b))", "mul(a, b)", ()),
+    "dedekind2-law-4": ("quotient(add(a, b), c)", "add(quotient(a, c), quotient(b, c))", ("c",)),
+    "dedekind2-law-5": ("add(quotient(a, b), quotient(b, a))", "S", ("a", "b")),
+    "dedekind2-law-6": ("quotient(c, meet(a, b))", "add(quotient(c, a), quotient(c, b))", ("meet(a, b)",)),
+    "distributive-lattice": ("meet(a, add(b, c))", "add(meet(a, b), meet(a, c))", ()),
+    "quotient-absorb": ("mul(quotient(mul(a, b), a), a)", "mul(a, b)", ("a",)),
+}
+
+
+@functools.cache
+def _compiled(left, right, nonzero):
+    """The code of check(a, b[, c]) for a row of _EQUATIONS, the witness or
+    None; each distinct subterm is computed once, where it is first needed."""
+    import ast  # here: a law check pays for it, not every query
+    body, names, local = [], set(), {}
+
+    def term(node):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+            return node.id
+        text = f"{node.func.id}({', '.join(map(term, node.args))})"
+        if text not in local:
+            local[text] = f"t{len(local)}"
+            body.append(f"{local[text]} = {text}")
+        return local[text]
+
+    for text in nonzero:
+        body.append(f"if {term(ast.parse(text, mode='eval').body)} == zero: return None")
+    lhs, rhs = (term(ast.parse(text, mode="eval").body) for text in (left, right))
+    variables = "".join(sorted(names - {"S"}))
+    args = ", ".join(variables)
+    body += [f"if {lhs} == {rhs}: return None", f"return _sides_witness(ar, {variables!r}, ({args},), {lhs}, {rhs})"]
+    return compile("\n    ".join([f"def check({args}):", *body]), "<law>", "exec")
+
+
+def _equation(law):
+    """The plan that checks each tuple against law's row of _EQUATIONS."""
+
+    def plan(ar):
+        scope = {name: getattr(ar, name) for name in ("add", "mul", "meet", "quotient", "zero")}
+        scope.update(S=ar.one, ar=ar, _sides_witness=_sides_witness)
+        exec(_compiled(*_EQUATIONS[law]), scope)
+        return scope.pop("check")  # left in its globals, it is a cycle that keeps the memo until the GC runs
+
+    return plan
 
 
 def _law1(ar):
@@ -188,48 +237,6 @@ def _law1(ar):
     return check
 
 
-def _law2(ar, a, b, c):
-    left = ar.mul(a, ar.meet(b, c))
-    right = ar.meet(ar.mul(a, b), ar.mul(a, c))
-    return None if left == right else _sides_witness(ar, "abc", (a, b, c), left, right)
-
-
-def _law3(ar, a, b):
-    left = ar.mul(ar.add(a, b), ar.meet(a, b))
-    right = ar.mul(a, b)
-    return None if left == right else _sides_witness(ar, "ab", (a, b), left, right)
-
-
-def _law4(ar, a, b, c):
-    if c == ar.zero:
-        return None
-    left = ar.quotient(ar.add(a, b), c)
-    right = ar.add(ar.quotient(a, c), ar.quotient(b, c))
-    return None if left == right else _sides_witness(ar, "abc", (a, b, c), left, right)
-
-
-def _law5(ar, a, b):
-    if a == ar.zero or b == ar.zero:
-        return None
-    left = ar.add(ar.quotient(a, b), ar.quotient(b, a))
-    return None if left == ar.one else _sides_witness(ar, "ab", (a, b), left, ar.one)
-
-
-def _law6(ar, a, b, c):
-    meet = ar.meet(a, b)
-    if meet == ar.zero:
-        return None
-    left = ar.quotient(c, meet)
-    right = ar.add(ar.quotient(c, a), ar.quotient(c, b))
-    return None if left == right else _sides_witness(ar, "abc", (a, b, c), left, right)
-
-
-def _distributive(ar, a, b, c):
-    left = ar.meet(a, ar.add(b, c))
-    right = ar.add(ar.meet(a, b), ar.meet(a, c))
-    return None if left == right else _sides_witness(ar, "abc", (a, b, c), left, right)
-
-
 def _reyes(ar, a, b0):
     if a == ar.zero:
         return None
@@ -242,14 +249,6 @@ def _reyes(ar, a, b0):
     w = _sides_witness(ar, ("a", "b_sampled"), (a, b0), recovered, a)
     w["b"] = ar.str(b)
     return w
-
-
-def _quotient_absorb(ar, a, b):
-    if a == ar.zero:
-        return None
-    ab = ar.mul(a, b)
-    left = ar.mul(ar.quotient(ab, a), a)
-    return None if left == ab else _sides_witness(ar, "ab", (a, b), left, ab)
 
 
 def _contains_iff_divides(ar, a, b):
@@ -316,20 +315,19 @@ def _each(checker):
 
 # law: (arity, requirement or None, plan, recurring). plan(ar) gives the check
 # of one tuple; recurring names the operations whose operands recur from tuple
-# to tuple (b+c and bc for every a, say), which a check memoizes where the kind
-# names them costly (_memoized)
+# to tuple, which a check memoizes where its kind names them costly
 _CHECKERS = {
-    "dedekind-identity": (3, None, _each(_dedekind_identity), ("add", "mul")),
+    "dedekind-identity": (3, None, _equation("dedekind-identity"), ("add", "mul")),
     "dedekind2-law-1": (1, _fractions, _law1, ()),
-    "dedekind2-law-2": (3, None, _each(_law2), ("mul", "meet")),
-    "dedekind2-law-3": (2, None, _each(_law3), ()),
-    "dedekind2-law-4": (3, None, _each(_law4), ("add", "quotient")),
-    "dedekind2-law-5": (2, None, _each(_law5), ("quotient",)),
-    "dedekind2-law-6": (3, None, _each(_law6), ("add", "meet", "quotient")),
-    "distributive-lattice": (3, None, _each(_distributive), ("add", "meet")),
+    "dedekind2-law-2": (3, None, _equation("dedekind2-law-2"), ("mul", "meet")),
+    "dedekind2-law-3": (2, None, _equation("dedekind2-law-3"), ()),
+    "dedekind2-law-4": (3, None, _equation("dedekind2-law-4"), ("add", "quotient")),
+    "dedekind2-law-5": (2, None, _equation("dedekind2-law-5"), ("quotient",)),
+    "dedekind2-law-6": (3, None, _equation("dedekind2-law-6"), ("add", "meet", "quotient")),
+    "distributive-lattice": (3, None, _equation("distributive-lattice"), ("add", "meet")),
     "coprime-identities": (2, _factors, _each(_coprime), ("factor", "mul")),
     "reyes": (2, _fractions, _each(_reyes), ("mul", "quotient")),
-    "quotient-absorb": (2, None, _each(_quotient_absorb), ("mul",)),
+    "quotient-absorb": (2, None, _equation("quotient-absorb"), ("mul",)),
     "contains-iff-divides": (2, _fractions, _each(_contains_iff_divides), ()),
 }
 LAW_IDS = (*_CHECKERS, "multiplicative-cancellation")

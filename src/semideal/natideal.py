@@ -211,8 +211,10 @@ def from_generators(gens):
         e = f
     window = min(top, MAX_WINDOW_BITS)
     # the first run of m members ends at F + m, F the largest gap: at X for two
-    # generators, never below 2m - 1, and past a capped window that lacks it
-    if window < top and (len(gens) == 2 or 2 * m - 1 > window):
+    # generators, never below 2m - 1, for three never below m plus Davison's
+    # (1994) sqrt(3 s1 s2 s3) - s1 - s2 - s3, and past a capped window that lacks it
+    davison = math.isqrt(3 * math.prod(scaled)) - sum(scaled) if len(gens) == 3 else 0
+    if window < top and (len(gens) == 2 or 2 * m - 1 > window or davison + m > window):
         raise _too_large(gens, top)
     mask = additive_closure(scaled, window)
     if mask >> (window - m + 1) != (1 << m) - 1:

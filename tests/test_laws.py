@@ -1,5 +1,6 @@
 """Law harness: status matrix, exact first witnesses, the tuple order, reproducibility."""
 
+import ast
 import itertools
 import json
 import math
@@ -356,6 +357,43 @@ def test_sampled_trials_count_the_tuples_checked():
             rep = check_law(inst, "multiplicative-cancellation", trials=trials)
             assert (rep.status, rep.trials) == ("pass", min(trials, (n - 1) * n)), (inst.id, trials)
     assert check_law(LAG, "multiplicative-cancellation", trials=10**4).trials == 3
+
+
+def test_a_one_term_edit_refutes_a_law(monkeypatch):
+    # the row of _EQUATIONS is the one source of its check: law 2 with the
+    # right side's meet made a sum, ab + ac, fails on dvs at its first tuple
+    # with b != c, (S, S, t): a(b & c) = t^max(0, 1) but ab + ac = t^min(0, 1)
+    left, right, nonzero = laws._EQUATIONS["dedekind2-law-2"]
+    holds = check_law(DVS, "dedekind2-law-2", 10**4)
+    assert (holds.status, holds.trials) == ("pass", 10**4)
+    monkeypatch.setitem(laws._EQUATIONS, "dedekind2-law-2", (left, right.replace("meet", "add"), nonzero))
+    rep = check_law(DVS, "dedekind2-law-2", 10**4)
+    assert (rep.status, rep.trials) == ("fail", 2)
+    assert rep.witness == {"a": "S", "b": "S", "c": "t^1", "left": "t^1", "right": "S", "missing_from_left": "1"}
+    monkeypatch.undo()
+    assert check_law(DVS, "dedekind2-law-2", 10**4) == holds
+
+
+def test_each_equation_row_is_consistent():
+    # each term is calls of the four operations on exactly the variables of
+    # its law's arity, and the unit S; its memo plan names only operations
+    # the terms call, since a stale plan would change speed but no answer
+    assert len(laws._EQUATIONS) == 8 and set(laws._EQUATIONS) <= set(_CHECKERS)
+    for law, (left, right, nonzero) in laws._EQUATIONS.items():
+        arity, needs, _, recurring = _CHECKERS[law]
+        names, called = set(), set()
+        for text in (left, right, *nonzero):
+            tree = ast.parse(text, mode="eval")
+            assert {type(node) for node in ast.walk(tree)} <= {ast.Expression, ast.Call, ast.Name, ast.Load}, text
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    assert isinstance(node.func, ast.Name) and len(node.args) == 2 and not node.keywords, text
+                    called.add(node.func.id)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+        assert needs is None and called <= {"add", "mul", "meet", "quotient"}, law
+        assert names - called - {"S"} == set("abc"[:arity]), law
+        assert set(recurring) <= called, law
 
 
 def test_law2_n0_witness_matches_the_oracle():

@@ -311,7 +311,7 @@ def test_loose_windows_match_brute_force():
 
 def test_a_window_past_the_budget_closes_once_at_the_budget(monkeypatch):
     m = from_generators([1000, 1001])
-    gens = [a * b for a in minimal_generators(m) for b in minimal_generators(m)]
+    gens = sorted({a * b for a in minimal_generators(m) for b in minimal_generators(m)})
     limits = []
     real = natideal.additive_closure
 
@@ -321,26 +321,73 @@ def test_a_window_past_the_budget_closes_once_at_the_budget(monkeypatch):
 
     monkeypatch.setattr(natideal, "additive_closure", closure)
     budget = natideal.MAX_WINDOW_BITS
-    # X = 999 * (1001000 + 1002001), about 2e9 bits; the first 2^24 end in a gap
-    x = brauer_window(sorted(gens))
+    # X = 999 * (1001000 + 1002001), about 2e9 bits, and Davison's lower bound
+    # on the largest gap, sqrt(3 s1 s2 s3) - s1 - s2 - s3, about 1.7e9: three
+    # generators whose run of s1 members cannot end in the budget are refused
+    # before any closure
+    x = brauer_window(gens)
     with pytest.raises(TooLarge, match=f"over {budget} bits .Brauer's X is {x}."):
         from_generators(gens)
-    assert limits == [budget]
     with pytest.raises(TooLarge):
         nat_product(m, m)
-    assert limits == [budget, budget]
+    assert limits == []
+    # four generators have no such bound: the first 2^24 bits are closed once,
+    # and end in a gap
+    four = [*gens, 1003003]
+    with pytest.raises(TooLarge, match=f"over {budget} bits .Brauer's X is {brauer_window(four)}."):
+        from_generators(four)
+    assert limits == [budget]
     # X = 2b for a coprime pair (3, b), the exact window: the budget itself is
     # closed, and 4 more bits are refused before any closure
     half = budget // 2
     with pytest.raises(TooLarge, match="members below its conductor"):
         from_generators([3, half])
-    assert limits[2:] == [budget]
+    assert limits[1:] == [budget]
     with pytest.raises(TooLarge):
         from_generators([3, half + 2])
     # a least generator s1 with 2 s1 - 1 over the budget leaves no room for the run
     with pytest.raises(TooLarge):
         from_generators([half + 1, half + 2, half + 3])
-    assert limits[2:] == [budget]
+    assert limits[1:] == [budget]
+
+
+def test_davisons_bound_refuses_only_what_the_cut_window_refuses(monkeypatch):
+    # Davison (1994): F >= sqrt(3 s1 s2 s3) - s1 - s2 - s3 for the largest gap
+    # F of gcd-1 generators s1 < s2 < s3. The closure of the whole window X
+    # gives F; a cut window answers iff the run of s1 members after F fits,
+    # F + s1 <= window, so the least window that answers and the one below it
+    # pin the bound, and no early refusal may land on an answerable window
+    rng = random.Random(31)
+    triples = [(2, 3, 5), (3, 5, 7), (1000, 1001, 1002)]
+    while len(triples) < 1500:
+        s = rng.sample(range(2, 600), 3)
+        if len(triples) % 3 == 0:  # one redundant generator: s3 = i s1 + j s2
+            s[2] = rng.randint(0, 4) * s[0] + rng.randint(1, 4) * s[1]
+        if math.gcd(*s) == 1 and len(set(s)) == 3:
+            triples.append(tuple(sorted(s)))
+    full = {s: from_generators(s) for s in triples}
+    calls = []
+    real = natideal.additive_closure
+    monkeypatch.setattr(natideal, "additive_closure", lambda gens, limit: calls.append(limit) or real(gens, limit))
+    early = late = 0
+    for s, i in full.items():
+        f, x = i.c - 1, brauer_window(s)
+        for window in {f + s[0], f + s[0] - 1, rng.randrange(1, x)}:
+            if not 2 * s[0] - 1 <= window < x:
+                continue
+            monkeypatch.setattr(natideal, "MAX_WINDOW_BITS", window)
+            calls.clear()
+            if f + s[0] <= window:
+                cut = from_generators(s)
+                assert (cut.d, cut.c, cut.mask, cut._gens) == (i.d, i.c, i.mask, i._gens), (s, window)
+                continue
+            with pytest.raises(TooLarge):
+                from_generators(s)
+            assert calls in ([], [window]), (s, window)
+            early += not calls
+            late += bool(calls)
+    # both refusals happen: before any closure, and after the cut window's one
+    assert early > 100 and late > 100, (early, late)
 
 
 def test_a_capped_window_answers_as_the_full_window_does(monkeypatch):
