@@ -22,7 +22,6 @@ from .ideals import (
     separating_member,
     unit_ideal,
 )
-from .instances import instance
 from .polynomials import Polynomial, poly_mul, poly_str
 from .reports import ContentReport, LawReport
 
@@ -82,49 +81,48 @@ def dm_exponent(f: Polynomial, g: Polynomial, cs=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# module-level cancellation probes
+# cancellation probes: the subsemimodules of L^n, for the finite instance L,
+# built from its element tables
 
-_LAG = instance("lagrassa")
 
-
-def _span(vectors, width):
-    """Close a set of lagrassa tuples under + and scalar multiplication."""
-    zero_vec = tuple("0" for _ in range(width))
+def _span(inst, vectors, width):
+    """Close a set of tuples over inst under + and scalar multiplication."""
+    zero_vec = (inst.ezero,) * width
+    scalars = inst.elements(0)[1:]  # zero first, and 0*v is zero_vec
     out = {zero_vec} | set(vectors)
     while True:
         nxt = set(out)
         for v in out:
             for w in out:
-                nxt.add(tuple(_LAG.eadd(a, b) for a, b in zip(v, w)))
-            for s in ("u", "1"):
-                nxt.add(tuple(_LAG.emul(s, a) for a in v))
+                nxt.add(tuple(inst.eadd(a, b) for a, b in zip(v, w)))
+            for s in scalars:
+                nxt.add(tuple(inst.emul(s, a) for a in v))
         if nxt == out:
             return frozenset(out)
         out = nxt
 
 
-def _all_submodules(width):
-    """Every subsemimodule of L^width, as frozensets of tuples."""
+def _all_submodules(inst, width):
+    """Every subsemimodule of inst^width, as frozensets of tuples."""
     from itertools import product as iproduct
 
-    alphabet = ("0", "u", "1")
-    zero_vec = tuple("0" for _ in range(width))
-    nonzero = [v for v in iproduct(alphabet, repeat=width) if v != zero_vec]
+    zero_vec = (inst.ezero,) * width
+    nonzero = [v for v in iproduct(inst.elements(0), repeat=width) if v != zero_vec]
     out = []
     for bits in range(1 << len(nonzero)):
         chosen = [nonzero[i] for i in range(len(nonzero)) if bits >> i & 1]
         cand = frozenset(chosen) | {zero_vec}
-        if _span(cand, width) == cand:
+        if _span(inst, cand, width) == cand:
             out.append(cand)
     return sorted(set(out), key=lambda m: (len(m), sorted(m)))
 
 
-def _scale_module(a_members, module, width):
+def _scale_module(inst, a_members, module, width):
     gens = set()
     for s in a_members:
         for v in module:
-            gens.add(tuple(_LAG.emul(s, x) for x in v))
-    return _span(gens, width)
+            gens.add(tuple(inst.emul(s, x) for x in v))
+    return _span(inst, gens, width)
 
 
 def m_cancellation_check(a: Ideal, module_spec) -> LawReport:
@@ -142,13 +140,13 @@ def m_cancellation_check(a: Ideal, module_spec) -> LawReport:
         if not 1 <= arg <= 2:
             raise Unsupported("module power is bounded by 2")
         width = arg
-        members = [p for p in ("0", "u", "1") if ideal_membership(a, p)]
-        modules = _all_submodules(width)
+        members = [p for p in inst.elements(0) if ideal_membership(a, p)]
+        modules = _all_submodules(inst, width)
         images = {}
         trials = 0
         for m in modules:
             trials += 1
-            img = _scale_module(members, m, width)
+            img = _scale_module(inst, members, m, width)
             if img in images and images[img] != m:
                 witness = {
                     "a": ideal_str(a),

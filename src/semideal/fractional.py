@@ -28,7 +28,8 @@ _TRACED = (qi_mul,)  # perfbench's tracer test checks that this module binds qi_
 
 def inversion_witness(a: Ideal):
     """(x, y) K-elements with x in a, y in the inverse, x*y = 1; None if a is
-    not invertible or has no principal generator to exhibit.
+    not invertible. An invertible ideal is principal, on n0 too (the least
+    nonzero members of a and its inverse multiply to 1): x and y generate them.
 
     K-element payloads: Fraction for gcd-like and n0, int exponent for dvs,
     (Fraction, primitive QuadIdeal) for quad5. Outside n0 they are the
@@ -39,8 +40,6 @@ def inversion_witness(a: Ideal):
     if b is None:
         return None
     x, y = inst.k_generator(a.payload), inst.k_generator(b.payload)
-    if x is None or y is None:
-        return None
     if inst.k_mul(x, y) != inst.k_one():
         raise InternalError("inversion witness does not multiply to 1")
     return (x, y)
@@ -113,7 +112,7 @@ def divisors_containing(a: Ideal):
     inst = a.instance
     A = _integral(a)
     if not inst.semidomain:
-        raise Unsupported("lagrassa is not multiplicatively cancellative; no fraction semifield")
+        raise Unsupported(f"{inst.kind} is not multiplicatively cancellative; no fraction semifield")
     _factorial(inst)
     if A == inst.zero:
         raise EmptyIdeal("the zero ideal has no prime factorization")

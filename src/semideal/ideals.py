@@ -9,7 +9,7 @@ fractional payload of the instance, the object of its kind class
   dvs                   None (zero) or an integer exponent, possibly negative
   n0                    (den, NatIdeal) with gcd(den, content) == 1
   quad5                 (Fraction scalar, primitive QuadIdeal)
-  lagrassa              "zero" / "u" / "full"; it has no fractions, so d is 1
+  lagrassa              the generator "0", "u" or "1"; it has no fractions, so d is 1
 
 ``split`` reads a payload as (A, d) and ``join`` writes A/d back in
 canonical form, so equality of payloads is equality of ideals. An ideal is

@@ -30,7 +30,8 @@ only one that compares ``.kind`` with a kind name or tests the class of an
 instance; other modules read its flags.
 
 ``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
-quad5), where an ideal is stored as its generator, an element payload:
+quad5, lagrassa), where an ideal is stored as its generator, an element
+payload:
 
   (a) + (b) = (a + b)          (a)(b) = (ab)          (a)^k by squaring
   (a) & (b) = ab / (a + b)     [(a) : (b)] = a / (a + b)
@@ -38,10 +39,11 @@ quad5), where an ideal is stored as its generator, an element payload:
 
 where c = num / den is the exact ``cofactor`` with c * den = num; each kind
 computes that meet in closed form (lcm, max, the lattice intersection).
-Those ideals are subtractive, and maximal iff nonzero and prime. ``N0`` stores a
-NatIdeal (``natideal``) and ``Lagrassa`` one of its three ideals "zero",
-"u", "full". Kind methods call ``natideal`` and ``quadratic`` through their
-module bindings, so a tracer that rebinds those functions sees the calls.
+Those ideals are maximal iff nonzero and prime, and subtractive but on
+lagrassa. ``Lagrassa`` is the one principal kind where (a) + (b) is not
+(a + b), so it gives its own sum; ``N0`` stores a NatIdeal (``natideal``).
+Kind methods call ``natideal`` and ``quadratic`` through their module
+bindings, so a tracer that rebinds those functions sees the calls.
 """
 
 from __future__ import annotations
@@ -646,7 +648,9 @@ class N0(Kind):
 
     def k_generator(self, p):
         gens = nat.minimal_generators(p[1])
-        return Fraction(gens[0], p[0]) if len(gens) == 1 else None
+        if len(gens) != 1:
+            raise InternalError("an invertible n0 ideal is not principal")
+        return Fraction(gens[0], p[0])
 
     def k_mul(self, x, y):
         return x * y
@@ -667,25 +671,24 @@ class N0(Kind):
         return nat.from_generators([max(m, 1)])
 
 
-_LAG_ELEMENTS = ("0", "u", "1")
-_LAG_RANK = {"zero": 0, "u": 1, "full": 2}  # its ideals form a chain
-_LAG_MEMBERS = {"zero": ("0",), "u": ("0", "u"), "full": ("0", "u", "1")}
-
-
 class Lagrassa(Kind):
-    """lagrassa: its three ideals "zero" < "u" < "full"; a product is the smaller factor."""
+    """lagrassa: each ideal is principal, (0) < (u) < (1) = L, stored as its
+    generator "0", "u" or "1". It is the one principal kind where (a) + (b) is
+    not (a + b): (u) + (1) = (1), while u + 1 = u, so its sum is the larger
+    generator in 0 < u < 1; (x)(y) = (xy), the smaller one, is also the meet."""
 
     semidomain = dedekind = False  # u*u = u*1: no semifield of fractions
     finite = True
-    ezero, eone, zero, one = "0", "1", "zero", "full"
+    ezero = zero = "0"
+    eone = one = "1"
 
     def element(self, value):
-        if value not in _LAG_ELEMENTS:
+        if value not in self.elements(0):
             raise InvalidInput("lagrassa elements are '0', 'u', '1'")
         return value
 
     def elements(self, bound):
-        return list(_LAG_ELEMENTS)
+        return ["0", "u", "1"]
 
     # x + y is the larger of x, y in the chain 0 < 1 < u, and x * y the smaller in 0 < u < 1
     def eadd(self, x, y):
@@ -694,43 +697,27 @@ class Lagrassa(Kind):
     def emul(self, x, y):
         return min(x, y, key="0u1".index)
 
-    def ideal(self, gens):
-        return ("zero", "u", "full")[max((_LAG_ELEMENTS.index(p) for p in gens), default=0)]
+    mul = meet = emul
 
     def add(self, x, y):
-        return max(x, y, key=_LAG_RANK.get)
-
-    def mul(self, x, y):
-        return min(x, y, key=_LAG_RANK.get)
-
-    meet = mul
-
-    def quotient(self, a, b):
-        members = _LAG_MEMBERS[a]
-        return self.ideal([x for x in _LAG_ELEMENTS if all(self.emul(x, y) in members for y in _LAG_MEMBERS[b])])
+        return max(x, y, key="0u1".index)
 
     def cofactor(self, num, den):
-        return next((c for c in _LAG_RANK if self.mul(den, c) == num), None)
-
-    def member(self, a, x):
-        return x in _LAG_MEMBERS[a]
-
-    def generators(self, a):
-        return (_LAG_MEMBERS[a][-1],)
+        return num if self.contains(den, num) else None  # den * num = num
 
     def frac_str(self, a):
-        return {"zero": "(0)", "u": "(u)", "full": "L"}[a]
+        return {"0": "(0)", "u": "(u)", "1": "L"}[a]
 
     def is_subtractive(self, a):
         return a != "u"  # u + 1 = u lies in (u), and 1 does not
 
     def is_prime(self, a):
-        return a != "full"  # a product lies in (u) only when a factor does
+        return a != "1"  # a product lies in (u) only when a factor does
 
     def separating(self, small, big):
-        if small == big:
+        if self.contains(small, big):
             return None
-        return next((x for x in ("u", "1") if self.member(big, x) and not self.member(small, x)), None)
+        return "u" if small == "0" else "1"  # the least member of big outside small
 
     def prime(self, p, b):
         return "u"
@@ -752,7 +739,7 @@ class Lagrassa(Kind):
         raise Unsupported("lagrassa is not multiplicatively cancellative; no fraction semifield")
 
     def ideals(self):
-        return iter(_LAG_RANK)
+        return iter(self.elements(0))
 
 
 _KINDS = {"n0": N0, "gcd": GcdFamily, "gcd-supported": GcdFamily, "dvs": Dvs, "lagrassa": Lagrassa, "quad5": Quad5}

@@ -210,8 +210,8 @@ def _equation(law):
     """The plan that checks each tuple against law's row of _EQUATIONS."""
 
     def plan(ar):
-        scope = {name: getattr(ar, name) for name in ("add", "mul", "meet", "quotient", "zero")}
-        scope.update(S=ar.one, ar=ar, _sides_witness=_sides_witness)
+        scope = {name: getattr(ar, name) for name in ("add", "mul", "meet", "quotient")}
+        scope.update(zero=ar.zero, S=ar.one, ar=ar, _sides_witness=_sides_witness)
         exec(_compiled(*_EQUATIONS[law]), scope)
         return scope.pop("check")  # left in its globals, it is a cycle that keeps the memo until the GC runs
 

@@ -4,6 +4,7 @@ Everything here works on explicit member sets and avoids the canonical forms
 and kernels under test.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -102,3 +103,35 @@ def quad_member_brute(g, a, b, x, y):
     t = y // g
     rem = x // g - b * t
     return rem % a == 0
+
+
+def finite_ideals(elements, add, mul):
+    """Every ideal of the finite semiring on elements with the tables add and
+    mul, as a frozenset of members, by brute force over subsets: each subset
+    that contains 0 (a nonempty one closed under multiplication by 0 does) and
+    is closed under + and under multiplication by every element."""
+    out = []
+    for r in range(1, len(elements) + 1):
+        for chosen in itertools.combinations(elements, r):
+            s = frozenset(chosen)
+            if all(add(x, y) in s and mul(e, x) in s for x in s for y in s for e in elements):
+                out.append(s)
+    return out
+
+
+def kronecker_minus20(d):
+    """The Kronecker symbol (-20/d), the character of Q(sqrt(-5)), for d >= 1."""
+    return {1: 1, 3: 1, 7: 1, 9: 1, 11: -1, 13: -1, 17: -1, 19: -1}.get(d % 20, 0)
+
+
+def quad5_norm_counts(bound):
+    """[sum of (-20/d) over d | n, for n in 0..bound]: the number of ideals of
+    Z[w], w*w = -5, of norm n, the Dirichlet coefficients of zeta * L(chi).
+    A divisor sieve adds each d's symbol to its multiples."""
+    counts = [0] * (bound + 1)
+    for d in range(1, bound + 1):
+        chi = kronecker_minus20(d)
+        if chi:
+            for n in range(d, bound + 1, d):
+                counts[n] += chi
+    return counts

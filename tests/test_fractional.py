@@ -335,6 +335,19 @@ def test_inversion_witness_certificate_is_checked(monkeypatch):
     assert inversion_witness(a) == (Fraction(6, 5), Fraction(5, 6))
 
 
+def test_an_n0_ideal_is_invertible_iff_principal():
+    # if I*J = S, the least nonzero members x of I and y of J multiply to 1,
+    # and x*J inside S forces J = (1/x), so I = (x): the witness is (x, 1/x)
+    for A in N0.enumerated(3000)[:3000]:
+        a = Ideal(N0, N0.join(A, 1))
+        gens = generators(a)
+        assert (ideal_invert(a) is not None) == (len(gens) == 1), gens
+        if len(gens) == 1:
+            assert inversion_witness(a) == (Fraction(gens[0]), Fraction(1, gens[0]))
+    with pytest.raises(InternalError, match="not principal"):
+        N0.k_generator(ideal_from_generators(N0, [2, 3]).payload)
+
+
 def test_power():
     rng = random.Random(65)
     for inst in FRAC_INSTANCES:

@@ -47,6 +47,7 @@ from semideal import (
 from semideal.errors import InvalidInput
 from semideal.instances import zero as element_zero
 from semideal.quadratic import QuadIdeal
+from oracles import finite_ideals
 
 N0 = instance("n0")
 GCD = instance("gcd")
@@ -235,12 +236,59 @@ def test_lagrassa_quotient_table():
     z = zero_ideal(LAG)
     u = ideal_from_generators(LAG, ["u"])
     f = unit_ideal(LAG)
-    assert ideal_quotient(z, u).payload == "zero"
-    assert ideal_quotient(z, f).payload == "zero"
-    assert ideal_quotient(u, u).payload == "full"  # x*u is never 1
+    assert ideal_quotient(z, u).payload == "0"
+    assert ideal_quotient(z, f).payload == "0"
+    assert ideal_quotient(u, u).payload == "1"  # x*u is never 1
     assert ideal_quotient(u, f).payload == "u"
-    assert ideal_quotient(f, u).payload == "full"
-    assert ideal_quotient(f, f).payload == "full"
+    assert ideal_quotient(f, u).payload == "1"
+    assert ideal_quotient(f, f).payload == "1"
+
+
+def test_lagrassa_against_its_own_tables():
+    # every ideal as its member set, by brute force over subsets with the
+    # element tables: this proves the answers the class writes by hand
+    # (is_subtractive, is_prime, separating) and those Kind's principal
+    # rules give it (membership, the quotient, divides)
+    elems = LAG.elements(0)
+    sets = finite_ideals(elems, LAG.eadd, LAG.emul)
+    full = frozenset(elems)
+
+    def spanned(xs):  # the least ideal holding xs
+        return frozenset.intersection(*(s for s in sets if set(xs) <= s))
+
+    ideal = {s: ideal_from_generators(LAG, sorted(s)) for s in sets}
+    assert len(sets) == 3 and len(set(ideal.values())) == 3
+    for A, a in ideal.items():
+        assert {x for x in elems if ideal_membership(a, x)} == A
+        assert ideal_from_generators(LAG, generators(a)) == a
+        assert is_subtractive(a) == all(y in A for x in A for y in elems if LAG.eadd(x, y) in A)
+        prime = A != full and all(x in A or y in A for x in elems for y in elems if LAG.emul(x, y) in A)
+        assert is_prime(a) == prime
+        assert is_maximal(a) == (A != full and not any(A < s < full for s in sets))
+    for A, a in ideal.items():
+        for B, b in ideal.items():
+            assert ideal_sum(a, b) == ideal[spanned(A | B)]
+            assert ideal_product(a, b) == ideal[spanned({LAG.emul(x, y) for x in A for y in B})]
+            assert ideal_intersect(a, b) == ideal[A & B]
+            assert ideal_contains(a, b) == (B <= A)
+            assert separating_member(a, b) == next((x for x in elems if x in B and x not in A), None)
+            if B == {"0"}:
+                with pytest.raises(ZeroDivisorIdeal):
+                    ideal_quotient(a, b)
+            else:
+                assert ideal_quotient(a, b) == ideal[frozenset(x for x in elems if {LAG.emul(x, y) for y in B} <= A)]
+            if A == {"0"}:
+                with pytest.raises(ZeroDivisorIdeal):
+                    divides(a, b)
+                continue
+            c = divides(a, b)
+            if c is None:
+                assert not any(ideal_product(a, ideal[C]) == b for C in sets)
+            else:
+                assert ideal_product(a, c) == b
+    M = spanned({"u"})  # (u), the one maximal ideal
+    square = spanned({LAG.emul(x, y) for x in M for y in M})
+    assert search_between(ideal[M]) is None and not any(square < s < M for s in sets)
 
 
 def test_divides_soundness_and_known():

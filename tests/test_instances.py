@@ -1,5 +1,6 @@
 """Instance lookup, element validation, element arithmetic, and the ideal enumeration."""
 
+import collections
 import itertools
 import math
 import random
@@ -25,7 +26,7 @@ from semideal import (
 from semideal import instances, natideal
 from semideal.errors import InvalidInput, NotFractional, Unsupported
 from semideal.quadratic import QI_ONE, QI_ZERO, QuadIdeal
-from oracles import quad_ideals
+from oracles import quad5_norm_counts, quad_ideals
 
 ALL_IDS = ["n0", "gcd", "gcd-supported(2,3)", "dvs", "lagrassa", "quad5"]
 
@@ -293,7 +294,7 @@ SIZE = {
     "gcd": lambda a: a,
     "gcd-supported": lambda a: a,
     "dvs": lambda a: a,
-    "lagrassa": ("zero", "u", "full").index,
+    "lagrassa": "0u1".index,
     "quad5": lambda a: a.norm(),
 }
 
@@ -334,6 +335,18 @@ def test_ideals_are_every_ideal_up_to_their_size():
     want = [QuadIdeal(*t) for t in quad_ideals(1000)]
     assert len(want) == 1403
     assert instance("quad5").enumerated(1403)[:1403] == want
+
+
+def test_quad5_counts_the_ideals_of_each_norm():
+    # the number of ideals of Z[w] of norm n is the sum of the Kronecker
+    # symbol (-20/d) over the divisors d of n; every norm below the largest
+    # read is complete, since ideals() goes by norm
+    first = instance("quad5").enumerated(10_000)[:10_000]
+    assert len(set(first)) == len(first)
+    top = first[-1].norm()
+    counts = collections.Counter(q.norm() for q in first)
+    want = quad5_norm_counts(top - 1)
+    assert [counts[n] for n in range(1, top)] == want[1:]
 
 
 def test_clear_matches_the_fraction_form():

@@ -4,12 +4,16 @@
 ``semideal.fractional`` on small fixed ideals, zero, unit, a seeded random sample
 of ideals of all six instances and ideals spanned by rationals, and writes
 one line per call: the result, or the exception with its message. The digest
-of that text was last computed when the instance became the object of its
-kind class: the 1,204 lines that show an instance argument changed from the
-``Instance(id=..., ...)`` record's repr to ``instance('<id>')``, and no other
-line changed. Before that, a generator of the wrong type became an
-``InvalidInput`` (seven ``ideal_from_generators(…, [Ideal(gcd, …)])`` lines,
-one per instance, had raised ``TypeError`` or ``ValueError``); before that,
+of that text was last computed when a lagrassa ideal became its generator:
+the 2,606 lines that show one changed ``Ideal(lagrassa, 'zero')`` to
+``Ideal(lagrassa, '0')`` and ``Ideal(lagrassa, 'full')`` to
+``Ideal(lagrassa, '1')``, and no other line changed. Before that, when the
+instance became the object of its kind class, the 1,204 lines that show an
+instance argument changed from the ``Instance(id=..., ...)`` record's repr to
+``instance('<id>')``, and no other line changed. Before that, a generator
+of the wrong type became an ``InvalidInput`` (seven
+``ideal_from_generators(…, [Ideal(gcd, …)])`` lines, one per instance, had
+raised ``TypeError`` or ``ValueError``); before that,
 when the integral and fractional ideal types became the one ``Ideal``, every
 call of the render was checked against its counterpart in the one type, and
 CHANGES.md counts the calls whose text changed, by reason. Change it only
@@ -27,7 +31,7 @@ import semideal
 from semideal import fractional, ideals, instances
 from semideal.instances import KINDS, instance
 
-DIGEST = "733fe7c0fc13a4826dab3c94efae37d1762dd0685a1edd68263824627cde48e7"
+DIGEST = "9932970fce26ba72750784f08b7c6201947bfd3647cf5670fcafa76b0481d0ec"
 
 INSTANCES = ("n0", "gcd", "gcd-supported(2,3)", "gcd-supported(2,3,5,7)", "dvs", "quad5", "lagrassa")
 
