@@ -4,21 +4,18 @@ Ideals, integral and fractional, are ``ideals.Ideal``. Over a Dedekind
 instance every nonzero ideal is invertible and factors uniquely into primes
 with integer exponents (``uft_factor``, ``uft_compose``), and an inverse is
 exhibited by K-elements (``inversion_witness``). ``sandwich`` bounds an ideal
-between a principal ideal and an integral one. On the gcd family,
-localization at p is the exponent of p in the generator
-(``primes.valuation``), and the second generator of ``two_generators`` is a
-closed form, aux*g.
+between a principal ideal and an integral one. The gcd family's
+constructions check and tag around its kind's methods (``GcdFamily``), where
+localization at p is the exponent of p in the generator, and the second
+generator of ``two_generators`` is a closed form, aux*g.
 """
 
 from __future__ import annotations
 
-import math
-
-from .errors import EmptyIdeal, InternalError, NotAMember, Unsupported, UnknownPrime, ZeroDivisorIdeal
-from .ideals import Ideal, _check, _integral, _tag, ideal_equals, ideal_from_generators, ideal_invert, is_zero
-from .ideals import zero_ideal
+from .errors import EmptyIdeal, InternalError, Unsupported
+from .ideals import Ideal, _check, _integral, _tag, ideal_invert, is_zero
 from .instances import instance
-from .primes import is_prime_int, valuation
+from .primes import is_prime_int
 from .quadratic import qi_mul
 from .reports import Record
 from .spectrum import PrimeLabel
@@ -120,56 +117,25 @@ def divisors_containing(a: Ideal):
 
 
 # ---------------------------------------------------------------------------
-# localization at a numeric prime (gcd family -> dvs)
+# the gcd family's constructions: localization at a prime (gcd family -> dvs),
+# two generators and finite-spectrum principal generation
 
 
 def localize(inst, p, a: Ideal) -> Ideal:
     """Image of the integral ideal a of inst under localization at (p), as an ideal of the dvs instance."""
     _check(inst, a)
-    A = _integral(a)
-    if not inst.gcd_family:
-        raise Unsupported(f"localization is defined for the gcd family, not {inst.kind}")
-    if not is_prime_int(p):
-        raise UnknownPrime(f"{p} is not prime")
-    if inst.support is not None and p not in inst.support:
-        raise UnknownPrime(f"{p} is not in the support {inst.support}")
-    dvs = instance("dvs")
-    if A == 0:
-        return zero_ideal(dvs)
-    return _tag(dvs, valuation(A, p)[0])
-
-
-# ---------------------------------------------------------------------------
-# two-generator and finite-spectrum constructions (gcd family)
+    return _tag(instance("dvs"), inst.localize(_integral(a), p))
 
 
 def two_generators(a: Ideal, member: int):
-    """Given nonzero member of nonzero integral a = (g), a second generator b with a = (member, b).
+    """Given nonzero member of nonzero integral a = (g), a second generator b with a = (member, b)."""
+    return a.instance.two_generators(_integral(a), member)
 
-    b = aux*g, with aux the least prime (on gcd-supported, the least support
-    prime) that does not divide member, or 1 when there is none: then
-    gcd(member, b) = g. A member of 1 gives b = 1.
-    """
-    inst = a.instance
-    g = _integral(a)
-    if not inst.gcd_family:
-        raise Unsupported(f"two-generator search runs on the gcd family, not {inst.kind}")
-    if g == 0:
-        raise ZeroDivisorIdeal("the zero ideal is not invertible")
-    if member == 0 or member % g != 0:
-        raise NotAMember(f"{member} is not a nonzero member of I({g})")
-    if member == 1:
-        b = 1
-    elif inst.support is None:
-        aux = 2
-        while member % aux == 0:
-            aux = next_prime(aux)
-        b = aux * g
-    else:
-        b = next((q for q in inst.support if member % q), 1) * g
-    if not ideal_equals(ideal_from_generators(inst, [member, b]), a):
-        raise InternalError("two-generator candidate failed the span check")
-    return (member, b)
+
+def finite_spec_principal_generator(a: Ideal):
+    """On gcd-supported, for a nonzero integral a: combine one member per complementary prime box into a
+    single principal generator; returns (generator, per-prime members)."""
+    return a.instance.principal_generator(_integral(a))
 
 
 def next_prime(p):
@@ -177,19 +143,3 @@ def next_prime(p):
     while not is_prime_int(q):
         q += 1
     return q
-
-
-def finite_spec_principal_generator(a: Ideal):
-    """On gcd-supported, for a nonzero integral a: combine one member per complementary prime box into a
-    single principal generator; returns (generator, per-prime members)."""
-    inst = a.instance
-    g = _integral(a)
-    if inst.support is None:
-        raise Unsupported("principal generation by finite spectrum needs gcd-supported")
-    if g == 0:
-        raise ZeroDivisorIdeal("the zero ideal is excluded")
-    members = [g * math.prod(q for q in inst.support if q != p) for p in inst.support]
-    gen = math.gcd(*members)
-    if not ideal_equals(ideal_from_generators(inst, [gen]), a):
-        raise InternalError("finite-spectrum generator failed the span check")
-    return (gen, tuple(members))

@@ -75,19 +75,18 @@ def _common(ar, x, y):
 
 
 def _quotient(ar, x, y):
-    """[x : y] of two payloads in the semifield of fractions; y must be nonzero.
-    lagrassa has none, so there it is the quotient in the semiring."""
+    """[x : y] of two payloads in the semifield of fractions (the semiring on lagrassa); y nonzero."""
     A, B, _ = _common(ar, x, y)  # [A/d : B/d] = [A : B]
     if B == ar.zero:
         raise ZeroDivisorIdeal("residual quotient by the zero ideal")
-    if not ar.semidomain:
-        return ar.quotient(A, B)  # split and join are the identity
-    if ar.dedekind:
-        # B is invertible and generated by the element B: [A : B] = A/B
-        return ar.join(A, B)
-    # x*B <= A  iff  t*x in [t*A : B], for a nonzero t in B
-    t = ar.min_nonzero(B)
-    return ar.join(ar.quotient(ar.scale(A, t), B), t)
+    return ar.frac_quotient(A, B)
+
+
+def _inverse(ar, x):
+    """(y, x*y) for the candidate inverse y = [S : x] of a nonzero payload x:
+    x is invertible iff x*y is the fractional unit S, ``ar.unit``."""
+    y = _quotient(ar, ar.unit, x)
+    return y, ar.frac_mul(x, y)
 
 
 def zero_ideal(inst):
@@ -95,7 +94,7 @@ def zero_ideal(inst):
 
 
 def unit_ideal(inst):
-    return _tag(inst, inst.one)
+    return Ideal(inst, inst.unit)
 
 
 def is_zero(a):
@@ -157,9 +156,8 @@ def ideal_invert(a):
     inst, x = a.instance, a.payload
     if inst.split(x)[0] == inst.zero:
         return None
-    unit = inst.join(inst.one, inst.eone)
-    y = _quotient(inst, unit, x)
-    return Ideal(inst, y) if inst.frac_mul(x, y) == unit else None
+    y, product = _inverse(inst, x)
+    return Ideal(inst, y) if product == inst.unit else None
 
 
 def ideal_power(a, k):

@@ -13,8 +13,8 @@ Supported instances:
 ``instance(id)`` returns the interned object of the instance's kind class
 (``N0``, ``GcdFamily``, ``Dvs``, ``Lagrassa``, ``Quad5``). It carries the
 instance's ``id``, ``kind`` and ``support``; its properties as class
-attributes (``semidomain``, ``dedekind``, ``numeric``, ``gcd_family``,
-``finite``); and the kind's arithmetic on raw payloads: element payloads
+attributes (``semidomain``, ``dedekind``, ``numeric``, ``finite``); its
+fractional unit S as ``unit``; and the kind's arithmetic on raw payloads: element payloads
 (int for n0 and the gcd family, int-or-None for dvs where None is the zero,
 "0" / "u" / "1" for lagrassa, a QuadIdeal for quad5), ideal payloads, the
 fractional payloads of ``ideals`` (``split`` reads one as A/d, ``join``
@@ -26,8 +26,11 @@ object. ``elements(bound)``, the small elements, zero first, reads
 ``ideals()`` up to the bound where an element is the generator of a
 principal ideal (the gcd family and quad5). Elements and ideals are tagged
 with the object so mixed-instance operations fail loudly. This module is the
-only one that compares ``.kind`` with a kind name or tests the class of an
-instance; other modules read its flags.
+only one that compares ``.kind`` with a kind name, tests the class of an
+instance or reads ``support``: each choice of formula, ``frac_quotient`` and
+the gcd family's ``localize`` among them, is a method of the kind. The flags
+are verdicts (a report, the CLI's exit code) and gates (a law or function
+not defined on the kind) elsewhere, never the choice of a formula.
 
 ``Kind`` is the arithmetic of the principal kinds (the gcd family, dvs,
 quad5, lagrassa), where an ideal is stored as its generator, an element
@@ -55,7 +58,8 @@ import operator
 from fractions import Fraction
 
 from . import natideal as nat
-from .errors import InstanceMismatch, InternalError, InvalidInput, NotFractional, OutOfSupport, TooLarge, Unsupported
+from .errors import InstanceMismatch, InternalError, InvalidInput, NotAMember, NotFractional, OutOfSupport, TooLarge
+from .errors import UnknownPrime, Unsupported, ZeroDivisorIdeal
 from .primes import factorint, is_prime_int, primes_up_to, valuation
 from .quadratic import QI_ONE, QI_ZERO, QuadIdeal, _compose, prime_for_root, qi_add, qi_divide
 from .quadratic import qi_factor, qi_meet, qi_mul, qi_prime_split, qi_principal_int
@@ -110,7 +114,6 @@ class Kind:
     semidomain = True  # nonzero factors cancel: there is a semifield of fractions
     dedekind = True  # every nonzero ideal is invertible and factors into prime labels
     numeric = False  # element payloads are naturals (polynomial coefficients for dm)
-    gcd_family = False  # gcd and gcd-supported: localization and two generators
     finite = False  # ideals() ends; content sweeps its modules
     # operations that cost more than a memo lookup: a law check computes each
     # once per operand pair where its law names it recurring (laws._memoized),
@@ -121,6 +124,7 @@ class Kind:
     def __init__(self, id, kind, support):
         self.id, self.kind, self.support = id, kind, support  # support: gcd-supported's primes, else None
         self._ideals, self._enumerated = self.ideals(), []
+        self.unit = self.join(self.one, self.eone)  # the fractional unit S
 
     def __repr__(self):
         return f"instance({self.id!r})"
@@ -172,6 +176,11 @@ class Kind:
         if c is None:
             raise InternalError("a principal ideal is not divisible by its sum with another")
         return c
+
+    def frac_quotient(self, A, B):
+        """[A : B] in the semifield of fractions for a nonzero B: A/B, as B is
+        invertible and generated by the element B."""
+        return self.join(A, B)
 
     def contains(self, a, b):
         """True iff b is a subset of a."""
@@ -241,7 +250,7 @@ class Kind:
         return p
 
     def k_one(self):
-        return self.join(self.one, self.eone)
+        return self.k_generator(self.unit)
 
     def sandwich(self, p):
         A, d = self.split(p)
@@ -261,6 +270,15 @@ class Kind:
         """An invertible ideal containing a, built from the checked b."""
         return self.add(a, b)
 
+    def localize(self, A, p):  # the gcd family's constructions, which GcdFamily gives
+        raise Unsupported(f"localization is defined for the gcd family, not {self.kind}")
+
+    def two_generators(self, g, member):
+        raise Unsupported(f"two-generator search runs on the gcd family, not {self.kind}")
+
+    def principal_generator(self, g):
+        raise Unsupported("principal generation by finite spectrum needs gcd-supported")
+
 
 def _smooth_numbers(support):
     """The support-smooth naturals in order, from a heap: n*p is pushed for
@@ -278,7 +296,7 @@ def _smooth_numbers(support):
 class GcdFamily(Kind):
     """gcd, and gcd-supported(P) when support is the prime set P."""
 
-    numeric = gcd_family = True
+    numeric = True
     ezero = zero = 0
     eone = one = 1
     add = eadd = math.gcd
@@ -328,6 +346,41 @@ class GcdFamily(Kind):
 
     def ideals(self):
         return itertools.count(1) if self.support is None else _smooth_numbers(self.support)
+
+    def localize(self, A, p):
+        """The dvs payload of (A) localized at (p): the exponent of p in A, None for A = 0."""
+        if not is_prime_int(p):
+            raise UnknownPrime(f"{p} is not prime")
+        if self.support is not None and p not in self.support:
+            raise UnknownPrime(f"{p} is not in the support {self.support}")
+        return valuation(A, p)[0] if A else None
+
+    def two_generators(self, g, member):
+        """(member, b) with gcd(member, b) = g: b = aux*g, aux the least prime (on
+        gcd-supported, support prime) not dividing member, or 1 when there is
+        none, and b = 1 for member 1. The gcd of the two elements certifies it."""
+        if g == 0:
+            raise ZeroDivisorIdeal("the zero ideal is not invertible")
+        if member == 0 or member % g != 0:
+            raise NotAMember(f"{member} is not a nonzero member of I({g})")
+        primes = self.support or filter(is_prime_int, itertools.count(2))
+        b = 1 if member == 1 else next((q for q in primes if member % q), 1) * g
+        if math.gcd(self.element(member), self.element(b)) != g:
+            raise InternalError("two-generator candidate failed the span check")
+        return (member, b)
+
+    def principal_generator(self, g):
+        """(gcd, members) of the members of (g) outside one support prime's box
+        each, g times the other support primes: the gcd is certified to be g."""
+        if self.support is None:
+            return Kind.principal_generator(self, g)
+        if g == 0:
+            raise ZeroDivisorIdeal("the zero ideal is excluded")
+        members = [g * math.prod(q for q in self.support if q != p) for p in self.support]
+        gen = math.gcd(*members)
+        if self.element(gen) != g:
+            raise InternalError("finite-spectrum generator failed the span check")
+        return (gen, tuple(members))
 
 
 class Dvs(Kind):
@@ -595,6 +648,11 @@ class N0(Kind):
     def quotient(self, a, b):
         return nat.nat_quotient(a, b)
 
+    def frac_quotient(self, A, B):
+        """x*B <= A iff t*x in [t*A : B], for t the least nonzero member of B."""
+        t = B.min_nonzero()
+        return self.join(self.quotient(self.scale(A, t), B), t)
+
     def cofactor(self, num, den):
         return nat.nat_divides(den, num)
 
@@ -655,9 +713,6 @@ class N0(Kind):
     def k_mul(self, x, y):
         return x * y
 
-    def k_one(self):
-        return Fraction(1)
-
     def sandwich(self, p):  # the least c with c*d in A
         d, A = p
         return (nat._scale_quotient(A, (d,)).min_nonzero(), d)
@@ -704,6 +759,8 @@ class Lagrassa(Kind):
 
     def cofactor(self, num, den):
         return num if self.contains(den, num) else None  # den * num = num
+
+    frac_quotient = Kind.quotient  # no semifield of fractions: the quotient in the semiring
 
     def frac_str(self, a):
         return {"0": "(0)", "u": "(u)", "1": "L"}[a]

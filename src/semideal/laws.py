@@ -44,7 +44,7 @@ import math
 
 from .errors import InvalidInput, TooLarge, Unsupported, UnknownLaw
 from .fractional import _factorial
-from .ideals import _quotient
+from .ideals import _inverse
 from .reports import LawReport
 
 
@@ -219,18 +219,16 @@ def _equation(law):
 
 
 def _law1(ar):
-    """Law 1's check of each a, with the fractional unit S built once per
-    check: the candidate inverse [S : a] is built once and multiplied back
-    once, and a is invertible iff that product is S."""
-    unit = ar.join(ar.one, ar.eone)
+    """Law 1's check of each a, through ideal_invert's inverse: the candidate
+    inverse [S : a] is built once and multiplied back once, and a is
+    invertible iff that product is the fractional unit S."""
 
     def check(a):
         if a == ar.zero:
             return None
         fa = ar.join(a, ar.eone)  # a as a fractional ideal
-        cand = _quotient(ar, unit, fa)
-        product = ar.frac_mul(fa, cand)
-        if product == unit:
+        cand, product = _inverse(ar, fa)
+        if product == ar.unit:
             return None
         return {"a": ar.str(a), "candidate_inverse": ar.frac_str(cand), "product": ar.frac_str(product)}
 

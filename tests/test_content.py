@@ -1,5 +1,6 @@
 """Polynomials, content ideals, product content formulas, module cancellation."""
 
+import importlib
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from semideal import (
 )
 from semideal.ideals import min_nonzero
 from semideal.polynomials import Polynomial
+
+content_module = importlib.import_module("semideal.content")  # the package's name content is the function
 
 N0 = instance("n0")
 GCD = instance("gcd")
@@ -235,6 +238,22 @@ def test_m_cancellation_lagrassa_power_sweep():
     # the unit ideal scales every module to itself: no collision
     rep3 = m_cancellation_check(unit_ideal(LAG), ("power", 1))
     assert rep3.status == "pass"
+
+
+def test_m_cancellation_power_sweep_builds_the_modules_once(monkeypatch):
+    # every span after the first sweep is the image of one module: the
+    # submodules of L^2 are built once per instance and width
+    spans = []
+    real = content_module._span
+    monkeypatch.setattr(content_module, "_span", lambda *args: spans.append(1) or real(*args))
+    content_module._all_submodules.cache_clear()
+    a = unit_ideal(LAG)
+    first = m_cancellation_check(a, ("power", 2))
+    built = len(spans) - first.trials
+    spans.clear()
+    second = m_cancellation_check(a, ("power", 2))
+    assert second == first and first.trials == 49
+    assert len(spans) == second.trials and built >= 1 << 8
 
 
 def test_m_cancellation_ideal_pairs():

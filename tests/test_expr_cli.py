@@ -136,6 +136,14 @@ def test_parse_error_columns_and_expected_sets():
         parse_expr("I(2) I(3)")  # trailing junk after a complete expression
     assert exc.value.column == 6
 
+    # a digit that int() refuses (superscript two, circled one) starts no NAT;
+    # a decimal digit of another script is one, and reads as its value
+    for text, column in (("I(²)", 3), ("I(①)", 3), ("I(3)^²", 6), ("I(12²)", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert exc.value.column == column and f"unexpected character {text[column - 1]!r}" in str(exc.value)
+    assert parse_expr("I(٣)") == parse_expr("I(3)")
+
 
 def test_eval_expr_known_values():
     assert ideal_str(eval_expr(GCD, parse_expr("[I(12):I(6)]^2"))) == "I(4)"
@@ -275,6 +283,21 @@ def test_cli_between(capsys):
 
     code, _, err = run(["between", "--instance", "gcd", "I(6)"], capsys)
     assert code == 3 and err.startswith("NotMaximal:")
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["eval", "--instance", "gcd", "I(²)"], 3),
+        (["eval", "--instance", "n0", "I(①)"], 3),
+        (["eval", "--instance", "gcd", "I(3)^²"], 6),
+        (["between", "--instance", "gcd", "²"], 1),
+    ],
+)
+def test_cli_a_digit_int_refuses_is_a_syntax_error(argv, column, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"syntax error: unexpected character {argv[-1][column - 1]!r} at column {column}\n"
 
 
 # ---------------------------------------------------------------------------

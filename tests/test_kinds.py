@@ -27,8 +27,10 @@ import random
 import types
 from fractions import Fraction
 
+import pytest
+
 import semideal
-from semideal import fractional, ideals, instances
+from semideal import fractional, ideals, instances, laws
 from semideal.instances import KINDS, instance
 
 DIGEST = "9932970fce26ba72750784f08b7c6201947bfd3647cf5670fcafa76b0481d0ec"
@@ -231,6 +233,14 @@ def test_the_checker_finds_a_kind_comparison():
     assert [line for line, _ in kind_comparisons(source)] == [1, 2]
 
 
+def attribute_reads(source, names):
+    """(line, name) of every attribute read ``x.name`` in source, for name in names."""
+    return [
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+
+
 def test_only_the_kind_module_compares_kinds():
     package = pathlib.Path(semideal.__file__).parent
     modules = sorted(p for p in package.rglob("*.py") if p.name != "instances.py")
@@ -240,4 +250,44 @@ def test_only_the_kind_module_compares_kinds():
         for path in modules
         for line, text in kind_comparisons(path.read_text(encoding="utf-8"))
     ]
+    # the kind picks each formula: ideals reads no flag, and only the kind
+    # module reads the gcd family's support (gcd_family is no flag at all)
+    for path in modules:
+        names = {"gcd_family", "support"} | ({"semidomain", "dedekind"} if path.name == "ideals.py" else set())
+        reads = attribute_reads(path.read_text(encoding="utf-8"), names)
+        found += [f"{path.relative_to(package)}:{line}: .{name}" for line, name in reads]
     assert found == []
+    assert not any(hasattr(instance(spec), "gcd_family") for spec in INSTANCES)
+
+
+FLIPS = [(spec, "dedekind") for spec in ("n0", "gcd", "gcd-supported(2,3)", "dvs", "quad5", "lagrassa")]
+FLIPS.append(("lagrassa", "semidomain"))
+
+
+def _answers(inst):
+    """ideal_quotient over every pair and ideal_invert of each of the first 30
+    ideals, and law 1's verdict at 500 trials, each a result or an exception.
+    Law 1's check runs on the tuples directly, not through check_law, whose
+    gate reads semidomain: flipping it on lagrassa opens the gate, as it should."""
+    def shown(fn, *args):
+        try:
+            return repr(fn(*args))
+        except Exception as exc:  # the exception and its message are the answer
+            return f"{type(exc).__name__}: {exc}"
+
+    sample = [ideals.Ideal(inst, inst.join(A, inst.eone)) for A in inst.enumerated(30)[:30]]
+    out = [shown(ideals.ideal_quotient, a, b) for a in sample for b in sample]
+    out += [shown(ideals.ideal_invert, a) for a in sample]
+    check = laws._law1(inst)
+    out.append(shown(lambda: next((w for (a,) in laws._tuples(inst, 1, 500) if (w := check(a)) is not None), "pass")))
+    return out
+
+
+@pytest.mark.parametrize("spec, flag", FLIPS, ids=[f"{spec}-{flag}" for spec, flag in FLIPS])
+def test_a_flipped_flag_changes_no_arithmetic(spec, flag, monkeypatch):
+    # the flags are verdicts and gates: the quotient, the inverse and law 1's
+    # verdict come from the kind's methods, whatever the flags say
+    inst = instance(spec)
+    expected = _answers(inst)
+    monkeypatch.setattr(inst, flag, not getattr(inst, flag))
+    assert _answers(inst) == expected
